@@ -10,6 +10,7 @@ had against its guaranteed minimum.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional
@@ -117,6 +118,9 @@ class ExtensionTrace:
     """Everything that happened while building one labeling.
 
     Records appear in extension order, innermost reduction first.
+    ``base_cases`` counts the small components labeled by exact search and
+    ``splits`` those among them that a reduction cut loose (see
+    :func:`label_planar`).
     """
 
     max_degree_bound: int
@@ -160,22 +164,34 @@ class _DictView:
 # finders
 
 
+def _is_sparse(g: Graph, M: int, u: int, v: int) -> bool:
+    return g.degree(u) + g.degree(v) <= M - 2
+
+
+def _light_end(g: Graph, M: int, u: int, v: int) -> Optional[int]:
+    """The low end of a light edge uv, or None when uv is not light."""
+    if g.degree(u) + g.degree(v) > M + 1:
+        return None
+    cap = (M + 2) // 4
+    if g.degree(u) <= cap:
+        return u
+    if g.degree(v) <= cap:
+        return v
+    return None
+
+
 def _find_sparse_edge(g: Graph, M: int) -> Optional[ReducibleConfig]:
     for u, v in g.edges():
-        if g.degree(u) + g.degree(v) <= M - 2:
+        if _is_sparse(g, M, u, v):
             return ReducibleConfig(SPARSE_EDGE, {"edge": (u, v)})
     return None
 
 
 def _find_light_edge(g: Graph, M: int) -> Optional[ReducibleConfig]:
-    cap = (M + 2) // 4
     for u, v in g.edges():
-        if g.degree(u) + g.degree(v) > M + 1:
-            continue
-        if g.degree(u) <= cap:
-            return ReducibleConfig(LIGHT_EDGE, {"low": u, "edge": (u, v)})
-        if g.degree(v) <= cap:
-            return ReducibleConfig(LIGHT_EDGE, {"low": v, "edge": (u, v)})
+        low = _light_end(g, M, u, v)
+        if low is not None:
+            return ReducibleConfig(LIGHT_EDGE, {"low": low, "edge": (u, v)})
     return None
 
 
@@ -228,13 +244,43 @@ def _find_twin_low_neighbor(g: Graph, M: int) -> Optional[ReducibleConfig]:
     return None
 
 
-def _triangle_faces(g: PlaneGraph) -> Iterator[tuple[int, int, int]]:
-    for face in g.faces():
-        if face.degree == 3 and len(set(face.boundary)) == 3:
-            yield tuple(face.boundary)
+def _successor(g, v: int, u: int) -> int:
+    """The neighbor that follows u in the rotation at v."""
+    order = g.rotation(v)
+    i = order.index(u) + 1
+    return order[i] if i < len(order) else order[0]
 
 
-def _find_face_566(g: PlaneGraph, M: int) -> Optional[ReducibleConfig]:
+def _is_triangle_face(g, a: int, b: int, c: int) -> bool:
+    """Whether the walk a -> b -> c -> a bounds a face.
+
+    Face tracing follows the dart (a, b) with (b, s_b(a)), so the walk is a
+    face exactly when s_b(a) = c, s_c(b) = a and s_a(c) = b.
+    """
+    return (
+        _successor(g, b, a) == c
+        and _successor(g, c, b) == a
+        and _successor(g, a, c) == b
+    )
+
+
+def _triangle_faces(g) -> Iterator[tuple[int, int, int]]:
+    """The faces bounded by three distinct vertices, read off the rotations.
+
+    Each face starts at its least corner and the faces come in the order
+    :func:`~tlabel.graphs.trace_faces` lists them, without tracing any other
+    face or requiring a connected graph.
+    """
+    for a in sorted(g.vertices):
+        for b in sorted(g.neighbors(a)):
+            if b < a:
+                continue
+            c = _successor(g, b, a)
+            if c > a and _is_triangle_face(g, a, b, c):
+                yield (a, b, c)
+
+
+def _find_face_566(g, M: int) -> Optional[ReducibleConfig]:
     for corners in _triangle_faces(g):
         degs = [g.degree(c) for c in corners]
         if 5 not in degs or max(degs) > 6:
@@ -245,7 +291,7 @@ def _find_face_566(g: PlaneGraph, M: int) -> Optional[ReducibleConfig]:
     return None
 
 
-def _find_face_567(g: PlaneGraph, M: int) -> Optional[ReducibleConfig]:
+def _find_face_567(g, M: int) -> Optional[ReducibleConfig]:
     for corners in _triangle_faces(g):
         by_degree = {g.degree(c): c for c in corners}
         if sorted(g.degree(c) for c in corners) != [5, 6, 7]:
@@ -318,17 +364,33 @@ _FINDERS = {
 }
 
 _FACE_KINDS = frozenset({FACE_566, FACE_567})
+# sparse and light edges are queued by the labeler; it scans only for these
+_RARE_KINDS = KIND_ORDER[2:]
 
 
-def find_configuration(g: Graph, M: int) -> ReducibleConfig:
-    """The first reducible structure in a fixed kind and scan order."""
-    for kind in KIND_ORDER:
-        if kind in _FACE_KINDS and not isinstance(g, PlaneGraph):
+def _has_rotation(g) -> bool:
+    return isinstance(g, PlaneGraph) or (
+        isinstance(g, _WorkGraph) and g.rot is not None
+    )
+
+
+def _first_config(g, M: int, kinds) -> Optional[ReducibleConfig]:
+    plane = _has_rotation(g)
+    for kind in kinds:
+        if kind in _FACE_KINDS and not plane:
             continue
         cfg = _FINDERS[kind](g, M)
         if cfg is not None:
             return cfg
-    raise IrreducibleError(g, M)
+    return None
+
+
+def find_configuration(g: Graph, M: int) -> ReducibleConfig:
+    """The first reducible structure in a fixed kind and scan order."""
+    cfg = _first_config(g, M, KIND_ORDER)
+    if cfg is None:
+        raise IrreducibleError(g, M)
+    return cfg
 
 
 def config_holds(g: Graph, M: int, cfg: ReducibleConfig) -> bool:
@@ -336,7 +398,7 @@ def config_holds(g: Graph, M: int, cfg: ReducibleConfig) -> bool:
     try:
         if cfg.kind == SPARSE_EDGE:
             u, v = cfg["edge"]
-            return g.has_edge(u, v) and g.degree(u) + g.degree(v) <= M - 2
+            return g.has_edge(u, v) and _is_sparse(g, M, u, v)
         if cfg.kind == LIGHT_EDGE:
             u, v = cfg["edge"]
             low = cfg["low"]
@@ -380,14 +442,17 @@ def config_holds(g: Graph, M: int, cfg: ReducibleConfig) -> bool:
                 and g.has_edge(u, v1)
             )
         if cfg.kind in _FACE_KINDS:
-            if not isinstance(g, PlaneGraph):
+            if not _has_rotation(g):
                 return False
             corners = cfg["corners"]
-            if not any(
-                set(tri) == set(corners) for tri in _triangle_faces(g)
+            v1, v2, v3 = corners
+            if len(set(corners)) != 3 or not all(
+                g.has_edge(a, b) for a, b in ((v1, v2), (v2, v3), (v1, v3))
             ):
                 return False
-            v1, v2, v3 = corners
+            if not (_is_triangle_face(g, v1, v2, v3)
+                    or _is_triangle_face(g, v1, v3, v2)):
+                return False
             if cfg.kind == FACE_566:
                 return g.degree(v1) == 5 and g.degree(v2) <= 6 and g.degree(v3) <= 6
             v4 = cfg["outside"]
@@ -421,61 +486,182 @@ def config_holds(g: Graph, M: int, cfg: ReducibleConfig) -> bool:
 # ---------------------------------------------------------------------------
 # reductions
 
+# undo log entries: (_CUT, u, v, slot of v at u, slot of u at v),
+# (_SPLICE, at, old, new, slot), (_DETACH, x, neighbor set, rotation)
+_CUT, _SPLICE, _DETACH = range(3)
 
-def _suppress_pair(g: PlaneGraph, v: int, x: int, xp: int,
-                   y: int, yp: int) -> PlaneGraph:
-    """Drop the degree-2 vertices x and y, rewiring v to their far ends.
 
-    Each far end takes the deleted vertex's slot in the rotations, so the
-    embedding stays intact and no new crossing can appear.
+class _WorkGraph:
+    """A mutable copy of a graph that reductions edit in place.
+
+    Adjacency is a dict of sets and rotations a dict of lists (``rot`` is
+    None for a graph without an embedding).  It answers the queries the
+    finders, the extenders and the availability calculus make of a
+    :class:`Graph`.  Every edit appends its inverse to an undo log, and
+    :meth:`undo` restores the adjacency and the exact rotation slots.
     """
-    adj = {u: set(g.neighbors(u)) for u in g.vertices if u not in (x, y)}
-    rot = {u: list(g.rotation(u)) for u in adj}
 
-    def rewire(at: int, old: int, new: int) -> None:
-        adj[at].discard(old)
-        adj[at].add(new)
-        rot[at][rot[at].index(old)] = new
+    __slots__ = ("adj", "rot")
 
-    rewire(v, x, xp)
-    rewire(xp, x, v)
-    rewire(v, y, yp)
-    rewire(yp, y, v)
-    return PlaneGraph(adj, rot)
+    def __init__(self, g: Graph):
+        self.adj = {v: set(g.neighbors(v)) for v in g.vertices}
+        self.rot = (
+            {v: list(g.rotation(v)) for v in self.adj}
+            if isinstance(g, PlaneGraph) else None
+        )
+
+    # -- the read interface of Graph and PlaneGraph ------------------------
+
+    @property
+    def vertices(self) -> tuple[int, ...]:
+        return tuple(sorted(self.adj))
+
+    def __contains__(self, v: int) -> bool:
+        return v in self.adj
+
+    def neighbors(self, v: int) -> set[int]:
+        try:
+            return self.adj[v]
+        except KeyError:
+            raise GraphError("unknown vertex %r" % (v,)) from None
+
+    def degree(self, v: int) -> int:
+        return len(self.neighbors(v))
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return u in self.adj and v in self.adj[u]
+
+    def edges(self) -> list[tuple[int, int]]:
+        return sorted((u, v) for u, ns in self.adj.items() for v in ns if u < v)
+
+    def rotation(self, v: int) -> list[int]:
+        try:
+            return self.rot[v]
+        except KeyError:
+            raise GraphError("unknown vertex %r" % (v,)) from None
+
+    def freeze(self) -> Graph:
+        if self.rot is None:
+            return Graph(self.adj)
+        return PlaneGraph(self.adj, self.rot)
+
+    # -- edits -------------------------------------------------------------
+
+    def cut(self, u: int, v: int, log: list) -> None:
+        """Delete the edge uv."""
+        if not self.has_edge(u, v):
+            raise GraphError("no edge (%d, %d) to delete" % (u, v))
+        self.adj[u].remove(v)
+        self.adj[v].remove(u)
+        i = j = None
+        if self.rot is not None:
+            i = self.rot[u].index(v)
+            del self.rot[u][i]
+            j = self.rot[v].index(u)
+            del self.rot[v][j]
+        log.append((_CUT, u, v, i, j))
+
+    def splice(self, at: int, old: int, new: int, log: list) -> None:
+        """Put the neighbor new in old's place at one vertex only."""
+        self.adj[at].remove(old)
+        self.adj[at].add(new)
+        i = self.rot[at].index(old)
+        self.rot[at][i] = new
+        log.append((_SPLICE, at, old, new, i))
+
+    def detach(self, x: int, log: list) -> None:
+        """Remove x, whose neighbors must no longer list it."""
+        rot = self.rot.pop(x) if self.rot is not None else None
+        log.append((_DETACH, x, self.adj.pop(x), rot))
+
+    def drop(self, x: int, log: list) -> None:
+        """Delete x with its edges."""
+        if x not in self.adj:
+            raise GraphError("unknown vertex %r" % (x,))
+        order = self.rot[x] if self.rot is not None else sorted(self.adj[x])
+        for w in list(order):
+            self.cut(x, w, log)
+        self.detach(x, log)
+
+    def undo(self, log: list) -> None:
+        adj, rot = self.adj, self.rot
+        for entry in reversed(log):
+            if entry[0] == _CUT:
+                _, u, v, i, j = entry
+                adj[u].add(v)
+                adj[v].add(u)
+                if rot is not None:
+                    rot[v].insert(j, u)
+                    rot[u].insert(i, v)
+            elif entry[0] == _SPLICE:
+                _, at, old, new, i = entry
+                adj[at].remove(new)
+                adj[at].add(old)
+                rot[at][i] = old
+            else:
+                _, x, nbrs, order = entry
+                adj[x] = nbrs
+                if rot is not None:
+                    rot[x] = order
 
 
-def _delete_edges(g: Graph, pairs) -> Graph:
-    if isinstance(g, PlaneGraph):
-        return g.delete_edges(pairs)
-    out = g
-    for u, v in pairs:
-        out = out.delete_edge(u, v)
+def _log_vertices(log: list) -> set[int]:
+    """Every vertex an undo log names."""
+    out: set[int] = set()
+    for entry in log:
+        if entry[0] == _CUT:
+            out.update(entry[1:3])
+        elif entry[0] == _SPLICE:
+            out.update(entry[1:4])
+        else:
+            out.add(entry[1])
     return out
+
+
+def _reduce(w: _WorkGraph, cfg: ReducibleConfig) -> list:
+    """Remove the structure from w in place; return the undo log."""
+    log: list = []
+    if cfg.kind in (SPARSE_EDGE, LIGHT_EDGE, DEG4_LOW_NEIGHBOR):
+        w.cut(*cfg["edge"], log)
+    elif cfg.kind == TWO_DEG2:
+        v, x, y = cfg["hub"], cfg["x"], cfg["y"]
+        if cfg["case"] == 1:
+            w.drop(x, log)
+            w.drop(y, log)
+        elif w.rot is None:
+            raise GraphError("rewiring a path needs a rotation system")
+        else:
+            # each far end takes the deleted vertex's slot in the
+            # rotations, so the embedding stays intact
+            xp, yp = cfg["x_other"], cfg["y_other"]
+            w.splice(v, x, xp, log)
+            w.splice(xp, x, v, log)
+            w.splice(v, y, yp, log)
+            w.splice(yp, y, v, log)
+            w.detach(x, log)
+            w.detach(y, log)
+    elif cfg.kind == TWIN_LOW_NEIGHBOR:
+        v = cfg["hub"]
+        v1, v2 = cfg["twins"]
+        w.cut(v, v1, log)
+        w.cut(v, v2, log)
+    elif cfg.kind in _FACE_KINDS:
+        v1, v2, v3 = cfg["corners"]
+        w.cut(v1, v2, log)
+        w.cut(v1, v3, log)
+    elif cfg.kind == ALTERNATOR:
+        for x in cfg["low_side"]:
+            w.drop(x, log)
+    else:
+        raise ValueError("unknown structure kind %r" % cfg.kind)
+    return log
 
 
 def reduce_config(g: Graph, cfg: ReducibleConfig) -> Graph:
     """The smaller graph obtained by removing the structure."""
-    if cfg.kind in (SPARSE_EDGE, LIGHT_EDGE, DEG4_LOW_NEIGHBOR):
-        u, v = cfg["edge"]
-        return g.delete_edge(u, v)
-    if cfg.kind == TWO_DEG2:
-        if cfg["case"] == 1:
-            return g.without_vertices((cfg["x"], cfg["y"]))
-        if not isinstance(g, PlaneGraph):
-            raise GraphError("rewiring a path needs a rotation system")
-        return _suppress_pair(
-            g, cfg["hub"], cfg["x"], cfg["x_other"], cfg["y"], cfg["y_other"]
-        )
-    if cfg.kind == TWIN_LOW_NEIGHBOR:
-        v = cfg["hub"]
-        v1, v2 = cfg["twins"]
-        return _delete_edges(g, ((v, v1), (v, v2)))
-    if cfg.kind in _FACE_KINDS:
-        v1, v2, v3 = cfg["corners"]
-        return _delete_edges(g, ((v1, v2), (v1, v3)))
-    if cfg.kind == ALTERNATOR:
-        return g.without_vertices(cfg["low_side"])
-    raise ValueError("unknown structure kind %r" % cfg.kind)
+    w = _WorkGraph(g)
+    _reduce(w, cfg)
+    return w.freeze()
 
 
 # ---------------------------------------------------------------------------
@@ -812,22 +998,123 @@ _EXTENDERS = {
 # the driver
 
 
-@dataclass
-class _Node:
-    graph: Graph
-    mode: str = ""
-    config: Optional[ReducibleConfig] = None
-    children: list = field(default_factory=list)
+class _EdgeQueue:
+    """Edge keys meeting a predicate, smallest first.
+
+    The predicate must stay true on an edge for as long as the edge
+    exists, so an entry goes stale only when its edge is deleted and is
+    dropped when it reaches the front.  Each key is queued at most once.
+    """
+
+    __slots__ = ("holds", "heap", "queued")
+
+    def __init__(self, holds, keys):
+        self.holds = holds
+        self.heap = sorted(k for k in keys if holds(k))
+        self.queued = set(self.heap)
+
+    def offer(self, key: tuple) -> None:
+        if key not in self.queued and self.holds(key):
+            self.queued.add(key)
+            heapq.heappush(self.heap, key)
+
+    def first(self) -> Optional[tuple]:
+        heap = self.heap
+        while heap:
+            if self.holds(heap[0]):
+                return heap[0]
+            self.queued.discard(heapq.heappop(heap))
+        return None
+
+
+def _small_component(w: _WorkGraph, start: int) -> Optional[set[int]]:
+    """The component of start when it has at most BASE_ELEMENT_LIMIT
+    vertices and edges, found by a search that gives up past the limit."""
+    seen = {start}
+    stack = [start]
+    budget = 2 * BASE_ELEMENT_LIMIT  # each vertex costs 2, each edge 1 per end
+    while stack:
+        v = stack.pop()
+        budget -= 2 + len(w.adj[v])
+        if budget < 0:
+            return None
+        for x in w.adj[v]:
+            if x not in seen:
+                seen.add(x)
+                stack.append(x)
+    return seen
+
+
+def _detach_small(w: _WorkGraph, start: int, events: list) -> bool:
+    """Cut the component of start loose as a base event if it is small."""
+    comp = _small_component(w, start)
+    if comp is None:
+        return False
+    base = Graph({v: w.adj[v] for v in comp})
+    log: list = []
+    for v in sorted(comp):
+        w.detach(v, log)
+    events.append((None, base, log))
+    return True
+
+
+def _check_around(w: _WorkGraph, work: dict, itv: ColorInterval,
+                  region: set) -> None:
+    """Validate every constraint on an element at or next to the region."""
+    near = set(region)
+    for v in region:
+        near |= w.adj[v]
+    local = Graph({v: w.adj[v] & near for v in near})
+    lab = {v: work[v] for v in near if v in work}
+    lab.update((e, work[e]) for e in local.edges() if e in work)
+    bad = validate(local, PartialLabeling(lab), itv)
+    if bad:
+        raise ExtensionError(
+            "intermediate labeling violates %d constraints: %r"
+            % (len(bad), bad[:3])
+        )
+
+
+def _next_config(w: _WorkGraph, M: int, sparse: _EdgeQueue,
+                 light: _EdgeQueue) -> ReducibleConfig:
+    """What find_configuration would return on w, with the edge kinds
+    taken from their queues."""
+    key = sparse.first()
+    if key is not None:
+        return ReducibleConfig(SPARSE_EDGE, {"edge": key})
+    key = light.first()
+    if key is not None:
+        return ReducibleConfig(
+            LIGHT_EDGE, {"low": _light_end(w, M, *key), "edge": key})
+    cfg = _first_config(w, M, _RARE_KINDS)
+    if cfg is None:
+        raise IrreducibleError(w.freeze(), M)
+    return cfg
 
 
 def label_planar(g: PlaneGraph, M: Optional[int] = None,
                  deep_check: bool = False) -> tuple[PartialLabeling, ExtensionTrace]:
     """A total labeling of g with colors {0..M+2}, plus its build trace.
 
-    M defaults to max(12, max degree).  The reduction tree is built
-    iteratively because deleting one element at a time nests about as deep
-    as the graph is large.  With deep_check every intermediate labeling is
-    validated, not just the final one.
+    M defaults to max(12, max degree).  The graph need not be connected.
+
+    The labeler works on one mutable copy of g.  A forward loop removes one
+    reducible structure at a time in place and keeps each removal's undo
+    log, so the reductions form a chain, not a tree of graph copies.
+    Sparse and light edges wait in two queues ordered by edge key: no
+    reduction raises a degree, so an edge that qualifies keeps qualifying
+    until it is deleted, and only the edges at vertices a reduction touched
+    are offered again.  The other kinds are scanned for only when both
+    queues are empty.  Whenever the component of a touched vertex has at
+    most BASE_ELEMENT_LIMIT elements, it is detached as a base case; so is
+    every such component of g at the start.  The backward loop then undoes
+    the events in reverse: a base case is labeled by exact search, a
+    reduction is extended across on the restored graph.
+
+    The trace counts the base cases in ``base_cases``; ``splits`` counts
+    those among them that a reduction cut loose, which excludes the small
+    components g starts with.  With deep_check the labeling is validated
+    around every event as the backward loop goes, not just at the end.
     """
     if not isinstance(g, PlaneGraph):
         raise GraphError("a plane graph with a rotation system is required")
@@ -843,62 +1130,56 @@ def label_planar(g: PlaneGraph, M: Optional[int] = None,
     itv = working_interval(M)
     trace = ExtensionTrace(M)
 
-    nodes = [_Node(g)]
-    i = 0
-    while i < len(nodes):
-        node = nodes[i]
-        h = node.graph
-        if h.n and not h.is_connected():
-            node.mode = "split"
-            parts = (
-                h.plane_components() if isinstance(h, PlaneGraph)
-                else [h.induced(c) for c in h.components()]
-            )
-            for part in parts:
-                node.children.append(len(nodes))
-                nodes.append(_Node(part))
-        elif h.n + h.m <= BASE_ELEMENT_LIMIT:
-            node.mode = "base"
-        else:
-            cfg = find_configuration(h, M)
-            node.mode = "reduce"
-            node.config = cfg
-            node.children.append(len(nodes))
-            nodes.append(_Node(reduce_config(h, cfg)))
-        i += 1
+    w = _WorkGraph(g)
+    sparse = _EdgeQueue(
+        lambda e: w.has_edge(*e) and _is_sparse(w, M, *e), g.edges())
+    light = _EdgeQueue(
+        lambda e: w.has_edge(*e) and _light_end(w, M, *e) is not None,
+        g.edges())
+    # (configuration or None, base graph or None, undo log)
+    events: list[tuple] = []
+    for comp in g.components():
+        _detach_small(w, min(comp), events)
 
-    results: list[Optional[dict]] = [None] * len(nodes)
-    for i in reversed(range(len(nodes))):
-        node = nodes[i]
-        if node.mode == "base":
-            phi, _ = find_labeling(node.graph, itv)
+    while w.adj:
+        cfg = _next_config(w, M, sparse, light)
+        log = _reduce(w, cfg)
+        events.append((cfg, None, log))
+        touched = sorted(_log_vertices(log))
+        for v in touched:
+            if v in w.adj and _detach_small(w, v, events):
+                trace.splits += 1
+        for v in touched:
+            for x in w.adj.get(v, ()):
+                sparse.offer(edge_key(v, x))
+                light.offer(edge_key(v, x))
+
+    work: dict = {}
+    for cfg, base, log in reversed(events):
+        w.undo(log)
+        if base is not None:
+            phi, _ = find_labeling(base, itv)
             if phi is None:
                 raise ExtensionError(
                     "a base graph with %d elements has no labeling in a "
-                    "%d-color interval" % (node.graph.n + node.graph.m, itv.size)
+                    "%d-color interval" % (base.n + base.m, itv.size)
                 )
-            work = phi.as_dict()
+            work.update(phi.as_dict())
             trace.base_cases += 1
-        elif node.mode == "split":
-            work = {}
-            for child in node.children:
-                work.update(results[child])
-            trace.splits += 1
+            if deep_check:
+                _check_around(w, work, itv, set(base.vertices))
         else:
-            work = dict(results[node.children[0]])
-            rec = ReductionRecord(node.config.kind, dict(node.config.data))
-            _EXTENDERS[node.config.kind](node.graph, work, node.config, itv, rec)
+            rec = ReductionRecord(cfg.kind, dict(cfg.data))
+            _EXTENDERS[cfg.kind](w, work, cfg, itv, rec)
             trace.records.append(rec)
-        if deep_check:
-            bad = validate(node.graph, PartialLabeling(work), itv)
-            if bad:
-                raise ExtensionError(
-                    "intermediate labeling violates %d constraints: %r"
-                    % (len(bad), bad[:3])
-                )
-        results[i] = work
+            if deep_check:
+                region = _log_vertices(log)
+                for step in rec.steps:
+                    el = step.element
+                    region.update(el if isinstance(el, tuple) else (el,))
+                _check_around(w, work, itv, region)
 
-    out = PartialLabeling(results[0])
+    out = PartialLabeling(work)
     if not out.is_total(g):
         raise ExtensionError("extension finished without covering the graph")
     bad = validate(g, out, itv)

@@ -99,3 +99,15 @@ def pinned_twin_instance():
         work[(0, leaf)] = c
         work[leaf] = 14
     return g, work
+
+
+def disjoint_union(*parts: PlaneGraph, stride: int = 100) -> PlaneGraph:
+    """The parts side by side; vertex v of part i becomes i * stride + v."""
+    adj: dict[int, set[int]] = {}
+    rot: dict[int, list[int]] = {}
+    for i, part in enumerate(parts):
+        shift = i * stride
+        for v in part.vertices:
+            adj[v + shift] = {w + shift for w in part.neighbors(v)}
+            rot[v + shift] = [w + shift for w in part.rotation(v)]
+    return PlaneGraph(adj, rot)

@@ -6,8 +6,11 @@ import json
 
 import pytest
 
+from gadgets import disjoint_union
 from tlabel.cli import main
-from tlabel.io import parse_graph, parse_labeling
+from tlabel.families import generate
+from tlabel.graphs import PlaneGraph
+from tlabel.io import parse_graph, parse_labeling, serialize_graph
 from tlabel.labeling import ColorInterval, validate
 
 P3_TEXT = "p tlabel 3 2\ne 0 1\ne 1 2\n"
@@ -144,3 +147,22 @@ def test_bench_reports_per_file(tmp_path, capsys):
     assert main(["bench", str(a), str(tmp_path / "gone.gr")]) == 1
     payload = _json_out(capsys)
     assert payload["failures"] == 1
+
+
+def test_label_disconnected_plane_graph(tmp_path, capsys):
+    parts = (generate("wheel", 13), generate("star", 3),
+             PlaneGraph({0: set()}, {0: ()}))
+    graph = tmp_path / "parts.gr"
+    labeling = tmp_path / "parts.lab"
+    graph.write_text(serialize_graph(disjoint_union(*parts)))
+
+    assert main(["label", str(graph), "-o", str(labeling),
+                 "--report", "-"]) == 0
+    report = _json_out(capsys)
+    assert report["slack_ok"] is True
+
+    g = parse_graph(graph.read_text())
+    assert len(g.components()) == 3
+    phi = parse_labeling(labeling.read_text(), g)
+    assert phi.is_total(g)
+    assert validate(g, phi, ColorInterval(k=15, d=2)) == []

@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
 
 from gadgets import (
+    disjoint_union,
     leaf_triangle,
     octahedron,
     pinned_twin_instance,
     special_face_with_mate,
 )
+from tlabel import reduction
 from tlabel.exact import find_labeling
 from tlabel.families import generate
-from tlabel.graphs import Graph, GraphError, PlaneGraph
+from tlabel.graphs import Graph, GraphError, PlaneGraph, trace_faces
+from tlabel.io import serialize_labeling
 from tlabel.labeling import PartialLabeling, validate, working_interval
 from tlabel.reduction import (
     ALTERNATOR,
@@ -31,6 +35,7 @@ from tlabel.reduction import (
     ReducibleConfig,
     ReductionRecord,
     _EXTENDERS,
+    _WorkGraph,
     _assign_fixed,
     _find_deg4_low_neighbor,
     _find_face_566,
@@ -39,6 +44,8 @@ from tlabel.reduction import (
     _find_sparse_edge,
     _find_twin_low_neighbor,
     _find_two_deg2,
+    _reduce,
+    _triangle_faces,
     config_holds,
     find_configuration,
     find_k_alternator,
@@ -563,3 +570,161 @@ def test_trace_bookkeeping():
     assert len(list(trace.steps())) == sum(
         len(r.steps) for r in trace.records
     )
+
+
+# ---------------------------------------------------------------------------
+# the working graph and the incremental driver
+
+
+def _undo_cases():
+    """(graph, configuration) for every kind, on the hand-built graphs."""
+    p3, star, c4, spider = (
+        _make_path3(), _make_star(10), _make_c4(), _make_spider()
+    )
+    w4 = generate("wheel", 4)
+    twin = pinned_twin_instance()[0]
+    tri = leaf_triangle(5, 6, 6)
+    mate = special_face_with_mate()
+    claw = Graph.from_edges([(0, 1), (0, 2), (0, 3)])
+    plane_claw = generate("star", 3)
+    return [
+        (p3, _find_sparse_edge(p3, 12)),
+        (spider, _find_sparse_edge(spider, 12)),
+        (octahedron(), _find_sparse_edge(octahedron(), 12)),
+        (star, _find_light_edge(star, 12)),
+        (w4, _find_deg4_low_neighbor(w4, 12)),
+        (c4, _find_two_deg2(c4, 12)),
+        (spider, _find_two_deg2(spider, 12)),
+        (twin, _find_twin_low_neighbor(twin, 12)),
+        (tri, _find_face_566(tri, 12)),
+        (mate, _find_face_567(mate, 12)),
+        (claw, find_k_alternator(claw, 12, 3)),
+        (plane_claw, find_k_alternator(plane_claw, 12, 3)),
+    ]
+
+
+def test_undo_restores_adjacency_and_rotation_slots():
+    cases = _undo_cases()
+    assert {cfg.kind for _, cfg in cases} == set(KIND_ORDER)
+    for g, cfg in cases:
+        w = _WorkGraph(g)
+        log = _reduce(w, cfg)
+        assert w.freeze() == reduce_config(g, cfg)
+        assert w.freeze() != g
+        w.undo(log)
+        assert w.adj == {v: set(g.neighbors(v)) for v in g.vertices}
+        if isinstance(g, PlaneGraph):
+            assert w.rot == {v: list(g.rotation(v)) for v in g.vertices}
+        else:
+            assert w.rot is None
+
+
+def _face_sample():
+    sample = [generate("stacked_triangulation", n, s, cap)
+              for n, s, cap in ((12, 1, None), (60, 2, 12), (120, 3, 16))]
+    sample += [generate("random_planar", n, s, cap)
+               for n, s, cap in ((30, 4, 12), (80, 5, 14))]
+    sample += [generate("wheel", n) for n in (3, 4, 9)]
+    sample += [generate("cycle", 3), generate("star", 4), _make_c4(),
+               _make_spider(), octahedron(), leaf_triangle(5, 6, 6),
+               special_face_with_mate(), pinned_twin_instance()[0]]
+    return sample
+
+
+def test_local_triangle_faces_match_face_tracing():
+    for g in _face_sample():
+        traced = [
+            f.boundary for f in trace_faces(g)
+            if f.degree == 3 and len(set(f.boundary)) == 3
+        ]
+        assert list(_triangle_faces(g)) == traced
+        assert list(_triangle_faces(_WorkGraph(g))) == traced
+
+
+def test_queued_choice_matches_a_full_scan(monkeypatch):
+    # at every step the queues must pick what a scan of the whole working
+    # graph in kind and edge order would pick
+    queued = reduction._next_config
+    calls = []
+
+    def checked(w, M, sparse, light):
+        cfg = queued(w, M, sparse, light)
+        assert cfg == find_configuration(w, M)
+        calls.append(cfg.kind)
+        return cfg
+
+    monkeypatch.setattr(reduction, "_next_config", checked)
+    for g, M in ((generate("stacked_triangulation", 80, 4, 12), 12),
+                 (generate("random_planar", 60, 5, 14), 14),
+                 (disjoint_union(generate("wheel", 13), generate("wheel", 9)),
+                  13)):
+        label_planar(g, M)
+    assert {SPARSE_EDGE, LIGHT_EDGE} <= set(calls)
+
+
+def test_driver_reduces_and_extends_every_kind_in_place(monkeypatch):
+    # generated graphs only ever need sparse and light edges, so prefer the
+    # other kinds to run each one through the working graph and its undo
+    queued = reduction._next_config
+
+    def rare_first(w, M, sparse, light):
+        cfg = reduction._first_config(w, M, reduction._RARE_KINDS)
+        return cfg if cfg is not None else queued(w, M, sparse, light)
+
+    monkeypatch.setattr(reduction, "_next_config", rare_first)
+    fired = set()
+    for g in (generate("stacked_triangulation", 40, 0, 12),
+              generate("random_planar", 80, 1, 14),
+              leaf_triangle(5, 6, 6), special_face_with_mate(),
+              pinned_twin_instance()[0]):
+        M = max(12, g.max_degree)
+        lab, trace = label_planar(g, M, deep_check=True)
+        assert trace.ok()
+        assert validate(g, lab, working_interval(M)) == []
+        fired |= set(trace.kind_counts())
+    assert set(reduction._RARE_KINDS) <= fired
+
+
+# sha256 of serialize_labeling(label_planar(g, M)[0]), recorded with the
+# copy-per-reduction driver that the working-graph engine replaced
+GOLDEN = [
+    ("stacked_triangulation", 300, 1, 12,
+     "efbf43248afa15eafa0202c294070243052d704f8a5d23e3c7396f1b01d2ca95"),
+    ("random_planar", 150, 2, 14,
+     "56239dc190a957d953eff0a6aac5bf3c3bcd49b66dee8e6559e700bad3a12046"),
+    ("random_planar", 150, 3, 16,
+     "38450483b08ed7aac23c7d60db85d3f85177ba9e76e57d525d8cd1f97b31445e"),
+]
+WHEELS_13_9_DIGEST = (
+    "354055273e6c6cc8a4c051bf3f4ce303e0e40b4a5a242567bf041206528c3b7c"
+)
+
+
+def _digest(g: PlaneGraph, M: int) -> str:
+    phi, trace = label_planar(g, M)
+    assert trace.ok()
+    return hashlib.sha256(serialize_labeling(phi).encode()).hexdigest()
+
+
+def test_label_planar_reproduces_golden_labelings():
+    for family, n, seed, cap, digest in GOLDEN:
+        assert _digest(generate(family, n, seed, cap), cap) == digest, family
+    wheels = disjoint_union(generate("wheel", 13), generate("wheel", 9))
+    assert _digest(wheels, 13) == WHEELS_13_9_DIGEST
+
+
+def test_label_planar_counts_detached_components():
+    wheels = disjoint_union(generate("wheel", 13), generate("wheel", 9),
+                            generate("cycle", 3))
+    lab, trace = label_planar(wheels, 13, deep_check=True)
+    assert lab.is_total(wheels)
+    # the triangle is small from the start; every other base case was cut
+    # loose by a reduction
+    assert trace.base_cases == trace.splits + 1
+
+
+def test_label_planar_scales_to_1600_vertices():
+    g = generate("stacked_triangulation", 1600, 1, 12)
+    lab, trace = label_planar(g, 12)
+    assert trace.ok()
+    assert validate(g, lab, working_interval(12)) == []
