@@ -106,6 +106,7 @@ def _cmd_exact(args) -> int:
             "status": result.status,
             "value": result.value,
             "nodes": result.nodes,
+            "level_nodes": list(result.level_nodes),
         }
     )
     if result.solved and args.witness is not None:

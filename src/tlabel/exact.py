@@ -5,6 +5,19 @@ Every unsatisfiable level is proven by exhausting its search tree, so a
 returned value is exact; when a node budget runs out the result says
 "unknown" instead of guessing.
 
+The search is one iterative depth-first loop with forward checking
+(Haralick and Elliott, 1980), so depth is bounded by memory, not by the
+interpreter's recursion limit.  Every element carries its remaining colors
+as an int bitmask.  Placing a color removes it from the later elements that
+must differ ("same" conflicts: adjacent vertices, edges sharing an
+endpoint) and removes the band of colors closer than d from the later
+elements that must keep the gap ("band" conflicts: a vertex and an incident
+edge).  Each removal is pushed on a trail that is unwound on backtracking,
+and a placement is pruned as soon as a domain becomes empty.  Elements are
+tried in a static order with colors ascending; a smallest-domain-first
+order would find other first solutions and so change the witnesses that
+the labeler's base cases and their golden digests depend on.
+
 This is meant for small instances (say up to a few dozen elements) and as a
 ground-truth oracle for the structural machinery, not for scale.
 """
@@ -16,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import Graph, edge_key
-from .labeling import ColorInterval, PartialLabeling, available, is_edge
+from .labeling import ColorInterval, PartialLabeling, is_edge
 
 
 class BudgetExceeded(Exception):
@@ -29,10 +42,20 @@ class BudgetExceeded(Exception):
 
 @dataclass
 class SolveResult:
+    """Outcome of :func:`lambda_exact`.
+
+    ``level_nodes`` holds the nodes spent at each span tried, from the
+    lowest upward, including the level cut short when the budget ran out;
+    it sums to ``nodes``.  For a disconnected graph the components' counts
+    at one span are added together, starting at the smallest component
+    lower bound.
+    """
+
     status: str  # "solved" or "unknown"
     value: Optional[int]
     witness: Optional[PartialLabeling]
     nodes: int
+    level_nodes: tuple[int, ...]
 
     @property
     def solved(self) -> bool:
@@ -54,46 +77,100 @@ def _element_order(g: Graph) -> list:
     return [el for _, el in items]
 
 
-class _Search:
-    def __init__(self, g: Graph, interval: ColorInterval, budget: Optional[int],
-                 start_nodes: int = 0):
-        self.g = g
-        self.interval = interval
-        self.budget = budget
-        self.nodes = start_nodes
-        self.order = _element_order(g)
+def _search(same: list, band: list, k: int, d: int,
+            budget: Optional[int]) -> tuple[Optional[list], int]:
+    """Color items 0..n-1 from {0..k}, in index order, by forward checking.
 
-    def run(self) -> Optional[dict]:
-        phi: dict = {}
-        if self._extend(phi, 0):
-            return phi
-        return None
+    ``same[i]`` lists the later items whose color must differ from item
+    i's, ``band[i]`` the later items whose color must differ from it by at
+    least d.  Returns (colors, nodes) with colors None when no coloring
+    exists; one node is spent per candidate color tried.  Raises
+    BudgetExceeded past ``budget`` nodes.
+    """
+    n = len(same)
+    full = (1 << (k + 1)) - 1
+    spread = (1 << (2 * d - 1)) - 1  # the 2d-1 colors closer than d, low end at bit 0
+    limit = float("inf") if budget is None else budget
+    dom = [full] * n
+    bits = [0] * n       # the placed color of each item, as a one-bit mask
+    rest = [0] * n       # colors not yet tried at each depth
+    mark = [0] * n       # trail length on entering each depth
+    trail: list = []     # (item, domain before a removal)
+    nodes = 0
+    i = 0
+    if n:
+        rest[0] = full
+    while i < n:
+        r = rest[i]
+        if not r:
+            if i == 0:
+                return None, nodes
+            i -= 1
+            continue
+        low = r & -r
+        rest[i] = r ^ low
+        nodes += 1
+        if nodes > limit:
+            raise BudgetExceeded(nodes)
+        top = mark[i]
+        if len(trail) > top:
+            for j, m in reversed(trail[top:]):
+                dom[j] = m
+            del trail[top:]
+        ok = True
+        for j in same[i]:
+            m = dom[j]
+            if m & low:
+                trail.append((j, m))
+                m ^= low
+                dom[j] = m
+                if not m:
+                    ok = False
+                    break
+        if ok and band[i]:
+            drop = ((spread * low) >> (d - 1)) & full
+            for j in band[i]:
+                m = dom[j]
+                if m & drop:
+                    trail.append((j, m))
+                    m &= ~drop
+                    dom[j] = m
+                    if not m:
+                        ok = False
+                        break
+        if ok:
+            bits[i] = low
+            i += 1
+            if i < n:
+                mark[i] = len(trail)
+                rest[i] = dom[i]
+    return [b.bit_length() - 1 for b in bits], nodes
 
-    def _spend(self):
-        self.nodes += 1
-        if self.budget is not None and self.nodes > self.budget:
-            raise BudgetExceeded(self.nodes)
 
-    def _extend(self, phi: dict, idx: int) -> bool:
-        if idx == len(self.order):
-            return True
-        el = self.order[idx]
-        wrapped = PartialLabeling(phi)
-        for c in sorted(available(self.g, wrapped, el, self.interval)):
-            self._spend()
-            phi[el] = c
-            if self._forward_ok(phi, idx + 1) and self._extend(phi, idx + 1):
-                return True
-            del phi[el]
-        return False
-
-    def _forward_ok(self, phi: dict, idx: int) -> bool:
-        # prune as soon as any future element has no color left
-        wrapped = PartialLabeling(phi)
-        for el in self.order[idx:]:
-            if not available(self.g, wrapped, el, self.interval):
-                return False
-        return True
+def _total_conflicts(g: Graph, order: list) -> tuple[list, list]:
+    """The later "same" and "band" conflicts of each element in order."""
+    index = {el: i for i, el in enumerate(order)}
+    same: list = [[] for _ in order]
+    band: list = [[] for _ in order]
+    for i, el in enumerate(order):
+        if is_edge(el):
+            for x in el:
+                j = index[x]
+                if j > i:
+                    band[i].append(j)
+                for w in g.neighbors(x):
+                    j = index[edge_key(x, w)]
+                    if j > i:
+                        same[i].append(j)
+        else:
+            for w in g.neighbors(el):
+                j = index[w]
+                if j > i:
+                    same[i].append(j)
+                j = index[edge_key(el, w)]
+                if j > i:
+                    band[i].append(j)
+    return same, band
 
 
 def find_labeling(g: Graph, interval: ColorInterval,
@@ -103,11 +180,12 @@ def find_labeling(g: Graph, interval: ColorInterval,
     Returns (labeling, nodes) with labeling None when the level is
     unsatisfiable; raises BudgetExceeded when the budget runs out first.
     """
-    search = _Search(g, interval, budget)
-    phi = search.run()
-    if phi is None:
-        return None, search.nodes
-    return PartialLabeling(phi), search.nodes
+    order = _element_order(g)
+    same, band = _total_conflicts(g, order)
+    colors, nodes = _search(same, band, interval.k, interval.d, budget)
+    if colors is None:
+        return None, nodes
+    return PartialLabeling(dict(zip(order, colors))), nodes
 
 
 def span_lower_bound(g: Graph, d: int) -> int:
@@ -127,6 +205,20 @@ def span_lower_bound(g: Graph, d: int) -> int:
     return lo
 
 
+def _lambda_connected(g: Graph, d: int, budget: Optional[int]) -> SolveResult:
+    levels: list = []
+    for k in itertools.count(span_lower_bound(g, d)):
+        interval = ColorInterval(k=k, d=d)
+        try:
+            phi, spent = find_labeling(g, interval, budget)
+        except BudgetExceeded as exc:
+            levels.append(exc.nodes)
+            return SolveResult("unknown", None, None, sum(levels), tuple(levels))
+        levels.append(spent)
+        if phi is not None:
+            return SolveResult("solved", k, phi, sum(levels), tuple(levels))
+
+
 def lambda_exact(g: Graph, d: int = 2, budget: Optional[int] = None) -> SolveResult:
     """The exact optimal span, searched upward from the lower bound.
 
@@ -134,80 +226,58 @@ def lambda_exact(g: Graph, d: int = 2, budget: Optional[int] = None) -> SolveRes
     graph is the maximum over its components.
     """
     comps = g.components()
-    if len(comps) > 1:
-        total_nodes = 0
-        best = 0
-        merged: dict = {}
-        for comp in comps:
-            sub = lambda_exact(g.induced(comp), d, budget)
-            total_nodes += sub.nodes
-            if not sub.solved:
-                return SolveResult("unknown", None, None, total_nodes)
-            best = max(best, sub.value)
-            merged.update(sub.witness.as_dict())
-        return SolveResult("solved", best, PartialLabeling(merged), total_nodes)
-
-    nodes = 0
-    for k in itertools.count(span_lower_bound(g, d)):
-        interval = ColorInterval(k=k, d=d)
-        try:
-            phi, level_nodes = find_labeling(g, interval, budget)
-        except BudgetExceeded as exc:
-            return SolveResult("unknown", None, None, nodes + exc.nodes)
-        nodes += level_nodes
-        if phi is not None:
-            return SolveResult("solved", k, phi, nodes)
+    if len(comps) <= 1:
+        return _lambda_connected(g, d, budget)
+    subs = []
+    per_span: dict = {}
+    for comp in comps:
+        sub_g = g.induced(comp)
+        sub = _lambda_connected(sub_g, d, budget)
+        for k, spent in enumerate(sub.level_nodes, span_lower_bound(sub_g, d)):
+            per_span[k] = per_span.get(k, 0) + spent
+        subs.append(sub)
+        if not sub.solved:
+            break
+    levels = tuple(per_span.get(k, 0) for k in range(min(per_span), max(per_span) + 1))
+    if not subs[-1].solved:
+        return SolveResult("unknown", None, None, sum(levels), levels)
+    merged: dict = {}
+    for sub in subs:
+        merged.update(sub.witness.as_dict())
+    return SolveResult("solved", max(sub.value for sub in subs),
+                       PartialLabeling(merged), sum(levels), levels)
 
 
-def _color_search(n_items: int, conflicts, num_colors: int,
-                  budget: Optional[int]) -> Optional[list]:
-    """Backtracking c-coloring of items 0..n-1 given a conflict test."""
-    assignment: list = [None] * n_items
-    nodes = 0
-
-    def rec(i: int) -> bool:
-        nonlocal nodes
-        if i == n_items:
-            return True
-        for c in range(num_colors):
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExceeded(nodes)
-            if any(assignment[j] == c for j in conflicts[i] if j < i):
-                continue
-            assignment[i] = c
-            if rec(i + 1):
-                return True
-            assignment[i] = None
-        return False
-
-    return assignment if rec(0) else None
+def _min_colors(same: list, budget: Optional[int]) -> int:
+    """The fewest colors properly coloring items 0..n-1 (n >= 1), where
+    ``same[i]`` lists the later items that must differ from item i."""
+    no_band = [[] for _ in same]
+    for c in itertools.count(1):
+        colors, _ = _search(same, no_band, c - 1, 1, budget)
+        if colors is not None:
+            return c
 
 
 def chromatic_number(g: Graph, budget: Optional[int] = None) -> int:
     """Exact chromatic number by exhaustive search over color counts."""
     if g.n == 0:
         return 0
-    verts = list(g.vertices)
+    verts = g.vertices
     index = {v: i for i, v in enumerate(verts)}
-    conflicts = [[index[w] for w in g.neighbors(v)] for v in verts]
-    for c in itertools.count(1):
-        if _color_search(len(verts), conflicts, c, budget) is not None:
-            return c
+    same = [[j for j in (index[w] for w in g.neighbors(v)) if j > i]
+            for i, v in enumerate(verts)]
+    return _min_colors(same, budget)
 
 
 def edge_chromatic_number(g: Graph, budget: Optional[int] = None) -> int:
     """Exact chromatic index by exhaustive search over color counts."""
-    edges = list(g.edges())
+    edges = g.edges()
     if not edges:
         return 0
     index = {e: i for i, e in enumerate(edges)}
-    conflicts = [
-        [index[f] for f in edges if f != e and set(f) & set(e)] for e in edges
-    ]
-    for c in itertools.count(1):
-        if _color_search(len(edges), conflicts, c, budget) is not None:
-            return c
+    same = [[j for j in (index[edge_key(x, w)] for x in e for w in g.neighbors(x)) if j > i]
+            for i, e in enumerate(edges)]
+    return _min_colors(same, budget)
 
 
 def bounds(g: Graph, d: int = 2, budget: Optional[int] = None) -> tuple[int, int]:

@@ -9,8 +9,9 @@ three constraint families:
 
 Elements are vertex ids (int) or normalized edges ((u, v) with u < v).
 All set operations here are pure functions of the graph, the labeling and
-the color interval; algorithms that extend labelings re-derive availability
-after every assignment instead of patching sets incrementally.
+the color interval.  The labeler's extenders call them afresh after every
+assignment; the exact solver does not use them and instead keeps its own
+bitmask domains, updated incrementally (see :mod:`tlabel.exact`).
 """
 
 from __future__ import annotations

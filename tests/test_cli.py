@@ -166,3 +166,33 @@ def test_label_disconnected_plane_graph(tmp_path, capsys):
     phi = parse_labeling(labeling.read_text(), g)
     assert phi.is_total(g)
     assert validate(g, phi, ColorInterval(k=15, d=2)) == []
+
+
+def test_exact_on_a_long_path_needs_no_recursion(tmp_path, capsys):
+    n = 701
+    graph = tmp_path / "path.gr"
+    graph.write_text("p tlabel %d %d\n" % (n, n - 1)
+                     + "".join("e %d %d\n" % (i, i + 1) for i in range(n - 1)))
+    assert main(["exact", str(graph), "--budget", "100000"]) == 0
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert payload["value"] == 4
+    assert sum(payload["level_nodes"]) == payload["nodes"]
+    assert "Traceback" not in err
+
+
+def test_exact_reports_nodes_per_level(tmp_path, capsys):
+    graph = tmp_path / "k6.gr"
+    graph.write_text("p tlabel 6 15\n" + "".join(
+        "e %d %d\n" % (u, v) for u in range(6) for v in range(u + 1, 6)))
+    assert main(["exact", str(graph), "--budget", "10"]) == 1
+    payload = _json_out(capsys)
+    assert payload["level_nodes"] == [11] and payload["nodes"] == 11
+
+    c5 = tmp_path / "c5.gr"
+    assert main(["gen", "--family", "cycle", "--n", "5", "-o", str(c5)]) == 0
+    assert main(["exact", str(c5), "--gap", "1"]) == 0
+    payload = _json_out(capsys)
+    assert payload["value"] == 3
+    assert len(payload["level_nodes"]) == 2
+    assert sum(payload["level_nodes"]) == payload["nodes"]

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+
+import networkx as nx
 
 from tlabel.exact import (
     bounds,
@@ -14,6 +17,7 @@ from tlabel.exact import (
 )
 from tlabel.families import generate
 from tlabel.graphs import Graph
+from tlabel.io import serialize_labeling
 from tlabel.labeling import ColorInterval, validate
 
 from oracle import naive_lambda
@@ -112,3 +116,70 @@ def test_bounds_hold_on_families():
         lo, hi = bounds(g, d=2)
         lam = lambda_exact(g, d=2).value
         assert lo <= lam <= hi
+
+
+# sha256 over (atlas index, d, value, nodes, serialized witness) for every
+# connected atlas graph on at most five vertices, recorded with the
+# recursive solver that rebuilt availability at every node
+GOLDEN_ATLAS5 = "6dbc495dc29408640faa1b141f2263d366c93daf27b36ea5e3e24b0e8e477ecd"
+
+
+def test_exact_reproduces_golden_atlas_results():
+    h = hashlib.sha256()
+    solved = 0
+    for idx, G in enumerate(nx.graph_atlas_g()[1:53], start=1):
+        if not nx.is_connected(G):
+            continue
+        g = Graph.from_edges(G.edges(), vertices=G.nodes())
+        for d in (1, 2):
+            res = lambda_exact(g, d=d)
+            h.update(repr((idx, d, res.value, res.nodes,
+                           serialize_labeling(res.witness))).encode())
+            solved += 1
+    assert solved == 62
+    assert h.hexdigest() == GOLDEN_ATLAS5
+
+
+def test_level_nodes_count_every_span_tried():
+    c5 = generate("cycle", 5)
+    one = lambda_exact(c5, d=1)
+    # span 2 is refuted, span 3 is solved
+    assert span_lower_bound(c5, 1) == 2 and one.value == 3
+    assert len(one.level_nodes) == 2
+    assert sum(one.level_nodes) == one.nodes
+    two = lambda_exact(c5, d=2)
+    assert two.level_nodes == (two.nodes,)
+
+    k6 = _make([(u, v) for u in range(6) for v in range(u + 1, 6)])
+    cut = lambda_exact(k6, d=2, budget=10)
+    # the level cut short counts the node that broke the budget
+    assert not cut.solved and cut.level_nodes == (11,) and cut.nodes == 11
+
+
+def test_level_nodes_add_components_by_span():
+    # K2, a triangle and an isolated vertex: lower bounds 2, 2 and 0 at d=1
+    g = _make([(0, 1), (2, 3), (3, 4), (2, 4)], vertices=range(6))
+    res = lambda_exact(g, d=1)
+    assert res.value == 2
+    assert len(res.level_nodes) == 3
+    assert res.level_nodes[0] == 1 and res.level_nodes[1] == 0
+    assert sum(res.level_nodes) == res.nodes
+    cut = lambda_exact(g, d=2, budget=3)
+    assert not cut.solved and sum(cut.level_nodes) == cut.nodes
+
+
+def test_exact_agrees_with_oracle_at_gap_three():
+    rng = random.Random(23)
+    for _ in range(10):
+        n = rng.randint(2, 4)
+        pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = _make([e for e in pool if rng.random() < 0.6], vertices=range(n))
+        res = lambda_exact(g, d=3)
+        assert res.value == naive_lambda(g, 3)
+        assert validate(g, res.witness, ColorInterval(res.value, 3)) == []
+
+
+def test_chromatic_numbers_of_a_long_path():
+    path = _make([(i, i + 1) for i in range(1999)])
+    assert chromatic_number(path) == 2
+    assert edge_chromatic_number(path) == 2
