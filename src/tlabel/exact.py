@@ -62,6 +62,11 @@ class SolveResult:
         return self.status == "solved"
 
 
+def _check_budget(budget: Optional[int]) -> None:
+    if budget is not None and budget < 0:
+        raise ValueError("the search budget must be non-negative, got %d" % budget)
+
+
 def _element_order(g: Graph) -> list:
     """Vertices and edges interleaved by descending degree pressure.
 
@@ -178,8 +183,10 @@ def find_labeling(g: Graph, interval: ColorInterval,
     """Search for any total labeling within the interval.
 
     Returns (labeling, nodes) with labeling None when the level is
-    unsatisfiable; raises BudgetExceeded when the budget runs out first.
+    unsatisfiable; raises BudgetExceeded when the budget runs out first
+    and ValueError when it is negative.
     """
+    _check_budget(budget)
     order = _element_order(g)
     same, band = _total_conflicts(g, order)
     colors, nodes = _search(same, band, interval.k, interval.d, budget)
@@ -223,8 +230,10 @@ def lambda_exact(g: Graph, d: int = 2, budget: Optional[int] = None) -> SolveRes
     """The exact optimal span, searched upward from the lower bound.
 
     Components are solved independently; the optimum of a disconnected
-    graph is the maximum over its components.
+    graph is the maximum over its components.  A negative budget raises
+    ValueError.
     """
+    _check_budget(budget)
     comps = g.components()
     if len(comps) <= 1:
         return _lambda_connected(g, d, budget)
@@ -260,6 +269,7 @@ def _min_colors(same: list, budget: Optional[int]) -> int:
 
 def chromatic_number(g: Graph, budget: Optional[int] = None) -> int:
     """Exact chromatic number by exhaustive search over color counts."""
+    _check_budget(budget)
     if g.n == 0:
         return 0
     verts = g.vertices
@@ -271,6 +281,7 @@ def chromatic_number(g: Graph, budget: Optional[int] = None) -> int:
 
 def edge_chromatic_number(g: Graph, budget: Optional[int] = None) -> int:
     """Exact chromatic index by exhaustive search over color counts."""
+    _check_budget(budget)
     edges = g.edges()
     if not edges:
         return 0
@@ -286,7 +297,9 @@ def bounds(g: Graph, d: int = 2, budget: Optional[int] = None) -> tuple[int, int
     Lower: max-degree bounds (plus one when d dominates the degree or the
     graph is regular).  Upper: chromatic number plus chromatic index plus
     d - 2, from coloring vertices and edges separately and spreading them.
+    A negative budget raises ValueError.
     """
+    _check_budget(budget)
     chi = chromatic_number(g, budget)
     chi_prime = edge_chromatic_number(g, budget)
     upper = chi + chi_prime + d - 2

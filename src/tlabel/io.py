@@ -146,10 +146,11 @@ def parse_labeling(text: str, g: Graph) -> PartialLabeling:
 
 
 def serialize_labeling(phi: PartialLabeling) -> str:
+    m = phi.as_dict()
     lines = []
     for el in phi.elements():
         if isinstance(el, tuple):
-            lines.append("e %d %d %d" % (el[0], el[1], phi.color(el)))
+            lines.append("e %d %d %d" % (el[0], el[1], m[el]))
         else:
-            lines.append("v %d %d" % (el, phi.color(el)))
+            lines.append("v %d %d" % (el, m[el]))
     return "\n".join(lines) + "\n" if lines else ""

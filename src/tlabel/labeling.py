@@ -9,15 +9,20 @@ three constraint families:
 
 Elements are vertex ids (int) or normalized edges ((u, v) with u < v).
 All set operations here are pure functions of the graph, the labeling and
-the color interval.  The labeler's extenders call them afresh after every
-assignment; the exact solver does not use them and instead keeps its own
-bitmask domains, updated incrementally (see :mod:`tlabel.exact`).
+the color interval.  :func:`validate` and the availability functions take
+either a :class:`PartialLabeling` or a plain dict whose keys are already
+normalized elements; they read the dict behind either one directly, so a
+color lookup is one dict probe with no normalization.  The labeler passes
+its working dict as it is and calls them afresh after every assignment;
+the exact solver does not use them and instead keeps its own bitmask
+domains, updated incrementally (see :mod:`tlabel.exact`).
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from typing import Collection, Mapping, Optional, Union
 
 from .graphs import Graph, GraphError, edge_key
 
@@ -71,6 +76,12 @@ def color_band(c: int, interval: ColorInterval) -> frozenset[int]:
     return frozenset(range(lo, hi + 1))
 
 
+def _in_order(elements: Collection[Element]) -> list[Element]:
+    """Vertices ascending, then edges ascending."""
+    return sorted(e for e in elements if not is_edge(e)) + sorted(
+        e for e in elements if is_edge(e))
+
+
 class PartialLabeling:
     """An immutable element -> color mapping, possibly covering nothing."""
 
@@ -93,9 +104,7 @@ class PartialLabeling:
         return len(self._map)
 
     def elements(self) -> tuple[Element, ...]:
-        verts = sorted(e for e in self._map if not is_edge(e))
-        edges = sorted(e for e in self._map if is_edge(e))
-        return tuple(verts + edges)
+        return tuple(_in_order(self._map))
 
     def as_dict(self) -> dict[Element, int]:
         return dict(self._map)
@@ -125,6 +134,11 @@ class PartialLabeling:
         return "PartialLabeling(%d elements)" % len(self._map)
 
 
+# what validation and availability read: a PartialLabeling, or a plain dict
+# whose keys are already normalized (the labeler's working dict)
+Labeling = Union[PartialLabeling, Mapping[Element, int]]
+
+
 @dataclass(frozen=True)
 class Violation:
     """One broken constraint, naming the elements and colors involved."""
@@ -146,104 +160,158 @@ INCIDENCE_GAP = "incident-pair-too-close"
 RANGE = "color-out-of-range"
 
 
-def _check_membership(g: Graph, phi: PartialLabeling) -> None:
-    for el in phi.elements():
-        if is_edge(el):
-            if not g.has_edge(*el):
-                raise GraphError("labeled element %r is not an edge of the graph" % (el,))
-        elif el not in g:
-            raise GraphError("labeled element %r is not a vertex of the graph" % (el,))
+def _color_map(phi: Labeling) -> Mapping[Element, int]:
+    """The element -> color dict behind phi, read without a copy."""
+    return phi._map if isinstance(phi, PartialLabeling) else phi
 
 
-def validate(g: Graph, phi: PartialLabeling, interval: ColorInterval) -> list[Violation]:
+def _check_membership(g: Graph, m: Mapping[Element, int]) -> None:
+    foreign = [
+        el for el in m
+        if ((not g.has_edge(*el) or el[0] > el[1]) if isinstance(el, tuple)
+            else el not in g)
+    ]
+    if not foreign:
+        return
+    # name the first one in PartialLabeling.elements() order
+    el = _in_order(foreign)[0]
+    if not is_edge(el):
+        raise GraphError("labeled element %r is not a vertex of the graph" % (el,))
+    if not g.has_edge(*el):
+        raise GraphError("labeled element %r is not an edge of the graph" % (el,))
+    raise GraphError("labeled edge %r is not normalized" % (el,))
+
+
+def validate(g: Graph, phi: Labeling, interval: ColorInterval) -> list[Violation]:
     """Collect every violated constraint; an empty list means valid.
 
+    phi is a PartialLabeling or a dict keyed by normalized elements.
     Unassigned elements constrain nothing.  Labeled elements outside the
-    graph are an error, not a violation.
+    graph are an error, not a violation, and so is an edge key (u, v) of a
+    plain dict with u > v.  Violations come grouped by rule: range, then
+    adjacent vertices, adjacent edges, and incident pairs.
     """
-    _check_membership(g, phi)
+    m = _color_map(phi)
+    _check_membership(g, m)
     out: list[Violation] = []
 
-    for el in phi.elements():
-        c = phi.color(el)
-        if c not in interval:
-            out.append(Violation(RANGE, (el,), (c,)))
+    k = interval.k
+    if m and (min(m.values()) < 0 or max(m.values()) > k):
+        for el in _in_order(m):
+            c = m[el]
+            if not 0 <= c <= k:
+                out.append(Violation(RANGE, (el,), (c,)))
 
-    for u, v in g.edges():
-        cu, cv = phi.color(u), phi.color(v)
+    # one pass over the edges for the vertex and incidence rules; the edge
+    # colors at each vertex are gathered to find where the edge rule fires
+    d = interval.d
+    get = m.get
+    gaps: list[Violation] = []
+    at: defaultdict[int, list[int]] = defaultdict(list)
+    for e in g.edges():
+        u, v = e
+        cu, cv = get(u), get(v)
         if cu is not None and cu == cv:
             out.append(Violation(VERTEX_ADJACENCY, (u, v), (cu, cv)))
+        ce = get(e)
+        if ce is None:
+            continue
+        at[u].append(ce)
+        at[v].append(ce)
+        if cu is not None and abs(cu - ce) < d:
+            gaps.append(Violation(INCIDENCE_GAP, (u, e), (cu, ce)))
+        if cv is not None and abs(cv - ce) < d:
+            gaps.append(Violation(INCIDENCE_GAP, (v, e), (cv, ce)))
 
-    for v in g.vertices:
-        colored = sorted(edge_key(v, w) for w in g.neighbors(v) if (v, w) in phi)
+    clash = sorted(v for v, cols in at.items() if len(set(cols)) < len(cols))
+    for v in clash:
+        at_v = ((v, w) if v < w else (w, v) for w in g.neighbors(v))
+        colored = sorted(e for e in at_v if e in m)
         # distinct edges share at most one endpoint, so each adjacent pair
         # shows up under exactly one vertex
         for i in range(len(colored)):
             for j in range(i + 1, len(colored)):
                 e, f = colored[i], colored[j]
-                ce, cf = phi.color(e), phi.color(f)
+                ce, cf = m[e], m[f]
                 if ce == cf:
                     out.append(Violation(EDGE_ADJACENCY, (e, f), (ce, cf)))
 
-    for u, v in g.edges():
-        ce = phi.color((u, v))
-        if ce is None:
-            continue
-        for x in (u, v):
-            cx = phi.color(x)
-            if cx is not None and abs(cx - ce) < interval.d:
-                out.append(Violation(INCIDENCE_GAP, (x, (u, v)), (cx, ce)))
-
+    out.extend(gaps)
     return out
 
 
-def incident_edge_colors(g: Graph, phi: PartialLabeling, v: int) -> frozenset[int]:
-    """Colors already used on edges at v."""
-    return frozenset(
-        phi.color((v, w)) for w in g.neighbors(v) if (v, w) in phi
-    )
+def incident_edge_colors(g: Graph, phi: Labeling, v: int) -> frozenset[int]:
+    """Colors already used on edges at v.
+
+    phi is a PartialLabeling or a dict keyed by normalized elements.
+    """
+    get = _color_map(phi).get
+    cols = (get((v, w) if v < w else (w, v)) for w in g.neighbors(v))
+    return frozenset(c for c in cols if c is not None)
 
 
-def forbidden_vertex_set(g: Graph, phi: PartialLabeling, v: int,
+def forbidden_vertex_set(g: Graph, phi: Labeling, v: int,
                          interval: ColorInterval) -> frozenset[int]:
     """Colors an edge at v must avoid: edge colors at v plus the band
-    around v's own color (empty when v is uncolored)."""
-    out = set(incident_edge_colors(g, phi, v))
-    cv = phi.color(v)
+    around v's own color (empty when v is uncolored).
+
+    phi is a PartialLabeling or a dict keyed by normalized elements.
+    """
+    out = incident_edge_colors(g, phi, v)
+    cv = _color_map(phi).get(v)
     if cv is not None:
         out |= color_band(cv, interval)
-    return frozenset(out)
+    return out
 
 
-def available_edge(g: Graph, phi: PartialLabeling, e: tuple,
+def available_edge(g: Graph, phi: Labeling, e: tuple,
                    interval: ColorInterval) -> frozenset[int]:
-    """Colors that can legally be placed on the (uncolored) edge e."""
-    u, v = normalize_element(e)
+    """Colors that can legally be placed on the (uncolored) edge e.
+
+    phi is a PartialLabeling or a dict keyed by normalized elements; e may
+    be given in either orientation.
+    """
+    u, v = e
+    if u > v:
+        u, v = v, u
     if not g.has_edge(u, v):
         raise GraphError("(%d, %d) is not an edge of the graph" % (u, v))
-    bad = forbidden_vertex_set(g, phi, u, interval) | forbidden_vertex_set(
-        g, phi, v, interval
-    )
-    return frozenset(c for c in interval.colors() if c not in bad)
+    get = _color_map(phi).get
+    r = interval.d - 1
+    bad = set()
+    for x in (u, v):
+        for w in g.neighbors(x):
+            c = get((x, w) if x < w else (w, x))
+            if c is not None:
+                bad.add(c)
+        c = get(x)
+        if c is not None:
+            bad.update(range(c - r, c + r + 1))
+    return frozenset(interval.colors()).difference(bad)
 
 
-def available_vertex(g: Graph, phi: PartialLabeling, v: int,
+def available_vertex(g: Graph, phi: Labeling, v: int,
                      interval: ColorInterval) -> frozenset[int]:
-    """Colors that can legally be placed on the (uncolored) vertex v."""
+    """Colors that can legally be placed on the (uncolored) vertex v.
+
+    phi is a PartialLabeling or a dict keyed by normalized elements.
+    """
     if v not in g:
         raise GraphError("%r is not a vertex of the graph" % (v,))
-    bad: set[int] = set()
+    get = _color_map(phi).get
+    r = interval.d - 1
+    bad = set()
     for w in g.neighbors(v):
-        cw = phi.color(w)
-        if cw is not None:
-            bad.add(cw)
-        ce = phi.color((v, w))
-        if ce is not None:
-            bad |= color_band(ce, interval)
-    return frozenset(c for c in interval.colors() if c not in bad)
+        c = get(w)
+        if c is not None:
+            bad.add(c)
+        c = get((v, w) if v < w else (w, v))
+        if c is not None:
+            bad.update(range(c - r, c + r + 1))
+    return frozenset(interval.colors()).difference(bad)
 
 
-def available(g: Graph, phi: PartialLabeling, element: Element,
+def available(g: Graph, phi: Labeling, element: Element,
               interval: ColorInterval) -> frozenset[int]:
     if is_edge(element):
         return available_edge(g, phi, element, interval)

@@ -107,8 +107,8 @@ class ReductionRecord:
 
     def add(self, action: str, element: Element, color: Optional[int],
             measured: int, required: int) -> TraceStep:
-        step = TraceStep(action, normalize_element(element), color,
-                         measured, required)
+        """Append one step; an edge element must already be normalized."""
+        step = TraceStep(action, element, color, measured, required)
         self.steps.append(step)
         return step
 
@@ -143,21 +143,6 @@ class ExtensionTrace:
         for rec in self.records:
             out[rec.kind] = out.get(rec.kind, 0) + 1
         return out
-
-
-class _DictView:
-    """Read-only labeling facade over a plain dict, for hot paths."""
-
-    __slots__ = ("_map",)
-
-    def __init__(self, mapping: dict):
-        self._map = mapping
-
-    def color(self, element: Element) -> Optional[int]:
-        return self._map.get(normalize_element(element))
-
-    def __contains__(self, element: Element) -> bool:
-        return normalize_element(element) in self._map
 
 
 # ---------------------------------------------------------------------------
@@ -679,9 +664,9 @@ def _assign_free(g: Graph, work: dict, itv: ColorInterval,
     """Give the element its smallest legal color, recording the slack."""
     key = normalize_element(element)
     if isinstance(key, tuple):
-        avail = available_edge(g, _DictView(work), key, itv)
+        avail = available_edge(g, work, key, itv)
     else:
-        avail = available_vertex(g, _DictView(work), key, itv)
+        avail = available_vertex(g, work, key, itv)
     if not avail:
         rec.add("assign", key, None, 0, required)
         raise ExtensionError(
@@ -698,9 +683,9 @@ def _assign_fixed(g: Graph, work: dict, itv: ColorInterval,
     """Place a color carried over from the reduced graph, verifying it."""
     key = normalize_element(element)
     if isinstance(key, tuple):
-        avail = available_edge(g, _DictView(work), key, itv)
+        avail = available_edge(g, work, key, itv)
     else:
-        avail = available_vertex(g, _DictView(work), key, itv)
+        avail = available_vertex(g, work, key, itv)
     legal = 1 if color in avail else 0
     rec.add("transfer", key, color, legal, 1)
     if not legal:
@@ -724,7 +709,7 @@ def _separate_endpoints(g: Graph, work: dict, itv: ColorInterval,
     first, second = sorted((u, v), key=lambda t: (g.degree(t), t))
     for a in (first, second):
         held = work.pop(a)
-        avail = available_vertex(g, _DictView(work), a, itv)
+        avail = available_vertex(g, work, a, itv)
         if avail:
             rec.add("recolor", a, min(avail), len(avail),
                     max(0, M + 6 - 4 * g.degree(a)))
@@ -739,13 +724,13 @@ def _separate_endpoints(g: Graph, work: dict, itv: ColorInterval,
                 continue
             old = work.pop(ek)
             cands = sorted(
-                available_edge(g, _DictView(work), ek, itv) - {old}
+                available_edge(g, work, ek, itv) - {old}
             )
             moved = False
             for r in cands:
                 work[ek] = r
                 held = work.pop(a)
-                avail = available_vertex(g, _DictView(work), a, itv)
+                avail = available_vertex(g, work, a, itv)
                 if avail:
                     rec.add("recolor", ek, r, len(cands), 0)
                     rec.add("recolor", a, min(avail), len(avail), 0)
@@ -789,17 +774,16 @@ def _extend_deg4_low_neighbor(g: Graph, work: dict, cfg: ReducibleConfig,
     other = b if a == u else a
     M = itv.k - 2
     _erase(work, rec, u)
-    view = _DictView(work)
-    slack = available_vertex(g, view, u, itv)
+    slack = available_vertex(g, work, u, itv)
     rec.add("check", u, None, len(slack), max(2, M - 10))
-    cands = sorted(available_edge(g, view, (u, other), itv))
+    cands = sorted(available_edge(g, work, (u, other), itv))
     required = max(3, M - 2 - g.degree(other))
     key = edge_key(u, other)
     # some candidate leaves the center colorable because its band cannot
     # cover two spare colors three different ways
     for c in cands:
         work[key] = c
-        after = available_vertex(g, _DictView(work), u, itv)
+        after = available_vertex(g, work, u, itv)
         if after:
             rec.add("assign", key, c, len(cands), required)
             rec.add("assign", u, min(after), len(after), 1)
@@ -817,9 +801,8 @@ def _extend_two_deg2(g: Graph, work: dict, cfg: ReducibleConfig,
     M = itv.k - 2
     if cfg["case"] == 1:
         ring = [(v, x), (x, xp), (xp, y), (y, v)]
-        view = _DictView(work)
         lists = {
-            edge_key(*e): available_edge(g, view, e, itv) for e in ring
+            edge_key(*e): available_edge(g, work, e, itv) for e in ring
         }
         helper = Graph.from_edges(ring)
         try:
@@ -854,9 +837,8 @@ def _extend_twin_low_neighbor(g: Graph, work: dict, cfg: ReducibleConfig,
     _erase(work, rec, v1)
     _erase(work, rec, v2)
     e1, e2 = edge_key(v, v1), edge_key(v, v2)
-    view = _DictView(work)
-    avail1 = available_edge(g, view, e1, itv)
-    avail2 = available_edge(g, view, e2, itv)
+    avail1 = available_edge(g, work, e1, itv)
+    avail2 = available_edge(g, work, e2, itv)
     if len(avail1) == 1 and avail1 == avail2:
         # both edges are pinned to the same color, so trade the apex
         # edge colors: the hub frees one color the second edge can take
@@ -864,9 +846,8 @@ def _extend_twin_low_neighbor(g: Graph, work: dict, cfg: ReducibleConfig,
         ca, cb = work.pop(ka), work.pop(kb)
         _assign_fixed(g, work, itv, rec, ka, cb)
         _assign_fixed(g, work, itv, rec, kb, ca)
-        view = _DictView(work)
-        avail1 = available_edge(g, view, e1, itv)
-        avail2 = available_edge(g, view, e2, itv)
+        avail1 = available_edge(g, work, e1, itv)
+        avail2 = available_edge(g, work, e2, itv)
     for c1 in sorted(avail1):
         rest = avail2 - {c1}
         if rest:
@@ -885,10 +866,10 @@ def _extend_twin_low_neighbor(g: Graph, work: dict, cfg: ReducibleConfig,
 def _face_pair_attempt(g: Graph, work: dict, itv: ColorInterval,
                        rec: ReductionRecord, e12: tuple, e13: tuple) -> bool:
     """Try to color both deleted face edges, committing only on success."""
-    first = sorted(available_edge(g, _DictView(work), e12, itv))
+    first = sorted(available_edge(g, work, e12, itv))
     for c in first:
         work[e12] = c
-        second = available_edge(g, _DictView(work), e13, itv)
+        second = available_edge(g, work, e13, itv)
         if second:
             rec.add("assign", e12, c, len(first), 1)
             rec.add("assign", e13, min(second), len(second), 1)
@@ -908,7 +889,7 @@ def _extend_face(g: Graph, work: dict, cfg: ReducibleConfig,
         # may collide with a mate it is about to rejoin; two missing bands
         # leave it at least M - 11 fresh colors
         del work[v1]
-        avail = available_vertex(g, _DictView(work), v1, itv)
+        avail = available_vertex(g, work, v1, itv)
         if not avail:
             raise ExtensionError(
                 "low corner %d of a tight face cannot be recolored" % v1
@@ -916,12 +897,11 @@ def _extend_face(g: Graph, work: dict, cfg: ReducibleConfig,
         rec.add("recolor", v1, min(avail), len(avail),
                 max(1, M + 9 - 4 * g.degree(v1)))
         work[v1] = min(avail)
-    view = _DictView(work)
     rec.add("check", e12, None,
-            len(available_edge(g, view, e12, itv)),
+            len(available_edge(g, work, e12, itv)),
             max(0, M - g.degree(v1) - g.degree(v2)))
     rec.add("check", e13, None,
-            len(available_edge(g, view, e13, itv)),
+            len(available_edge(g, work, e13, itv)),
             max(0, M - g.degree(v1) - g.degree(v3)))
 
     if _face_pair_attempt(g, work, itv, rec, e12, e13):
@@ -931,7 +911,7 @@ def _extend_face(g: Graph, work: dict, cfg: ReducibleConfig,
     # the pinned pair
     e23 = edge_key(v2, v3)
     old = work.pop(e23)
-    cands = sorted(available_edge(g, _DictView(work), e23, itv))
+    cands = sorted(available_edge(g, work, e23, itv))
     for r in cands:
         if r == old:
             continue
@@ -949,7 +929,7 @@ def _extend_face(g: Graph, work: dict, cfg: ReducibleConfig,
         v4 = cfg["outside"]
         e14 = edge_key(v1, v4)
         old14 = work[e14]
-        cands14 = sorted(available_edge(g, _DictView(work), e14, itv))
+        cands14 = sorted(available_edge(g, work, e14, itv))
         for r in cands14:
             work[e14] = r
             rec.add("recolor", e14, r, len(cands14), 1)
@@ -967,8 +947,7 @@ def _extend_alternator(g: Graph, work: dict, cfg: ReducibleConfig,
     M = itv.k - 2
     low = cfg["low_side"]
     cross = [edge_key(*e) for e in cfg["edges"]]
-    view = _DictView(work)
-    lists = {e: available_edge(g, view, e, itv) for e in cross}
+    lists = {e: available_edge(g, work, e, itv) for e in cross}
     helper = Graph.from_edges(cross)
     try:
         colored = list_edge_color(helper, lists)
@@ -1067,7 +1046,7 @@ def _check_around(w: _WorkGraph, work: dict, itv: ColorInterval,
     local = Graph({v: w.adj[v] & near for v in near})
     lab = {v: work[v] for v in near if v in work}
     lab.update((e, work[e]) for e in local.edges() if e in work)
-    bad = validate(local, PartialLabeling(lab), itv)
+    bad = validate(local, lab, itv)
     if bad:
         raise ExtensionError(
             "intermediate labeling violates %d constraints: %r"

@@ -96,6 +96,18 @@ def test_exact_budget_exhaustion_is_unknown(tmp_path, capsys):
     assert payload["value"] is None
 
 
+def test_exact_rejects_negative_budget(tmp_path, capsys):
+    graph = tmp_path / "wheel.gr"
+    assert main(["gen", "--family", "wheel", "--n", "6",
+                 "-o", str(graph)]) == 0
+    capsys.readouterr()
+    assert main(["exact", str(graph), "--budget", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "budget" in err
+    assert "Traceback" not in err
+
+
 def test_audit_reports_reducible(tmp_path, capsys):
     graph = tmp_path / "wheel.gr"
     assert main(["gen", "--family", "wheel", "--n", "10",

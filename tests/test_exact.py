@@ -6,6 +6,7 @@ import hashlib
 import random
 
 import networkx as nx
+import pytest
 
 from tlabel.exact import (
     bounds,
@@ -58,6 +59,24 @@ def test_lambda_budget_exhaustion_is_reported():
     res = lambda_exact(g, d=2, budget=10)
     assert res.status == "unknown" and not res.solved
     assert res.value is None
+
+
+def test_negative_budget_is_rejected():
+    g = _make([(0, 1), (1, 2)])
+    empty = _make([], vertices=())
+    calls = [
+        lambda h: find_labeling(h, ColorInterval(4, 2), budget=-1),
+        lambda h: lambda_exact(h, d=2, budget=-1),
+        lambda h: chromatic_number(h, budget=-1),
+        lambda h: edge_chromatic_number(h, budget=-1),
+        lambda h: bounds(h, 2, budget=-1),
+    ]
+    for call in calls:
+        for h in (g, empty):
+            with pytest.raises(ValueError, match="budget must be non-negative"):
+                call(h)
+    # zero is a budget, not an error: the search stops at once
+    assert lambda_exact(g, d=2, budget=0).status == "unknown"
 
 
 def test_span_lower_bound_cases():

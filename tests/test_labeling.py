@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
 from tlabel.families import generate
-from tlabel.graphs import Graph
+from tlabel.graphs import Graph, GraphError
 from tlabel.labeling import (
     EDGE_ADJACENCY,
     INCIDENCE_GAP,
@@ -19,6 +20,8 @@ from tlabel.labeling import (
     available_edge,
     available_vertex,
     color_band,
+    forbidden_vertex_set,
+    incident_edge_colors,
     validate,
     working_interval,
 )
@@ -152,19 +155,29 @@ def _random_partial(rng: random.Random, g: Graph, itv: ColorInterval):
 
 def test_availability_is_sound_and_complete():
     # every offered color keeps the labeling valid; every rejected color
-    # breaks it
+    # breaks it; a PartialLabeling and its plain dict offer the same colors
     rng = random.Random(23)
     for _ in range(20):
         g = generate("random_planar", rng.randint(5, 14),
                      seed=rng.randint(0, 500))
         itv = working_interval(max(12, g.max_degree))
         phi = _random_partial(rng, g, itv)
+        plain = phi.as_dict()
         assert validate(g, phi, itv) == []
+        assert validate(g, plain, itv) == []
+        for v in g.vertices:
+            at_v = frozenset(phi.color((v, w)) for w in g.neighbors(v)
+                             if (v, w) in phi)
+            band = color_band(phi.color(v), itv) if v in phi else frozenset()
+            for form in (phi, plain):
+                assert incident_edge_colors(g, form, v) == at_v
+                assert forbidden_vertex_set(g, form, v, itv) == at_v | band
         elements = list(g.vertices) + list(g.edges())
         for el in elements:
             if el in phi:
                 continue
             offered = available(g, phi, el, itv)
+            assert available(g, plain, el, itv) == offered
             for c in offered:
                 assert validate(g, phi.assign(el, c), itv) == []
             for c in set(itv.colors()) - set(offered):
@@ -175,3 +188,76 @@ def test_validate_rejects_foreign_elements():
     g = _make_triangle()
     with pytest.raises(Exception):
         validate(g, PartialLabeling({9: 0}), ITV)
+
+
+GOLDEN_SPANS = (13, 16, 18)
+# sha256 over validate's output, violation by violation and in order, as
+# repr((rule, elements, colors)), for the corpus of _corrupted_corpus at
+# every span in GOLDEN_SPANS; recorded with the validator that looked up
+# every color through PartialLabeling.color
+GOLDEN_VALIDATE = "575115f097de9816f11cbf3d080a519d930804231d92f051fa6f82bfbc7dc556"
+
+
+def _corrupted_corpus():
+    """30 labelings from label_planar on random_planar graphs, each with
+    1..25 seeded edits: a color set to a value in -2..19, or an element
+    erased."""
+    from tlabel.reduction import label_planar
+
+    out = []
+    for i in range(30):
+        rng = random.Random(1000 + i)
+        g = generate("random_planar", rng.randint(12, 60), seed=i,
+                     max_degree=12)
+        phi, _ = label_planar(g, 12)
+        m = phi.as_dict()
+        elements = list(g.vertices) + list(g.edges())
+        for _ in range(rng.randint(1, 25)):
+            el = rng.choice(elements)
+            if rng.random() < 0.2:
+                m.pop(el, None)
+            else:
+                m[el] = rng.randint(-2, 19)
+        out.append((g, PartialLabeling(m)))
+    return out
+
+
+def _validate_digest(corpus, form) -> str:
+    h = hashlib.sha256()
+    for i, (g, phi) in enumerate(corpus):
+        for span in GOLDEN_SPANS:
+            h.update(b"# %d %d\n" % (i, span))
+            for v in validate(g, form(phi), ColorInterval(span, 2)):
+                h.update(repr((v.rule, v.elements, v.colors)).encode())
+                h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_validate_reproduces_golden_digest():
+    corpus = _corrupted_corpus()
+    rules = {v.rule for g, phi in corpus for v in validate(g, phi, ITV)}
+    assert rules == {RANGE, VERTEX_ADJACENCY, EDGE_ADJACENCY, INCIDENCE_GAP}
+    assert _validate_digest(corpus, lambda phi: phi) == GOLDEN_VALIDATE
+    assert _validate_digest(corpus, PartialLabeling.as_dict) == GOLDEN_VALIDATE
+
+
+def test_validate_rejects_an_unnormalized_dict_key():
+    g = _make_triangle()
+    with pytest.raises(GraphError, match="not normalized"):
+        validate(g, {(2, 1): 5}, ITV)
+
+
+def test_validate_names_the_first_foreign_element():
+    g = _make_triangle()
+    cases = [
+        ({9: 0}, "labeled element 9 is not a vertex of the graph"),
+        ({(0, 5): 3}, "labeled element (0, 5) is not an edge of the graph"),
+        ({(0, 5): 3, 7: 1, 9: 2},
+         "labeled element 7 is not a vertex of the graph"),
+        ({(2, 4): 3, (0, 5): 3, 1: 1},
+         "labeled element (0, 5) is not an edge of the graph"),
+    ]
+    for assignment, message in cases:
+        with pytest.raises(GraphError) as info:
+            validate(g, PartialLabeling(assignment), ITV)
+        assert str(info.value) == message
