@@ -2,7 +2,10 @@
 
 The audit has two halves.  A structural scan hunts for local patterns that
 always allow a labeling to be extended, so a graph containing one can never
-be a minimal counterexample.  When the scan comes up empty, an exact
+be a minimal counterexample.  Apart from disconnection (C1) and a master
+deficiency (C4), those patterns are the labeler's own reducible kinds: the
+scan runs the predicates of :mod:`tlabel.reduction`'s catalogue and reports
+every occurrence they accept.  When the scan comes up empty, an exact
 rational charge redistribution runs; its fixed negative total certifies
 that a clean scan describes an impossible graph, and any vertex or face
 left negative shows exactly where the bookkeeping says so.  All charge
@@ -16,6 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .graphs import DisconnectedError, Graph, GraphError, PlaneGraph
+from .reduction import _CATALOGUE
 
 
 class AuditError(RuntimeError):
@@ -212,19 +216,17 @@ def apply_rules(g: PlaneGraph, M: int) -> ChargeLedger:
 # structural scan
 
 
-def _triangle_faces_indexed(g: PlaneGraph):
-    for idx, face in enumerate(g.faces()):
-        if face.degree == 3 and len(set(face.boundary)) == 3:
-            yield idx, tuple(face.boundary)
-
-
 def scan_structure(g: Graph, M: int) -> tuple[StructureViolation, ...]:
     """Every local pattern that rules the graph out as a counterexample.
 
-    Codes: C1 disconnection, C2 sparse edges, C3 light edges, C4 master
-    deficiency, C5 weak or overloaded masters, C6a low 4-vertices, C6b
-    small-corner triangles, C6c paired 2-neighbors, C6d twinned low
-    neighbors on a triangle, C6e special triangles with an outside mate.
+    C1 is disconnection and C4 a master deficiency at budget 2 or 3.  The
+    other codes are the labeler's reducible kinds, one violation for each
+    occurrence its predicate accepts: C2 sparse edges, C3 light edges, C6a
+    low 4-vertices, C6b small-corner triangle faces, C6c paired
+    2-neighbors, C6d twinned low neighbors on a triangle, C6e special
+    triangle faces with an outside mate.  The face codes need rotations
+    but not a connected graph.  Violations come ordered by code, and in
+    scan order within a code.
     """
     found: list[StructureViolation] = []
 
@@ -233,25 +235,6 @@ def scan_structure(g: Graph, M: int) -> tuple[StructureViolation, ...]:
         found.append(StructureViolation(
             "C1", "disconnected: component sizes %s" % sizes, ()
         ))
-
-    for u, v in g.edges():
-        du, dv = g.degree(u), g.degree(v)
-        if du + dv <= M - 2:
-            found.append(StructureViolation(
-                "C2", "edge degree sum %d is at most %d" % (du + dv, M - 2),
-                ((u, v),),
-            ))
-
-    cap = (M + 2) // 4
-    for u, v in g.edges():
-        du, dv = g.degree(u), g.degree(v)
-        if min(du, dv) <= cap and du + dv <= M + 1:
-            found.append(StructureViolation(
-                "C3",
-                "edge with a degree-%d end and degree sum %d"
-                % (min(du, dv), du + dv),
-                ((u, v),),
-            ))
 
     for k in (2, 3):
         outcome = assign_masters(g, k)
@@ -262,117 +245,15 @@ def scan_structure(g: Graph, M: int) -> tuple[StructureViolation, ...]:
                 % (k, outcome.unmatched),
                 tuple(sorted(outcome.violator)),
             ))
-        else:
-            for m in sorted(outcome.load):
-                if g.degree(m) < M + 2 - k:
-                    found.append(StructureViolation(
-                        "C5",
-                        "budget %d: master %d has degree %d, below %d"
-                        % (k, m, g.degree(m), M + 2 - k),
-                        (m,),
-                    ))
-                if outcome.load[m] > k - 1:
-                    found.append(StructureViolation(
-                        "C5",
-                        "budget %d: master %d carries %d clients"
-                        % (k, m, outcome.load[m]),
-                        (m,),
-                    ))
 
-    for u in sorted(g.vertices):
-        if g.degree(u) != 4:
+    for kind in _CATALOGUE.values():
+        if kind.code is None:
             continue
-        for v in sorted(g.neighbors(u)):
-            if g.degree(v) <= 7:
-                found.append(StructureViolation(
-                    "C6a",
-                    "4-vertex beside a vertex of degree %d" % g.degree(v),
-                    (u, v),
-                ))
+        for fields in kind.occurrences(g, M):
+            note, elements = kind.cite(g, M, *fields)
+            found.append(StructureViolation(kind.code, note, elements))
 
-    for v in sorted(g.vertices):
-        twos = [x for x in sorted(g.neighbors(v)) if g.degree(x) == 2]
-        hit = None
-        for i, x in enumerate(twos):
-            for y in twos[i + 1:]:
-                (xp,) = set(g.neighbors(x)) - {v}
-                (yp,) = set(g.neighbors(y)) - {v}
-                if xp == y or yp == x:
-                    continue
-                if xp == yp:
-                    hit = (x, y, 1)
-                elif not g.has_edge(v, xp) and not g.has_edge(v, yp):
-                    hit = (x, y, 3)
-                if hit:
-                    break
-            if hit:
-                break
-        if hit:
-            x, y, case = hit
-            found.append(StructureViolation(
-                "C6c",
-                "vertex with two 2-neighbors (shape %d)" % case,
-                (v, x, y),
-            ))
-
-    if isinstance(g, PlaneGraph) and g.is_connected():
-        for idx, corners in _triangle_faces_indexed(g):
-            degs = [g.degree(c) for c in corners]
-            if 5 in degs and max(degs) <= 6:
-                found.append(StructureViolation(
-                    "C6b",
-                    "triangle face with degrees %s" % sorted(degs),
-                    (corners,),
-                ))
-
-        for idx, corners in _triangle_faces_indexed(g):
-            hit6d = None
-            for v in corners:
-                target = M + 2 - g.degree(v)
-                if not 2 <= target <= 3:
-                    continue
-                for v1 in corners:
-                    if v1 == v or not g.has_edge(v, v1):
-                        continue
-                    if g.degree(v1) != target:
-                        continue
-                    (u,) = set(corners) - {v, v1}
-                    if not (g.has_edge(u, v) and g.has_edge(u, v1)):
-                        continue
-                    mates = [
-                        w for w in sorted(g.neighbors(v))
-                        if w not in (v1, u) and g.degree(w) == target
-                    ]
-                    if mates:
-                        hit6d = (v, v1, mates[0], u)
-                        break
-                if hit6d:
-                    break
-            if hit6d:
-                found.append(StructureViolation(
-                    "C6d",
-                    "twin low neighbors of a high vertex on a triangle face",
-                    hit6d,
-                ))
-
-        for idx, corners in _triangle_faces_indexed(g):
-            if sorted(g.degree(c) for c in corners) != [5, 6, 7]:
-                continue
-            by_degree = {g.degree(c): c for c in corners}
-            v1 = by_degree[5]
-            mates = [
-                w for w in sorted(g.neighbors(v1))
-                if w not in corners and g.degree(w) == 6
-            ]
-            if mates:
-                found.append(StructureViolation(
-                    "C6e",
-                    "special triangle whose 5-corner has an outside "
-                    "6-neighbor",
-                    (corners, mates[0]),
-                ))
-
-    return tuple(found)
+    return tuple(sorted(found, key=lambda v: v.code))
 
 
 # ---------------------------------------------------------------------------

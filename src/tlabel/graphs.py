@@ -145,14 +145,6 @@ class Graph:
 
     # -- derived graphs ----------------------------------------------------
 
-    def delete_edge(self, u: int, v: int) -> "Graph":
-        if not self.has_edge(u, v):
-            raise GraphError("no edge (%d, %d) to delete" % (u, v))
-        adj = {x: set(ns) for x, ns in self._adj.items()}
-        adj[u].discard(v)
-        adj[v].discard(u)
-        return Graph(adj)
-
     def without_vertices(self, drop: Iterable[int]) -> "Graph":
         gone = set(drop)
         adj = {v: ns - gone for v, ns in self._adj.items() if v not in gone}
@@ -278,12 +270,6 @@ class PlaneGraph(Graph):
     def induced(self, keep: Iterable[int]) -> "PlaneGraph":
         keep = set(keep)
         return self.without_vertices(set(self._adj) - keep)
-
-    def plane_components(self) -> list["PlaneGraph"]:
-        comps = self.components()
-        if len(comps) <= 1:
-            return [self]
-        return [self.induced(c) for c in comps]
 
     def __repr__(self) -> str:
         return "PlaneGraph(n=%d, m=%d)" % (self.n, self.m)

@@ -109,16 +109,6 @@ class PartialLabeling:
     def as_dict(self) -> dict[Element, int]:
         return dict(self._map)
 
-    def assign(self, element: Element, c: int) -> "PartialLabeling":
-        out = dict(self._map)
-        out[normalize_element(element)] = int(c)
-        return PartialLabeling(out)
-
-    def erase(self, element: Element) -> "PartialLabeling":
-        out = dict(self._map)
-        out.pop(normalize_element(element), None)
-        return PartialLabeling(out)
-
     def is_total(self, g: Graph) -> bool:
         return all(v in self._map for v in g.vertices) and all(
             e in self._map for e in g.edges()

@@ -6,6 +6,13 @@ effective: it repeatedly locates one of a fixed menu of reducible
 structures, shrinks the graph across it, labels the remainder, and extends
 the labeling back while logging how much slack each coloring step actually
 had against its guaranteed minimum.
+
+The menu is one catalogue, ``_CATALOGUE``: for each kind a predicate over
+plain fields, an enumerator of candidates in scan order, a reducer, an
+extender and the code the audit reports it under.  The finders, the
+labeler's scan, :func:`config_holds` and
+:func:`tlabel.discharge.scan_structure` all read that one table, so each
+condition is written once.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 from .exact import find_labeling
 from .graphs import Graph, GraphError, PlaneGraph, edge_key
@@ -146,16 +153,23 @@ class ExtensionTrace:
 
 
 # ---------------------------------------------------------------------------
-# finders
+# configurations
+#
+# Each kind is a predicate over plain fields (vertices, and for the
+# alternator its budget and sides) plus an enumerator of candidate field
+# tuples in scan order.  An enumerator prunes only by a vertex's own degree
+# or by triangle-face membership, so the predicate alone decides what is an
+# occurrence; each occurrence has exactly one field tuple.
 
 
-def _is_sparse(g: Graph, M: int, u: int, v: int) -> bool:
-    return g.degree(u) + g.degree(v) <= M - 2
+def _sparse_edge(g: Graph, M: int, u: int, v: int) -> bool:
+    return u < v and g.has_edge(u, v) and g.degree(u) + g.degree(v) <= M - 2
 
 
 def _light_end(g: Graph, M: int, u: int, v: int) -> Optional[int]:
-    """The low end of a light edge uv, or None when uv is not light."""
-    if g.degree(u) + g.degree(v) > M + 1:
+    """The low end of a light edge uv, the first end light enough, or None
+    when uv is not a light edge."""
+    if not g.has_edge(u, v) or g.degree(u) + g.degree(v) > M + 1:
         return None
     cap = (M + 2) // 4
     if g.degree(u) <= cap:
@@ -165,68 +179,88 @@ def _light_end(g: Graph, M: int, u: int, v: int) -> Optional[int]:
     return None
 
 
-def _find_sparse_edge(g: Graph, M: int) -> Optional[ReducibleConfig]:
+def _light_edge(g: Graph, M: int, u: int, v: int, low: int) -> bool:
+    return u < v and low == _light_end(g, M, u, v)
+
+
+def _light_candidates(g: Graph, M: int) -> Iterator[tuple]:
+    cap = (M + 2) // 4
     for u, v in g.edges():
-        if _is_sparse(g, M, u, v):
-            return ReducibleConfig(SPARSE_EDGE, {"edge": (u, v)})
-    return None
+        for low in (u, v):
+            if g.degree(low) <= cap:
+                yield u, v, low
 
 
-def _find_light_edge(g: Graph, M: int) -> Optional[ReducibleConfig]:
-    for u, v in g.edges():
-        low = _light_end(g, M, u, v)
-        if low is not None:
-            return ReducibleConfig(LIGHT_EDGE, {"low": low, "edge": (u, v)})
-    return None
+def _deg4_low_neighbor(g: Graph, M: int, center: int, other: int) -> bool:
+    return (g.degree(center) == 4 and g.has_edge(center, other)
+            and g.degree(other) <= 7)
 
 
-def _find_deg4_low_neighbor(g: Graph, M: int) -> Optional[ReducibleConfig]:
-    for u in sorted(g.vertices):
-        if g.degree(u) != 4:
-            continue
-        for v in sorted(g.neighbors(u)):
-            if g.degree(v) <= 7:
-                return ReducibleConfig(
-                    DEG4_LOW_NEIGHBOR, {"center": u, "edge": (u, v)}
-                )
-    return None
+def _deg4_candidates(g: Graph, M: int) -> Iterator[tuple]:
+    for u in g.vertices:
+        if g.degree(u) == 4:
+            for v in sorted(g.neighbors(u)):
+                yield u, v
 
 
-def _find_two_deg2(g: Graph, M: int) -> Optional[ReducibleConfig]:
-    for v in sorted(g.vertices):
+def _two_deg2(g: Graph, M: int, hub: int, x: int, y: int,
+              x_other: int, y_other: int) -> bool:
+    """Non-adjacent 2-neighbors x < y of the hub whose far ends coincide
+    (case 1) or are both non-adjacent to the hub (case 3)."""
+    return (
+        x < y
+        and g.degree(x) == 2
+        and g.degree(y) == 2
+        and g.neighbors(x) == {hub, x_other}
+        and g.neighbors(y) == {hub, y_other}
+        and x_other != y
+        and (x_other == y_other
+             or not (g.has_edge(hub, x_other) or g.has_edge(hub, y_other)))
+    )
+
+
+def _two_deg2_candidates(g: Graph, M: int) -> Iterator[tuple]:
+    for v in g.vertices:
         twos = [x for x in sorted(g.neighbors(v)) if g.degree(x) == 2]
-        if len(twos) < 2:
-            continue
         for x, y in itertools.combinations(twos, 2):
-            (xp,) = set(g.neighbors(x)) - {v}
-            (yp,) = set(g.neighbors(y)) - {v}
-            if xp == y or yp == x:
-                continue
-            base = {"hub": v, "x": x, "y": y, "x_other": xp, "y_other": yp}
-            if xp == yp:
-                return ReducibleConfig(TWO_DEG2, {**base, "case": 1})
-            if not g.has_edge(v, xp) and not g.has_edge(v, yp):
-                return ReducibleConfig(TWO_DEG2, {**base, "case": 3})
-    return None
+            (xp,) = g.neighbors(x) - {v}
+            (yp,) = g.neighbors(y) - {v}
+            yield v, x, y, xp, yp
 
 
-def _find_twin_low_neighbor(g: Graph, M: int) -> Optional[ReducibleConfig]:
-    for v in sorted(g.vertices):
+def _two_deg2_data(v: int, x: int, y: int, xp: int, yp: int) -> dict:
+    return {"hub": v, "x": x, "y": y, "x_other": xp, "y_other": yp,
+            "case": 1 if xp == yp else 3}
+
+
+def _twin_low_neighbor(g: Graph, M: int, hub: int, v1: int, v2: int,
+                       apex: int) -> bool:
+    """Two neighbors of the hub of degree M + 2 - deg(hub), which is 2 or
+    3, the first on a triangle with the hub and the apex (not necessarily
+    a face: the extension trades colors along its edges only)."""
+    target = M + 2 - g.degree(hub)
+    return (
+        2 <= target <= 3
+        and v1 != v2
+        and g.degree(v1) == target
+        and g.degree(v2) == target
+        and g.has_edge(hub, v1)
+        and g.has_edge(hub, v2)
+        and apex not in (hub, v1, v2)
+        and g.has_edge(apex, hub)
+        and g.has_edge(apex, v1)
+    )
+
+
+def _twin_candidates(g: Graph, M: int) -> Iterator[tuple]:
+    for v in g.vertices:
         target = M + 2 - g.degree(v)
         if not 2 <= target <= 3:
             continue
         lows = [w for w in sorted(g.neighbors(v)) if g.degree(w) == target]
-        if len(lows) < 2:
-            continue
         for v1, v2 in itertools.permutations(lows, 2):
-            # the apex closes a triangle through the hub and the first twin
             for u in sorted(g.neighbors(v1)):
-                if u not in (v, v2) and g.has_edge(u, v):
-                    return ReducibleConfig(
-                        TWIN_LOW_NEIGHBOR,
-                        {"hub": v, "twins": (v1, v2), "apex": u},
-                    )
-    return None
+                yield v, v1, v2, u
 
 
 def _successor(g, v: int, u: int) -> int:
@@ -249,60 +283,111 @@ def _is_triangle_face(g, a: int, b: int, c: int) -> bool:
     )
 
 
-def _triangle_faces(g) -> Iterator[tuple[int, int, int]]:
-    """The faces bounded by three distinct vertices, read off the rotations.
+def _on_face(g, a: int, b: int, c: int) -> bool:
+    """Whether three distinct, pairwise adjacent vertices bound a face in
+    either orientation."""
+    return (
+        len({a, b, c}) == 3
+        and g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)
+        and (_is_triangle_face(g, a, b, c) or _is_triangle_face(g, a, c, b))
+    )
+
+
+def _traced_face(g, a: int, b: int, c: int) -> tuple[int, int, int]:
+    """The face on corners a, b, c as face tracing lists it."""
+    if not _is_triangle_face(g, a, b, c):
+        b, c = c, b
+    return min((a, b, c), (b, c, a), (c, a, b))
+
+
+def _triangle_faces(g, corners) -> list[tuple[int, int, int]]:
+    """The faces bounded by three distinct vertices, at least one of them
+    in corners, read off the rotations.
 
     Each face starts at its least corner and the faces come in the order
     :func:`~tlabel.graphs.trace_faces` lists them, without tracing any other
     face or requiring a connected graph.
     """
-    for a in sorted(g.vertices):
-        for b in sorted(g.neighbors(a)):
-            if b < a:
-                continue
+    found = set()
+    for a in corners:
+        for b in g.rotation(a):
             c = _successor(g, b, a)
-            if c > a and _is_triangle_face(g, a, b, c):
-                yield (a, b, c)
+            if _is_triangle_face(g, a, b, c):
+                found.add(min((a, b, c), (b, c, a), (c, a, b)))
+    return sorted(found)
 
 
-def _find_face_566(g, M: int) -> Optional[ReducibleConfig]:
-    for corners in _triangle_faces(g):
-        degs = [g.degree(c) for c in corners]
-        if 5 not in degs or max(degs) > 6:
-            continue
-        v1 = min(c for c in corners if g.degree(c) == 5)
-        rest = sorted(c for c in corners if c != v1)
-        return ReducibleConfig(FACE_566, {"corners": (v1, rest[0], rest[1])})
-    return None
+def _five_corner_faces(g) -> list[tuple[int, int, int]]:
+    return _triangle_faces(g, [v for v in g.vertices if g.degree(v) == 5])
 
 
-def _find_face_567(g, M: int) -> Optional[ReducibleConfig]:
-    for corners in _triangle_faces(g):
-        by_degree = {g.degree(c): c for c in corners}
-        if sorted(g.degree(c) for c in corners) != [5, 6, 7]:
-            continue
-        v1, v2, v3 = by_degree[5], by_degree[6], by_degree[7]
-        mates = [
-            w for w in sorted(g.neighbors(v1))
-            if w not in (v2, v3) and g.degree(w) == 6
-        ]
-        if mates:
-            return ReducibleConfig(
-                FACE_567, {"corners": (v1, v2, v3), "outside": mates[0]}
-            )
-    return None
+def _face_566(g, M: int, v1: int, v2: int, v3: int) -> bool:
+    """A triangle face whose corners have degree at most 6, with v1 its
+    least corner of degree 5 and v2 < v3."""
+    d2, d3 = g.degree(v2), g.degree(v3)
+    return (
+        g.degree(v1) == 5
+        and v2 < v3 and d2 <= 6 and d3 <= 6
+        and (d2 != 5 or v1 < v2) and (d3 != 5 or v1 < v3)
+        and _on_face(g, v1, v2, v3)
+    )
 
 
-def find_k_alternator(g: Graph, M: int, k: int) -> Optional[ReducibleConfig]:
-    """A bipartite peeling structure for one fixed list budget k.
+def _face_566_candidates(g, M: int) -> Iterator[tuple]:
+    for face in _five_corner_faces(g):
+        for v1 in face:
+            if g.degree(v1) == 5:
+                v2, v3 = sorted(c for c in face if c != v1)
+                yield v1, v2, v3
 
-    The low side holds independent vertices of degree at most k whose every
-    neighbor survives on the high side; a high vertex survives only while
-    it keeps at least deg(y) + k - M low neighbors.  Peeling runs to a
-    fixed point, so membership is order-independent.
-    """
+
+def _face_567(g, M: int, v1: int, v2: int, v3: int, outside: int) -> bool:
+    """A triangle face with corners of degree 5, 6 and 7, and the least
+    neighbor of degree 6 that the 5-corner has off the face."""
+    return (
+        (g.degree(v1), g.degree(v2), g.degree(v3)) == (5, 6, 7)
+        and _on_face(g, v1, v2, v3)
+        and outside == min(
+            (w for w in g.neighbors(v1)
+             if w not in (v2, v3) and g.degree(w) == 6),
+            default=None,
+        )
+    )
+
+
+def _face_567_candidates(g, M: int) -> Iterator[tuple]:
+    for face in _five_corner_faces(g):
+        v1, v2, v3 = sorted(face, key=g.degree)
+        if (g.degree(v1), g.degree(v2), g.degree(v3)) == (5, 6, 7):
+            for w in sorted(g.neighbors(v1)):
+                if g.degree(w) == 6:
+                    yield v1, v2, v3, w
+
+
+def _alternator(g: Graph, M: int, k: int, low_side: tuple,
+                high_side: tuple, edges: tuple) -> bool:
+    """Independent low vertices of degree at most k, their neighbors as
+    the high side, each high vertex keeping at least deg(y) + k - M low
+    neighbors, and edges listing the cross edges."""
+    low, high = set(low_side), set(high_side)
+    return (
+        3 <= k <= (M + 2) // 4
+        and bool(low)
+        and not (low & high)
+        and all(g.degree(x) <= k and g.neighbors(x) <= high for x in low)
+        and high == set().union(*(g.neighbors(x) for x in low))
+        and all(len(g.neighbors(y) & low) >= g.degree(y) + k - M
+                for y in high)
+        and edges == tuple(
+            sorted(edge_key(x, w) for x in low for w in g.neighbors(x)))
+    )
+
+
+def _peel(g: Graph, M: int, k: int) -> Optional[tuple]:
+    """The alternator fields for budget k, peeled as
+    :func:`find_k_alternator` describes, or None when nothing survives."""
     low: set[int] = set()
-    for x in sorted(g.vertices):
+    for x in g.vertices:
         if g.degree(x) <= k and not (g.neighbors(x) & low):
             low.add(x)
     while low:
@@ -315,157 +400,41 @@ def find_k_alternator(g: Graph, M: int, k: int) -> Optional[ReducibleConfig]:
             cross = tuple(
                 sorted(edge_key(x, w) for x in low for w in g.neighbors(x))
             )
-            return ReducibleConfig(
-                ALTERNATOR,
-                {
-                    "k": k,
-                    "low_side": tuple(sorted(low)),
-                    "high_side": tuple(sorted(high)),
-                    "edges": cross,
-                },
-            )
+            return k, tuple(sorted(low)), tuple(sorted(high)), cross
         for y in bad:
             low -= g.neighbors(y)
     return None
 
 
-def _find_alternator(g: Graph, M: int) -> Optional[ReducibleConfig]:
+def _alternator_candidates(g: Graph, M: int) -> Iterator[tuple]:
     for k in range(3, (M + 2) // 4 + 1):
-        cfg = find_k_alternator(g, M, k)
-        if cfg is not None:
-            return cfg
-    return None
+        fields = _peel(g, M, k)
+        if fields is not None:
+            yield fields
 
 
-_FINDERS = {
-    SPARSE_EDGE: _find_sparse_edge,
-    LIGHT_EDGE: _find_light_edge,
-    DEG4_LOW_NEIGHBOR: _find_deg4_low_neighbor,
-    TWO_DEG2: _find_two_deg2,
-    TWIN_LOW_NEIGHBOR: _find_twin_low_neighbor,
-    FACE_566: _find_face_566,
-    FACE_567: _find_face_567,
-    ALTERNATOR: _find_alternator,
-}
+def _alternator_data(k: int, low: tuple, high: tuple, cross: tuple) -> dict:
+    return {"k": k, "low_side": low, "high_side": high, "edges": cross}
 
-_FACE_KINDS = frozenset({FACE_566, FACE_567})
-# sparse and light edges are queued by the labeler; it scans only for these
-_RARE_KINDS = KIND_ORDER[2:]
+
+def find_k_alternator(g: Graph, M: int, k: int) -> Optional[ReducibleConfig]:
+    """A bipartite peeling structure for one fixed list budget k.
+
+    The low side holds independent vertices of degree at most k whose every
+    neighbor survives on the high side; a high vertex survives only while
+    it keeps at least deg(y) + k - M low neighbors.  Peeling runs to a
+    fixed point, so membership is order-independent.
+    """
+    fields = _peel(g, M, k)
+    if fields is None:
+        return None
+    return ReducibleConfig(ALTERNATOR, _alternator_data(*fields))
 
 
 def _has_rotation(g) -> bool:
     return isinstance(g, PlaneGraph) or (
         isinstance(g, _WorkGraph) and g.rot is not None
     )
-
-
-def _first_config(g, M: int, kinds) -> Optional[ReducibleConfig]:
-    plane = _has_rotation(g)
-    for kind in kinds:
-        if kind in _FACE_KINDS and not plane:
-            continue
-        cfg = _FINDERS[kind](g, M)
-        if cfg is not None:
-            return cfg
-    return None
-
-
-def find_configuration(g: Graph, M: int) -> ReducibleConfig:
-    """The first reducible structure in a fixed kind and scan order."""
-    cfg = _first_config(g, M, KIND_ORDER)
-    if cfg is None:
-        raise IrreducibleError(g, M)
-    return cfg
-
-
-def config_holds(g: Graph, M: int, cfg: ReducibleConfig) -> bool:
-    """Recheck a previously found structure against a graph."""
-    try:
-        if cfg.kind == SPARSE_EDGE:
-            u, v = cfg["edge"]
-            return g.has_edge(u, v) and _is_sparse(g, M, u, v)
-        if cfg.kind == LIGHT_EDGE:
-            u, v = cfg["edge"]
-            low = cfg["low"]
-            return (
-                g.has_edge(u, v)
-                and low in (u, v)
-                and g.degree(low) <= (M + 2) // 4
-                and g.degree(u) + g.degree(v) <= M + 1
-            )
-        if cfg.kind == DEG4_LOW_NEIGHBOR:
-            u, v = cfg["edge"]
-            if cfg["center"] != u:
-                u, v = v, u
-            return g.has_edge(u, v) and g.degree(u) == 4 and g.degree(v) <= 7
-        if cfg.kind == TWO_DEG2:
-            v, x, y = cfg["hub"], cfg["x"], cfg["y"]
-            xp, yp = cfg["x_other"], cfg["y_other"]
-            if not (g.has_edge(v, x) and g.has_edge(v, y)):
-                return False
-            if g.degree(x) != 2 or g.degree(y) != 2:
-                return False
-            if set(g.neighbors(x)) != {v, xp} or set(g.neighbors(y)) != {v, yp}:
-                return False
-            if xp == y or yp == x:
-                return False
-            if cfg["case"] == 1:
-                return xp == yp
-            return xp != yp and not g.has_edge(v, xp) and not g.has_edge(v, yp)
-        if cfg.kind == TWIN_LOW_NEIGHBOR:
-            v, (v1, v2), u = cfg["hub"], cfg["twins"], cfg["apex"]
-            target = M + 2 - g.degree(v)
-            return (
-                2 <= target <= 3
-                and v1 != v2
-                and g.degree(v1) == target
-                and g.degree(v2) == target
-                and g.has_edge(v, v1)
-                and g.has_edge(v, v2)
-                and u not in (v, v1, v2)
-                and g.has_edge(u, v)
-                and g.has_edge(u, v1)
-            )
-        if cfg.kind in _FACE_KINDS:
-            if not _has_rotation(g):
-                return False
-            corners = cfg["corners"]
-            v1, v2, v3 = corners
-            if len(set(corners)) != 3 or not all(
-                g.has_edge(a, b) for a, b in ((v1, v2), (v2, v3), (v1, v3))
-            ):
-                return False
-            if not (_is_triangle_face(g, v1, v2, v3)
-                    or _is_triangle_face(g, v1, v3, v2)):
-                return False
-            if cfg.kind == FACE_566:
-                return g.degree(v1) == 5 and g.degree(v2) <= 6 and g.degree(v3) <= 6
-            v4 = cfg["outside"]
-            return (
-                [g.degree(c) for c in corners] == [5, 6, 7]
-                and v4 not in corners
-                and g.has_edge(v1, v4)
-                and g.degree(v4) == 6
-            )
-        if cfg.kind == ALTERNATOR:
-            k = cfg["k"]
-            low = set(cfg["low_side"])
-            high = set(cfg["high_side"])
-            if not 3 <= k <= (M + 2) // 4 or not low:
-                return False
-            if low & high:
-                return False
-            for x in low:
-                if g.degree(x) > k or not g.neighbors(x) <= high:
-                    return False
-            if high != frozenset().union(*(g.neighbors(x) for x in low)):
-                return False
-            return all(
-                len(g.neighbors(y) & low) >= g.degree(y) + k - M for y in high
-            )
-    except (KeyError, GraphError, ValueError):
-        return False
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +450,7 @@ class _WorkGraph:
 
     Adjacency is a dict of sets and rotations a dict of lists (``rot`` is
     None for a graph without an embedding).  It answers the queries the
-    finders, the extenders and the availability calculus make of a
+    predicates, the extenders and the availability calculus make of a
     :class:`Graph`.  Every edit appends its inverse to an undo log, and
     :meth:`undo` restores the adjacency and the exact rotation slots.
     """
@@ -603,42 +572,51 @@ def _log_vertices(log: list) -> set[int]:
     return out
 
 
+def _cut_edge(w: _WorkGraph, cfg: ReducibleConfig, log: list) -> None:
+    w.cut(*cfg["edge"], log)
+
+
+def _reduce_two_deg2(w: _WorkGraph, cfg: ReducibleConfig, log: list) -> None:
+    v, x, y = cfg["hub"], cfg["x"], cfg["y"]
+    if cfg["case"] == 1:
+        w.drop(x, log)
+        w.drop(y, log)
+    elif w.rot is None:
+        raise GraphError("rewiring a path needs a rotation system")
+    else:
+        # each far end takes the deleted vertex's slot in the rotations, so
+        # the embedding stays intact
+        xp, yp = cfg["x_other"], cfg["y_other"]
+        w.splice(v, x, xp, log)
+        w.splice(xp, x, v, log)
+        w.splice(v, y, yp, log)
+        w.splice(yp, y, v, log)
+        w.detach(x, log)
+        w.detach(y, log)
+
+
+def _reduce_twin(w: _WorkGraph, cfg: ReducibleConfig, log: list) -> None:
+    for twin in cfg["twins"]:
+        w.cut(cfg["hub"], twin, log)
+
+
+def _reduce_face(w: _WorkGraph, cfg: ReducibleConfig, log: list) -> None:
+    v1, v2, v3 = cfg["corners"]
+    w.cut(v1, v2, log)
+    w.cut(v1, v3, log)
+
+
+def _reduce_alternator(w: _WorkGraph, cfg: ReducibleConfig, log: list) -> None:
+    for x in cfg["low_side"]:
+        w.drop(x, log)
+
+
 def _reduce(w: _WorkGraph, cfg: ReducibleConfig) -> list:
     """Remove the structure from w in place; return the undo log."""
-    log: list = []
-    if cfg.kind in (SPARSE_EDGE, LIGHT_EDGE, DEG4_LOW_NEIGHBOR):
-        w.cut(*cfg["edge"], log)
-    elif cfg.kind == TWO_DEG2:
-        v, x, y = cfg["hub"], cfg["x"], cfg["y"]
-        if cfg["case"] == 1:
-            w.drop(x, log)
-            w.drop(y, log)
-        elif w.rot is None:
-            raise GraphError("rewiring a path needs a rotation system")
-        else:
-            # each far end takes the deleted vertex's slot in the
-            # rotations, so the embedding stays intact
-            xp, yp = cfg["x_other"], cfg["y_other"]
-            w.splice(v, x, xp, log)
-            w.splice(xp, x, v, log)
-            w.splice(v, y, yp, log)
-            w.splice(yp, y, v, log)
-            w.detach(x, log)
-            w.detach(y, log)
-    elif cfg.kind == TWIN_LOW_NEIGHBOR:
-        v = cfg["hub"]
-        v1, v2 = cfg["twins"]
-        w.cut(v, v1, log)
-        w.cut(v, v2, log)
-    elif cfg.kind in _FACE_KINDS:
-        v1, v2, v3 = cfg["corners"]
-        w.cut(v1, v2, log)
-        w.cut(v1, v3, log)
-    elif cfg.kind == ALTERNATOR:
-        for x in cfg["low_side"]:
-            w.drop(x, log)
-    else:
+    if cfg.kind not in _CATALOGUE:
         raise ValueError("unknown structure kind %r" % cfg.kind)
+    log: list = []
+    _CATALOGUE[cfg.kind].reduce(w, cfg, log)
     return log
 
 
@@ -961,16 +939,140 @@ def _extend_alternator(g: Graph, work: dict, cfg: ReducibleConfig,
         _assign_free(g, work, itv, rec, x, max(1, M + 3 - 4 * g.degree(x)))
 
 
-_EXTENDERS = {
-    SPARSE_EDGE: _extend_sparse_edge,
-    LIGHT_EDGE: _extend_light_edge,
-    DEG4_LOW_NEIGHBOR: _extend_deg4_low_neighbor,
-    TWO_DEG2: _extend_two_deg2,
-    TWIN_LOW_NEIGHBOR: _extend_twin_low_neighbor,
-    FACE_566: _extend_face,
-    FACE_567: _extend_face,
-    ALTERNATOR: _extend_alternator,
+# ---------------------------------------------------------------------------
+# the catalogue
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """Everything the labeler and the audit know about one kind."""
+
+    candidates: Callable  # (g, M) -> field tuples, in scan order
+    holds: Callable  # (g, M, *fields) -> whether they form an occurrence
+    data: Callable  # (*fields) -> ReducibleConfig.data
+    fields: Callable  # ReducibleConfig.data -> fields
+    reduce: Callable  # (work graph, config, undo log) -> None
+    extend: Callable  # (g, work, config, interval, record) -> None
+    plane: bool = False  # whether the predicate reads the rotation system
+    code: Optional[str] = None  # what the audit reports an occurrence as
+    cite: Optional[Callable] = None  # (g, M, *fields) -> (note, elements)
+
+    def occurrences(self, g, M: int) -> Iterator[tuple]:
+        """The field tuples of every occurrence in g, in scan order."""
+        if self.plane and not _has_rotation(g):
+            return
+        for fields in self.candidates(g, M):
+            if self.holds(g, M, *fields):
+                yield fields
+
+
+_CATALOGUE = {
+    SPARSE_EDGE: _Kind(
+        lambda g, M: g.edges(), _sparse_edge,
+        lambda u, v: {"edge": (u, v)}, lambda d: d["edge"],
+        _cut_edge, _extend_sparse_edge, code="C2",
+        cite=lambda g, M, u, v: (
+            "edge degree sum %d is at most %d"
+            % (g.degree(u) + g.degree(v), M - 2),
+            ((u, v),)),
+    ),
+    LIGHT_EDGE: _Kind(
+        _light_candidates, _light_edge,
+        lambda u, v, low: {"low": low, "edge": (u, v)},
+        lambda d: (*d["edge"], d["low"]),
+        _cut_edge, _extend_light_edge, code="C3",
+        cite=lambda g, M, u, v, low: (
+            "edge with a degree-%d end and degree sum %d"
+            % (min(g.degree(u), g.degree(v)), g.degree(u) + g.degree(v)),
+            ((u, v),)),
+    ),
+    DEG4_LOW_NEIGHBOR: _Kind(
+        _deg4_candidates, _deg4_low_neighbor,
+        lambda c, o: {"center": c, "edge": (c, o)},
+        lambda d: (d["center"], d["edge"][1]),
+        _cut_edge, _extend_deg4_low_neighbor, code="C6a",
+        cite=lambda g, M, c, o: (
+            "4-vertex beside a vertex of degree %d" % g.degree(o), (c, o)),
+    ),
+    TWO_DEG2: _Kind(
+        _two_deg2_candidates, _two_deg2, _two_deg2_data,
+        lambda d: (d["hub"], d["x"], d["y"], d["x_other"], d["y_other"]),
+        _reduce_two_deg2, _extend_two_deg2, code="C6c",
+        cite=lambda g, M, v, x, y, xp, yp: (
+            "vertex with two 2-neighbors (shape %d)" % (1 if xp == yp else 3),
+            (v, x, y)),
+    ),
+    TWIN_LOW_NEIGHBOR: _Kind(
+        _twin_candidates, _twin_low_neighbor,
+        lambda v, v1, v2, u: {"hub": v, "twins": (v1, v2), "apex": u},
+        lambda d: (d["hub"], *d["twins"], d["apex"]),
+        _reduce_twin, _extend_twin_low_neighbor, code="C6d",
+        cite=lambda g, M, v, v1, v2, u: (
+            "twin low neighbors of a high vertex on a triangle",
+            (v, v1, v2, u)),
+    ),
+    FACE_566: _Kind(
+        _face_566_candidates, _face_566,
+        lambda v1, v2, v3: {"corners": (v1, v2, v3)}, lambda d: d["corners"],
+        _reduce_face, _extend_face, plane=True, code="C6b",
+        cite=lambda g, M, *corners: (
+            "triangle face with degrees %s"
+            % sorted(g.degree(c) for c in corners),
+            (_traced_face(g, *corners),)),
+    ),
+    FACE_567: _Kind(
+        _face_567_candidates, _face_567,
+        lambda v1, v2, v3, w: {"corners": (v1, v2, v3), "outside": w},
+        lambda d: (*d["corners"], d["outside"]),
+        _reduce_face, _extend_face, plane=True, code="C6e",
+        cite=lambda g, M, v1, v2, v3, w: (
+            "special triangle whose 5-corner has an outside 6-neighbor",
+            (_traced_face(g, v1, v2, v3), w)),
+    ),
+    # the audit has no code for an alternator
+    ALTERNATOR: _Kind(
+        _alternator_candidates, _alternator, _alternator_data,
+        lambda d: (d["k"], d["low_side"], d["high_side"], d["edges"]),
+        _reduce_alternator, _extend_alternator,
+    ),
 }
+assert tuple(_CATALOGUE) == KIND_ORDER
+
+# sparse and light edges are queued by the labeler; it scans only for these
+_RARE_KINDS = KIND_ORDER[2:]
+
+
+def _first_config(g, M: int, kinds) -> Optional[ReducibleConfig]:
+    for kind in kinds:
+        entry = _CATALOGUE[kind]
+        fields = next(entry.occurrences(g, M), None)
+        if fields is not None:
+            return ReducibleConfig(kind, entry.data(*fields))
+    return None
+
+
+def find_configuration(g: Graph, M: int) -> ReducibleConfig:
+    """The first reducible structure in a fixed kind and scan order."""
+    cfg = _first_config(g, M, KIND_ORDER)
+    if cfg is None:
+        raise IrreducibleError(g, M)
+    return cfg
+
+
+def config_holds(g: Graph, M: int, cfg: ReducibleConfig) -> bool:
+    """Recheck a previously found structure against a graph.
+
+    The data must be exactly what the finder would build from its fields.
+    """
+    entry = _CATALOGUE.get(cfg.kind)
+    if entry is None or (entry.plane and not _has_rotation(g)):
+        return False
+    try:
+        fields = entry.fields(cfg.data)
+        return (entry.data(*fields) == dict(cfg.data)
+                and entry.holds(g, M, *fields))
+    except (KeyError, IndexError, TypeError, ValueError):
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -1060,11 +1162,11 @@ def _next_config(w: _WorkGraph, M: int, sparse: _EdgeQueue,
     taken from their queues."""
     key = sparse.first()
     if key is not None:
-        return ReducibleConfig(SPARSE_EDGE, {"edge": key})
+        return ReducibleConfig(SPARSE_EDGE, _CATALOGUE[SPARSE_EDGE].data(*key))
     key = light.first()
     if key is not None:
-        return ReducibleConfig(
-            LIGHT_EDGE, {"low": _light_end(w, M, *key), "edge": key})
+        return ReducibleConfig(LIGHT_EDGE, _CATALOGUE[LIGHT_EDGE].data(
+            *key, _light_end(w, M, *key)))
     cfg = _first_config(w, M, _RARE_KINDS)
     if cfg is None:
         raise IrreducibleError(w.freeze(), M)
@@ -1110,11 +1212,9 @@ def label_planar(g: PlaneGraph, M: Optional[int] = None,
     trace = ExtensionTrace(M)
 
     w = _WorkGraph(g)
-    sparse = _EdgeQueue(
-        lambda e: w.has_edge(*e) and _is_sparse(w, M, *e), g.edges())
+    sparse = _EdgeQueue(lambda e: _sparse_edge(w, M, *e), g.edges())
     light = _EdgeQueue(
-        lambda e: w.has_edge(*e) and _light_end(w, M, *e) is not None,
-        g.edges())
+        lambda e: _light_end(w, M, *e) is not None, g.edges())
     # (configuration or None, base graph or None, undo log)
     events: list[tuple] = []
     for comp in g.components():
@@ -1149,7 +1249,7 @@ def label_planar(g: PlaneGraph, M: Optional[int] = None,
                 _check_around(w, work, itv, set(base.vertices))
         else:
             rec = ReductionRecord(cfg.kind, dict(cfg.data))
-            _EXTENDERS[cfg.kind](w, work, cfg, itv, rec)
+            _CATALOGUE[cfg.kind].extend(w, work, cfg, itv, rec)
             trace.records.append(rec)
             if deep_check:
                 region = _log_vertices(log)

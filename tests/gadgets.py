@@ -50,6 +50,19 @@ def special_face_with_mate() -> PlaneGraph:
     return PlaneGraph(adj, rot)
 
 
+def c4() -> PlaneGraph:
+    """The 4-cycle 0-2-1-3: hub 0 has two 2-neighbors sharing far end 1."""
+    rot = {0: (2, 3), 1: (2, 3), 2: (0, 1), 3: (0, 1)}
+    return PlaneGraph({v: set(r) for v, r in rot.items()}, rot)
+
+
+def spider() -> PlaneGraph:
+    """Paths 0-1-2 and 0-3-4: hub 0 has two 2-neighbors with distinct,
+    non-adjacent far ends."""
+    rot = {0: (1, 3), 1: (0, 2), 2: (1,), 3: (0, 4), 4: (3,)}
+    return PlaneGraph({v: set(r) for v, r in rot.items()}, rot)
+
+
 def octahedron() -> PlaneGraph:
     """The 4-regular triangulation on six vertices; eight 3-faces."""
     rot = {
@@ -111,3 +124,25 @@ def disjoint_union(*parts: PlaneGraph, stride: int = 100) -> PlaneGraph:
             adj[v + shift] = {w + shift for w in part.neighbors(v)}
             rot[v + shift] = [w + shift for w in part.rotation(v)]
     return PlaneGraph(adj, rot)
+
+
+def separated_twin_instance() -> PlaneGraph:
+    """Twins on a triangle that is not a face.
+
+    Hub 0 has degree 11, so at bound 12 its neighbors of degree 3 are
+    twins: 1 and 3.  Apex 2 closes the triangle 0-1-2, but the leaf 5 of
+    twin 1 sits inside that triangle and the hub's leaves 10..17 outside,
+    so neither orientation of the triangle bounds a face.
+    """
+    rot = {
+        0: [1, 2, 3] + list(range(10, 18)),
+        1: [2, 5, 0],
+        2: [0, 1],
+        3: [30, 31, 0],
+        5: [1],
+        30: [3],
+        31: [3],
+    }
+    for leaf in range(10, 18):
+        rot[leaf] = [0]
+    return PlaneGraph({v: set(r) for v, r in rot.items()}, rot)

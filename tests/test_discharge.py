@@ -2,13 +2,24 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 from fractions import Fraction
 
 import pytest
 
-from gadgets import leaf_triangle, octahedron, pinned_twin_instance, special_face_with_mate
+from corpus import acceptance_corpus, digest_graphs
+from gadgets import c4 as _make_c4
+from gadgets import spider as _make_spider
+from gadgets import (
+    disjoint_union,
+    leaf_triangle,
+    octahedron,
+    pinned_twin_instance,
+    separated_twin_instance,
+    special_face_with_mate,
+)
 from tlabel.discharge import (
     AuditError,
     apply_rules,
@@ -20,6 +31,17 @@ from tlabel.discharge import (
 )
 from tlabel.families import generate
 from tlabel.graphs import Graph, GraphError, PlaneGraph
+from tlabel.reduction import (
+    DEG4_LOW_NEIGHBOR,
+    FACE_566,
+    FACE_567,
+    LIGHT_EDGE,
+    SPARSE_EDGE,
+    TWIN_LOW_NEIGHBOR,
+    TWO_DEG2,
+    ReducibleConfig,
+    config_holds,
+)
 
 
 def _make_k4() -> PlaneGraph:
@@ -29,16 +51,6 @@ def _make_k4() -> PlaneGraph:
 
 def _make_k2() -> PlaneGraph:
     return PlaneGraph({0: {1}, 1: {0}}, {0: (1,), 1: (0,)})
-
-
-def _make_c4() -> PlaneGraph:
-    rot = {0: (2, 3), 1: (2, 3), 2: (0, 1), 3: (0, 1)}
-    return PlaneGraph({v: set(r) for v, r in rot.items()}, rot)
-
-
-def _make_spider() -> PlaneGraph:
-    rot = {0: (1, 3), 1: (0, 2), 2: (1,), 3: (0, 4), 4: (3,)}
-    return PlaneGraph({v: set(r) for v, r in rot.items()}, rot)
 
 
 def _make_half_charge_tree() -> PlaneGraph:
@@ -201,8 +213,11 @@ def test_scan_master_deficiency_and_weak_master():
     g = Graph.from_edges(
         list(itertools.combinations((10, 11, 12, 13, 14), 2)) + [(1, 10)]
     )
-    weak = [v for v in scan_structure(g, 12) if v.code == "C5"]
-    assert weak and all(v.elements == (10,) for v in weak)
+    # a master too weak for its client is the heavy end of a light edge,
+    # which C3 reports; there is no separate code for it
+    scan = scan_structure(g, 12)
+    assert [v.elements for v in scan if v.code == "C3"] == [((1, 10),)]
+    assert "C5" not in {v.code for v in scan}
 
 
 def test_scan_low_four_vertex():
@@ -231,6 +246,37 @@ def test_scan_twins_on_triangle_face():
     g, _ = pinned_twin_instance()
     hits = [v for v in scan_structure(g, 12) if v.code == "C6d"]
     assert hits and hits[0].elements == (0, 2, 3, 1)
+
+
+def test_scan_twins_on_a_triangle_that_is_not_a_face():
+    # the twin extension trades colors along the triangle's edges only, so
+    # the scan reports twins whose apex triangle separates the plane
+    g = separated_twin_instance()
+    assert not [f for f in g.faces() if set(f.boundary) == {0, 1, 2}]
+    hits = [v for v in scan_structure(g, 12) if v.code == "C6d"]
+    assert [v.elements for v in hits] == [(0, 1, 3, 2)]
+
+
+def test_scan_reports_every_occurrence_of_paired_two_neighbors():
+    # three legs at one hub make three pairs, each its own violation
+    rot = {0: (1, 3, 5), 1: (0, 2), 2: (1,), 3: (0, 4), 4: (3,),
+           5: (0, 6), 6: (5,)}
+    g = PlaneGraph({v: set(r) for v, r in rot.items()}, rot)
+    hits = [v.elements for v in scan_structure(g, 12) if v.code == "C6c"]
+    assert hits == [(0, 1, 3), (0, 1, 5), (0, 3, 5)]
+    twins = [v.elements for v in scan_structure(pinned_twin_instance()[0], 12)
+             if v.code == "C6d"]
+    assert twins[0] == (0, 2, 3, 1) and len(twins) == len(set(twins))
+
+
+def test_scan_reads_faces_of_disconnected_plane_graphs():
+    g = disjoint_union(leaf_triangle(5, 6, 6), special_face_with_mate(),
+                       stride=1000)
+    found = {(v.code, v.elements) for v in scan_structure(g, 12)}
+    assert ("C6b", ((0, 1, 2),)) in found
+    assert ("C6e", ((1000, 1001, 1002), 1010)) in found
+    codes = [v.code for v in scan_structure(g, 12)]
+    assert codes[0] == "C1" and codes == sorted(codes)
 
 
 def test_scan_special_triangle_with_mate():
@@ -287,3 +333,71 @@ def test_audit_flags_clean_scans_as_candidates(monkeypatch):
     assert rep.final.total() == -8
     assert rep.negatives
     assert json.dumps(rep.to_dict())
+
+
+# sha256 of the scan's (code, note, elements) sequence restricted to the
+# codes whose meaning the configuration catalogue kept, on the face sample
+# and the acceptance corpus at three bounds; recorded with the per-code
+# scan loops that the catalogue replaced
+SCAN_DIGEST = "abfa9b58897b5a3f569db184096a4df43d25876937ff350f4bf1591d1d6ef2e0"
+DIGEST_CODES = {"C1", "C2", "C3", "C4", "C6a", "C6b", "C6e"}
+
+
+def test_scan_reproduces_golden_digest():
+    lines = []
+    for i, g in enumerate(digest_graphs()):
+        for M in (12, 14, 16):
+            for v in scan_structure(g, M):
+                if v.code in DIGEST_CODES:
+                    lines.append("%d %d %r" % (i, M, (v.code, v.note, v.elements)))
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == SCAN_DIGEST
+
+
+def _config_named_by(g: Graph, M: int, v) -> ReducibleConfig:
+    """The configuration a violation names, rebuilt from its elements."""
+    if v.code == "C2":
+        return ReducibleConfig(SPARSE_EDGE, {"edge": v.elements[0]})
+    if v.code == "C3":
+        ((a, b),) = v.elements
+        low = a if g.degree(a) <= (M + 2) // 4 else b
+        return ReducibleConfig(LIGHT_EDGE, {"low": low, "edge": (a, b)})
+    if v.code == "C6a":
+        c, o = v.elements
+        return ReducibleConfig(DEG4_LOW_NEIGHBOR, {"center": c, "edge": (c, o)})
+    if v.code == "C6b":
+        (face,) = v.elements
+        low = min(c for c in face if g.degree(c) == 5)
+        corners = (low, *sorted(c for c in face if c != low))
+        return ReducibleConfig(FACE_566, {"corners": corners})
+    if v.code == "C6c":
+        hub, x, y = v.elements
+        (xp,) = g.neighbors(x) - {hub}
+        (yp,) = g.neighbors(y) - {hub}
+        return ReducibleConfig(TWO_DEG2, {
+            "hub": hub, "x": x, "y": y, "x_other": xp, "y_other": yp,
+            "case": 1 if xp == yp else 3})
+    if v.code == "C6d":
+        hub, v1, v2, apex = v.elements
+        return ReducibleConfig(
+            TWIN_LOW_NEIGHBOR, {"hub": hub, "twins": (v1, v2), "apex": apex})
+    assert v.code == "C6e", v.code
+    face, mate = v.elements
+    corners = tuple(sorted(face, key=g.degree))
+    return ReducibleConfig(FACE_567, {"corners": corners, "outside": mate})
+
+
+def test_every_scan_code_names_a_configuration_the_labeler_reduces():
+    checked = set()
+    graphs = [(g, M) for _, g, M in acceptance_corpus()]
+    graphs += [(g, 12) for g in (
+        pinned_twin_instance()[0], separated_twin_instance(), _make_c4(),
+        _make_spider(), special_face_with_mate(), leaf_triangle(5, 6, 6),
+        generate("wheel", 4))]
+    for g, M in graphs:
+        for v in scan_structure(g, M):
+            if v.code in ("C1", "C4"):
+                continue
+            assert config_holds(g, M, _config_named_by(g, M, v)), (v, M)
+            checked.add(v.code)
+    assert checked == {"C2", "C3", "C6a", "C6b", "C6c", "C6d", "C6e"}

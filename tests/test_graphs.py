@@ -124,16 +124,16 @@ def test_without_vertices_and_induced():
 
 
 def test_plane_components_preserve_embedding():
-    g = generate("wheel", 5)
-    h = g.without_vertices((2,))
-    # rim vertex removal keeps the graph connected; cut the hub too
-    h2 = h.without_vertices((0,))
-    comps = h2.plane_components()
-    assert sum(c.n for c in comps) == h2.n
+    # without the hub and two opposite rim vertices, the rim falls apart
+    # into two paths; each induced piece keeps its rotations
+    g = generate("wheel", 6)
+    h = g.without_vertices((0, 3, 6))
+    comps = [h.induced(c) for c in h.components()]
+    assert sorted(c.vertices for c in comps) == [(1, 2), (4, 5)]
     for c in comps:
         assert isinstance(c, PlaneGraph)
-        if c.is_connected() and c.n:
-            assert c.n - c.m + len(c.faces()) == 2
+        assert all(c.rotation(v) == h.rotation(v) for v in c.vertices)
+        assert c.n - c.m + len(c.faces()) == 2
 
 
 def test_components_and_connectivity():

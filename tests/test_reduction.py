@@ -7,11 +7,15 @@ import itertools
 
 import pytest
 
+from corpus import digest_graphs, face_sample
+from gadgets import c4 as _make_c4
+from gadgets import spider as _make_spider
 from gadgets import (
     disjoint_union,
     leaf_triangle,
     octahedron,
     pinned_twin_instance,
+    separated_twin_instance,
     special_face_with_mate,
 )
 from tlabel import reduction
@@ -34,16 +38,8 @@ from tlabel.reduction import (
     IrreducibleError,
     ReducibleConfig,
     ReductionRecord,
-    _EXTENDERS,
     _WorkGraph,
     _assign_fixed,
-    _find_deg4_low_neighbor,
-    _find_face_566,
-    _find_face_567,
-    _find_light_edge,
-    _find_sparse_edge,
-    _find_twin_low_neighbor,
-    _find_two_deg2,
     _reduce,
     _triangle_faces,
     config_holds,
@@ -68,19 +64,14 @@ def _make_star(leaves: int) -> Graph:
     return Graph.from_edges((0, i) for i in range(1, leaves + 1))
 
 
-def _make_c4() -> PlaneGraph:
-    rot = {0: (2, 3), 1: (2, 3), 2: (0, 1), 3: (0, 1)}
-    return PlaneGraph({v: set(r) for v, r in rot.items()}, rot)
-
-
-def _make_spider() -> PlaneGraph:
-    rot = {0: (1, 3), 1: (0, 2), 2: (1,), 3: (0, 4), 4: (3,)}
-    return PlaneGraph({v: set(r) for v, r in rot.items()}, rot)
+def _find(g: Graph, kind: str, M: int = 12):
+    """The first occurrence of one kind, as the labeler's scan finds it."""
+    return reduction._first_config(g, M, (kind,))
 
 
 def _run_extension(g: Graph, cfg: ReducibleConfig, work: dict) -> ReductionRecord:
     rec = ReductionRecord(cfg.kind, dict(cfg.data))
-    _EXTENDERS[cfg.kind](g, work, cfg, ITV, rec)
+    reduction._CATALOGUE[cfg.kind].extend(g, work, cfg, ITV, rec)
     lab = PartialLabeling(work)
     assert lab.is_total(g)
     assert validate(g, lab, ITV) == []
@@ -105,38 +96,38 @@ def _check_child(g: Graph, cfg: ReducibleConfig, work: dict) -> None:
 
 
 def test_sparse_edge_finder():
-    cfg = _find_sparse_edge(_make_path3(), 12)
+    cfg = _find(_make_path3(), SPARSE_EDGE)
     assert cfg.kind == SPARSE_EDGE
     assert cfg["edge"] == (0, 1)
     assert config_holds(_make_path3(), 12, cfg)
-    assert _find_sparse_edge(_make_k7(), 12) is None
+    assert _find(_make_k7(), SPARSE_EDGE) is None
 
 
 def test_light_edge_finder():
     star = _make_star(10)
-    assert _find_sparse_edge(star, 12) is None
-    cfg = _find_light_edge(star, 12)
+    assert _find(star, SPARSE_EDGE) is None
+    cfg = _find(star, LIGHT_EDGE)
     assert cfg.kind == LIGHT_EDGE
     assert cfg["low"] == 1
     assert cfg["edge"] == (0, 1)
     assert config_holds(star, 12, cfg)
     # both endpoints too heavy
-    assert _find_light_edge(_make_k7(), 12) is None
+    assert _find(_make_k7(), LIGHT_EDGE) is None
 
 
 def test_deg4_finder():
     w4 = generate("wheel", 4)
-    cfg = _find_deg4_low_neighbor(w4, 12)
+    cfg = _find(w4, DEG4_LOW_NEIGHBOR)
     assert cfg.kind == DEG4_LOW_NEIGHBOR
     assert cfg["center"] == 0
     assert w4.degree(cfg["center"]) == 4
     u, v = cfg["edge"]
     assert w4.degree(v if u == 0 else u) <= 7
-    assert _find_deg4_low_neighbor(generate("cycle", 5), 12) is None
+    assert _find(generate("cycle", 5), DEG4_LOW_NEIGHBOR) is None
 
 
 def test_two_deg2_finder_case1():
-    cfg = _find_two_deg2(_make_c4(), 12)
+    cfg = _find(_make_c4(), TWO_DEG2)
     assert cfg.kind == TWO_DEG2
     assert cfg["case"] == 1
     assert cfg["hub"] == 0
@@ -147,7 +138,7 @@ def test_two_deg2_finder_case1():
 
 def test_two_deg2_finder_case3():
     spider = _make_spider()
-    cfg = _find_two_deg2(spider, 12)
+    cfg = _find(spider, TWO_DEG2)
     assert cfg["case"] == 3
     assert cfg["hub"] == 0
     assert (cfg["x"], cfg["x_other"]) == (1, 2)
@@ -159,41 +150,41 @@ def test_two_deg2_skips_far_end_on_hub():
     # every candidate pair has a far end adjacent to the hub, a shape the
     # path rewiring cannot shrink
     g = Graph.from_edges([(0, 1), (0, 2), (0, 3), (1, 2), (3, 4)])
-    assert _find_two_deg2(g, 12) is None
+    assert _find(g, TWO_DEG2) is None
 
 
 def test_twin_finder():
     g, _ = pinned_twin_instance()
-    cfg = _find_twin_low_neighbor(g, 12)
+    cfg = _find(g, TWIN_LOW_NEIGHBOR)
     assert cfg.kind == TWIN_LOW_NEIGHBOR
     assert cfg["hub"] == 0
     assert cfg["twins"] == (2, 3)
     assert cfg["apex"] == 1
     assert config_holds(g, 12, cfg)
     k4 = Graph.from_edges(itertools.combinations(range(4), 2))
-    assert _find_twin_low_neighbor(k4, 12) is None
+    assert _find(k4, TWIN_LOW_NEIGHBOR) is None
 
 
 def test_face_566_finder():
     g = leaf_triangle(5, 6, 6)
-    cfg = _find_face_566(g, 12)
+    cfg = _find(g, FACE_566)
     assert cfg.kind == FACE_566
     assert cfg["corners"] == (0, 1, 2)
     assert config_holds(g, 12, cfg)
-    assert _find_face_566(octahedron(), 12) is None
-    assert _find_face_566(leaf_triangle(5, 6, 7), 12) is None
+    assert _find(octahedron(), FACE_566) is None
+    assert _find(leaf_triangle(5, 6, 7), FACE_566) is None
 
 
 def test_face_567_finder():
     g = special_face_with_mate()
-    cfg = _find_face_567(g, 12)
+    cfg = _find(g, FACE_567)
     assert cfg.kind == FACE_567
     assert cfg["corners"] == (0, 1, 2)
     assert cfg["outside"] == 10
     assert g.degree(cfg["outside"]) == 6
     assert config_holds(g, 12, cfg)
     # without a degree-6 mate outside the face there is no match
-    assert _find_face_567(leaf_triangle(5, 6, 7), 12) is None
+    assert _find(leaf_triangle(5, 6, 7), FACE_567) is None
 
 
 def test_alternator_admission():
@@ -239,8 +230,8 @@ def test_find_configuration_priority():
     edges += list(itertools.combinations((1, 2, 3, 4), 2))
     edges += [(h, p) for h in (1, 2, 3, 4) for p in (5, 6, 7)]
     g = Graph.from_edges(edges)
-    assert _find_sparse_edge(g, 12) is None
-    assert _find_light_edge(g, 12) is None
+    assert _find(g, SPARSE_EDGE) is None
+    assert _find(g, LIGHT_EDGE) is None
     cfg = find_configuration(g, 12)
     assert cfg.kind == DEG4_LOW_NEIGHBOR
     assert cfg["center"] == 0
@@ -272,33 +263,69 @@ def test_config_holds_rejects_mismatches():
     assert not config_holds(star, 12, bad)
 
 
+def test_config_holds_requires_the_data_the_finder_builds():
+    w4 = generate("wheel", 4)
+    cfg = _find(w4, DEG4_LOW_NEIGHBOR)
+    center, other = cfg["edge"]
+    flipped = {**dict(cfg.data), "edge": (other, center)}
+    assert not config_holds(w4, 12, ReducibleConfig(DEG4_LOW_NEIGHBOR, flipped))
+    spider = _make_spider()
+    cfg = _find(spider, TWO_DEG2)
+    wrong_case = {**dict(cfg.data), "case": 1}
+    assert not config_holds(spider, 12, ReducibleConfig(TWO_DEG2, wrong_case))
+    # the low end of a light edge is its first end light enough
+    g = Graph.from_edges([(0, 1), (1, 2)])
+    assert not config_holds(
+        g, 12, ReducibleConfig(LIGHT_EDGE, {"low": 1, "edge": (0, 1)}))
+    assert config_holds(
+        g, 12, ReducibleConfig(LIGHT_EDGE, {"low": 0, "edge": (0, 1)}))
+    # the alternator's edges are its cross edges, which its extension colors
+    claw = Graph.from_edges([(0, 1), (0, 2), (0, 3)])
+    alt = find_k_alternator(claw, 12, 3)
+    short = {**dict(alt.data), "edges": alt["edges"][:-1]}
+    assert not config_holds(claw, 12, ReducibleConfig(ALTERNATOR, short))
+    # face kinds need rotations; an unknown kind never holds
+    tri = leaf_triangle(5, 6, 6)
+    face = _find(tri, FACE_566)
+    assert not config_holds(Graph.from_edges(tri.edges()), 12, face)
+    assert not config_holds(tri, 12, ReducibleConfig("bogus", face.data))
+
+
+def test_twins_on_a_separating_triangle_reduce_and_extend():
+    g = separated_twin_instance()
+    cfg = _find(g, TWIN_LOW_NEIGHBOR)
+    assert dict(cfg.data) == {"hub": 0, "twins": (1, 3), "apex": 2}
+    rec = _roundtrip(g, cfg)
+    assert all(step.ok for step in rec.steps)
+
+
 # ---------------------------------------------------------------------------
 # reductions
 
 
 def test_reduce_shapes():
     p3 = _make_path3()
-    child = reduce_config(p3, _find_sparse_edge(p3, 12))
+    child = reduce_config(p3, _find(p3, SPARSE_EDGE))
     assert (child.n, child.m) == (3, 1)
 
     c4 = _make_c4()
-    child = reduce_config(c4, _find_two_deg2(c4, 12))
+    child = reduce_config(c4, _find(c4, TWO_DEG2))
     assert (child.n, child.m) == (2, 0)
 
     spider = _make_spider()
-    child = reduce_config(spider, _find_two_deg2(spider, 12))
+    child = reduce_config(spider, _find(spider, TWO_DEG2))
     assert isinstance(child, PlaneGraph)
     assert sorted(child.vertices) == [0, 2, 4]
     assert child.has_edge(0, 2) and child.has_edge(0, 4)
     assert child.rotation(0) == (2, 4)
 
     g, _ = pinned_twin_instance()
-    child = reduce_config(g, _find_twin_low_neighbor(g, 12))
+    child = reduce_config(g, _find(g, TWIN_LOW_NEIGHBOR))
     assert not child.has_edge(0, 2) and not child.has_edge(0, 3)
     assert child.degree(0) == 10
 
     tri = leaf_triangle(5, 6, 6)
-    child = reduce_config(tri, _find_face_566(tri, 12))
+    child = reduce_config(tri, _find(tri, FACE_566))
     assert not child.has_edge(0, 1) and not child.has_edge(0, 2)
     assert child.has_edge(1, 2)
 
@@ -313,7 +340,7 @@ def test_reduce_shapes():
 
 def test_extend_sparse_roundtrip():
     p3 = _make_path3()
-    rec = _roundtrip(p3, _find_sparse_edge(p3, 12))
+    rec = _roundtrip(p3, _find(p3, SPARSE_EDGE))
     assert rec.steps[-1].action == "assign"
 
 
@@ -358,7 +385,7 @@ def test_separate_endpoints_moves_an_edge_when_pinned():
 
 def test_light_edge_extension_hits_tight_bound():
     star = _make_star(10)
-    cfg = _find_light_edge(star, 12)
+    cfg = _find(star, LIGHT_EDGE)
     work = {0: 0, 1: 0}
     for j, c in zip(range(2, 11), range(2, 11)):
         work[(0, j)] = c
@@ -373,7 +400,7 @@ def test_light_edge_extension_hits_tight_bound():
 
 def test_deg4_roundtrip():
     w4 = generate("wheel", 4)
-    rec = _roundtrip(w4, _find_deg4_low_neighbor(w4, 12))
+    rec = _roundtrip(w4, _find(w4, DEG4_LOW_NEIGHBOR))
     actions = [s.action for s in rec.steps]
     assert actions[0] == "erase"
     assert "check" in actions
@@ -381,19 +408,19 @@ def test_deg4_roundtrip():
 
 def test_two_deg2_case1_roundtrip():
     c4 = _make_c4()
-    rec = _roundtrip(c4, _find_two_deg2(c4, 12))
+    rec = _roundtrip(c4, _find(c4, TWO_DEG2))
     assert [s.action for s in rec.steps].count("list") == 4
 
 
 def test_two_deg2_case3_roundtrip():
     spider = _make_spider()
-    rec = _roundtrip(spider, _find_two_deg2(spider, 12))
+    rec = _roundtrip(spider, _find(spider, TWO_DEG2))
     assert [s.action for s in rec.steps].count("transfer") == 4
 
 
 def test_twin_pinned_swap():
     g, work = pinned_twin_instance()
-    cfg = _find_twin_low_neighbor(g, 12)
+    cfg = _find(g, TWIN_LOW_NEIGHBOR)
     _check_child(g, cfg, work)
     rec = _run_extension(g, cfg, work)
     # the apex edge colors were exchanged to free a second hub color
@@ -412,7 +439,7 @@ def test_twin_without_pinning_skips_swap():
     # of choices, so no exchange is needed
     work[(0, 18)] = 13
     work[18] = 0
-    cfg = _find_twin_low_neighbor(g, 12)
+    cfg = _find(g, TWIN_LOW_NEIGHBOR)
     _check_child(g, cfg, work)
     rec = _run_extension(g, cfg, work)
     assert work[(0, 2)] == 12 and work[(0, 3)] == 14
@@ -462,7 +489,7 @@ def test_face_collision_repair_frozen_triangle():
 
 def test_face_566_roundtrip_with_collision():
     g = leaf_triangle(5, 6, 6)
-    cfg = _find_face_566(g, 12)
+    cfg = _find(g, FACE_566)
     work = _face_child_labeling(with_mate=False)
     _check_child(g, cfg, work)
     rec = _run_extension(g, cfg, work)
@@ -475,7 +502,7 @@ def test_face_566_roundtrip_with_collision():
 
 def test_face_566_roundtrip_without_collision():
     g = leaf_triangle(5, 6, 6)
-    cfg = _find_face_566(g, 12)
+    cfg = _find(g, FACE_566)
     work = _face_child_labeling(with_mate=False)
     work[0] = 6
     _check_child(g, cfg, work)
@@ -486,7 +513,7 @@ def test_face_566_roundtrip_without_collision():
 
 def test_face_567_roundtrip():
     g = special_face_with_mate()
-    cfg = _find_face_567(g, 12)
+    cfg = _find(g, FACE_567)
     work = _face_child_labeling(with_mate=True)
     _check_child(g, cfg, work)
     _run_extension(g, cfg, work)
@@ -588,16 +615,16 @@ def _undo_cases():
     claw = Graph.from_edges([(0, 1), (0, 2), (0, 3)])
     plane_claw = generate("star", 3)
     return [
-        (p3, _find_sparse_edge(p3, 12)),
-        (spider, _find_sparse_edge(spider, 12)),
-        (octahedron(), _find_sparse_edge(octahedron(), 12)),
-        (star, _find_light_edge(star, 12)),
-        (w4, _find_deg4_low_neighbor(w4, 12)),
-        (c4, _find_two_deg2(c4, 12)),
-        (spider, _find_two_deg2(spider, 12)),
-        (twin, _find_twin_low_neighbor(twin, 12)),
-        (tri, _find_face_566(tri, 12)),
-        (mate, _find_face_567(mate, 12)),
+        (p3, _find(p3, SPARSE_EDGE)),
+        (spider, _find(spider, SPARSE_EDGE)),
+        (octahedron(), _find(octahedron(), SPARSE_EDGE)),
+        (star, _find(star, LIGHT_EDGE)),
+        (w4, _find(w4, DEG4_LOW_NEIGHBOR)),
+        (c4, _find(c4, TWO_DEG2)),
+        (spider, _find(spider, TWO_DEG2)),
+        (twin, _find(twin, TWIN_LOW_NEIGHBOR)),
+        (tri, _find(tri, FACE_566)),
+        (mate, _find(mate, FACE_567)),
         (claw, find_k_alternator(claw, 12, 3)),
         (plane_claw, find_k_alternator(plane_claw, 12, 3)),
     ]
@@ -619,26 +646,17 @@ def test_undo_restores_adjacency_and_rotation_slots():
             assert w.rot is None
 
 
-def _face_sample():
-    sample = [generate("stacked_triangulation", n, s, cap)
-              for n, s, cap in ((12, 1, None), (60, 2, 12), (120, 3, 16))]
-    sample += [generate("random_planar", n, s, cap)
-               for n, s, cap in ((30, 4, 12), (80, 5, 14))]
-    sample += [generate("wheel", n) for n in (3, 4, 9)]
-    sample += [generate("cycle", 3), generate("star", 4), _make_c4(),
-               _make_spider(), octahedron(), leaf_triangle(5, 6, 6),
-               special_face_with_mate(), pinned_twin_instance()[0]]
-    return sample
-
-
 def test_local_triangle_faces_match_face_tracing():
-    for g in _face_sample():
+    for g in face_sample():
         traced = [
             f.boundary for f in trace_faces(g)
             if f.degree == 3 and len(set(f.boundary)) == 3
         ]
-        assert list(_triangle_faces(g)) == traced
-        assert list(_triangle_faces(_WorkGraph(g))) == traced
+        assert _triangle_faces(g, g.vertices) == traced
+        assert _triangle_faces(_WorkGraph(g), g.vertices) == traced
+        fives = [v for v in g.vertices if g.degree(v) == 5]
+        assert _triangle_faces(g, fives) == [
+            f for f in traced if any(c in fives for c in f)]
 
 
 def test_queued_choice_matches_a_full_scan(monkeypatch):
@@ -728,3 +746,57 @@ def test_label_planar_scales_to_1600_vertices():
     lab, trace = label_planar(g, 12)
     assert trace.ok()
     assert validate(g, lab, working_interval(12)) == []
+
+
+# sha256 of the first occurrence of each kind, in kind and scan order, on
+# the face sample and the acceptance corpus at three bounds; recorded with
+# the per-kind finder functions that the configuration catalogue replaced
+FIRST_OCCURRENCES_DIGEST = (
+    "1ce87e979d46094516e016b1468179f2df20fd90b3286916b56b8184004ee5ff"
+)
+
+
+def test_first_occurrence_of_each_kind_reproduces_golden_digest():
+    lines = []
+    for i, g in enumerate(digest_graphs()):
+        for M in (12, 14, 16):
+            for kind in KIND_ORDER:
+                cfg = reduction._first_config(g, M, (kind,))
+                found = None if cfg is None else sorted(cfg.data.items())
+                lines.append("%d %d %s %r" % (i, M, kind, found))
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == FIRST_OCCURRENCES_DIGEST
+
+
+ARITY = {SPARSE_EDGE: 2, LIGHT_EDGE: 3, DEG4_LOW_NEIGHBOR: 2, TWO_DEG2: 5,
+         TWIN_LOW_NEIGHBOR: 4, FACE_566: 3, FACE_567: 4}
+
+
+def _brute_force_cases():
+    """(graph, bound): the gadgets at 12, small generated graphs at 12, 13."""
+    gadgets = [_make_c4(), _make_spider(), octahedron(), leaf_triangle(5, 6, 6),
+               leaf_triangle(5, 6, 7), special_face_with_mate(),
+               pinned_twin_instance()[0], separated_twin_instance()]
+    small = [generate("wheel", n) for n in (3, 4, 5, 11, 12)]
+    small += [generate("stacked_triangulation", n, s) for n, s in ((8, 0), (12, 1))]
+    small += [generate("random_planar", n, s) for n, s in ((10, 2), (12, 3))]
+    return [(g, 12) for g in gadgets] + [(g, M) for g in small for M in (12, 13)]
+
+
+def test_enumerators_find_every_occurrence_exactly_once():
+    # an enumerator may prune only what its predicate would reject: the
+    # occurrences it yields are all vertex tuples the predicate accepts
+    hit = set()
+    for g, M in _brute_force_cases():
+        for kind, arity in ARITY.items():
+            entry = reduction._CATALOGUE[kind]
+            found = list(entry.occurrences(g, M))
+            brute = {t for t in itertools.product(g.vertices, repeat=arity)
+                     if entry.holds(g, M, *t)}
+            assert len(found) == len(set(found)), (kind, g)
+            assert set(found) == brute, (kind, g, M)
+            if found:
+                hit.add(kind)
+                cfg = ReducibleConfig(kind, entry.data(*found[0]))
+                assert config_holds(g, M, cfg)
+    assert hit == set(ARITY)
