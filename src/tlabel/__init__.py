@@ -15,7 +15,6 @@ from .graphs import (
     Graph,
     GraphError,
     PlaneGraph,
-    build_plane_graph,
     edge_key,
     trace_faces,
 )

@@ -135,19 +135,34 @@ def assign_masters(g: Graph, k: int,
     match: dict = {}
     load: dict = {}
 
-    def attempt(x: int, visited: set) -> bool:
-        for m in sorted(g.neighbors(x)):
-            if g.degree(m) <= k or m in visited:
+    def attempt(root: int, visited: set) -> bool:
+        """Depth-first search for an augmenting path from root, on an
+        explicit stack.  A frame holds a client, its masters still to try,
+        the master it tries, and that master's clients still to move (last
+        first)."""
+        stack = [[root, iter(sorted(g.neighbors(root))), None, None]]
+        while stack:
+            frame = stack[-1]
+            rivals = frame[3]
+            if rivals:
+                x = rivals.pop()
+                stack.append([x, iter(sorted(g.neighbors(x))), None, None])
+                continue
+            for m in frame[1]:
+                if g.degree(m) > k and m not in visited:
+                    break
+            else:
+                stack.pop()
                 continue
             visited.add(m)
+            frame[2] = m
             if load.get(m, 0) < cap:
-                match[x] = m
                 load[m] = load.get(m, 0) + 1
-                return True
-            for x2 in sorted(c for c, mm in match.items() if mm == m):
-                if attempt(x2, visited):
+                for x, _, m, _ in reversed(stack):
                     match[x] = m
-                    return True
+                return True
+            frame[3] = sorted(
+                (c for c, mm in match.items() if mm == m), reverse=True)
         return False
 
     for x in clients:

@@ -5,12 +5,15 @@ neighbors around each vertex.  Faces are never stored; they are derived by
 tracing dart orbits and validated against Euler's formula, so a rotation
 system that does not describe a plane embedding is always caught at trace
 time rather than silently accepted.
+
+The read queries live once, in :class:`BaseGraph`; the immutable graphs
+here and the labeler's mutable working graph all answer through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 
 class GraphError(ValueError):
@@ -36,7 +39,66 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-class Graph:
+def _edge_adjacency(edges: Iterable[tuple[int, int]],
+                    vertices: Iterable[int]) -> dict[int, set[int]]:
+    """The neighbor sets of an edge list, which may not repeat an edge or
+    hold a self-loop."""
+    adj: dict[int, set[int]] = {int(v): set() for v in vertices}
+    seen: set[tuple[int, int]] = set()
+    for u, v in edges:
+        if u == v:
+            raise GraphError("self-loop (%d, %d)" % (u, v))
+        k = edge_key(u, v)
+        if k in seen:
+            raise GraphError("duplicate edge (%d, %d)" % k)
+        seen.add(k)
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    return adj
+
+
+class BaseGraph:
+    """The read queries over ``_adj``, each vertex's neighbor set, and
+    ``_rot``, each vertex's rotation or None without an embedding.  The
+    subclasses build the two maps; the queries never copy them, so a
+    mutable subclass answers for its current state."""
+
+    __slots__ = ("_adj", "_rot")
+
+    @property
+    def vertices(self) -> tuple[int, ...]:
+        return tuple(sorted(self._adj))
+
+    def __contains__(self, v: int) -> bool:
+        return v in self._adj
+
+    def neighbors(self, v: int) -> AbstractSet[int]:
+        try:
+            return self._adj[v]
+        except KeyError:
+            raise GraphError("unknown vertex %r" % (v,)) from None
+
+    def degree(self, v: int) -> int:
+        return len(self.neighbors(v))
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return u in self._adj and v in self._adj[u]
+
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(sorted(
+            [(u, v) for u, ns in self._adj.items() for v in ns if u < v]))
+
+    def rotation(self, v: int) -> Sequence[int]:
+        """The cyclic order of v's neighbors in the embedding."""
+        try:
+            return self._rot[v]
+        except KeyError:
+            raise GraphError("unknown vertex %r" % (v,)) from None
+        except TypeError:
+            raise GraphError("the graph has no rotation system") from None
+
+
+class Graph(BaseGraph):
     """Immutable simple undirected graph on integer vertex ids.
 
     Vertex ids need not be contiguous: subgraph operations preserve the ids
@@ -44,7 +106,7 @@ class Graph:
     a graph and its reductions without any translation step.
     """
 
-    __slots__ = ("_adj",)
+    __slots__ = ()
 
     def __init__(self, adjacency: Mapping[int, Iterable[int]]):
         adj: dict[int, frozenset[int]] = {}
@@ -59,27 +121,13 @@ class Graph:
                 if w not in adj or v not in adj[w]:
                     raise GraphError("asymmetric adjacency on edge (%d, %d)" % (v, w))
         self._adj = adj
+        self._rot = None
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]], vertices: Iterable[int] = ()) -> "Graph":
-        adj: dict[int, set[int]] = {int(v): set() for v in vertices}
-        seen: set[tuple[int, int]] = set()
-        for u, v in edges:
-            if u == v:
-                raise GraphError("self-loop (%d, %d)" % (u, v))
-            k = edge_key(u, v)
-            if k in seen:
-                raise GraphError("duplicate edge (%d, %d)" % k)
-            seen.add(k)
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-        return cls(adj)
+        return cls(_edge_adjacency(edges, vertices))
 
     # -- basic queries ----------------------------------------------------
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(self._adj))
 
     @property
     def n(self) -> int:
@@ -88,29 +136,6 @@ class Graph:
     @property
     def m(self) -> int:
         return sum(len(ns) for ns in self._adj.values()) // 2
-
-    def __contains__(self, v: int) -> bool:
-        return v in self._adj
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        try:
-            return self._adj[v]
-        except KeyError:
-            raise GraphError("unknown vertex %r" % (v,)) from None
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return u in self._adj and v in self._adj[u]
-
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        out = []
-        for v, ns in self._adj.items():
-            for w in ns:
-                if v < w:
-                    out.append((v, w))
-        return tuple(sorted(out))
 
     @property
     def max_degree(self) -> int:
@@ -197,7 +222,7 @@ class PlaneGraph(Graph):
     represented.
     """
 
-    __slots__ = ("_rot", "_faces")
+    __slots__ = ("_faces",)
 
     def __init__(self, adjacency, rotation: Mapping[int, Sequence[int]]):
         super().__init__(adjacency)
@@ -224,14 +249,7 @@ class PlaneGraph(Graph):
 
     @classmethod
     def from_edges_rotation(cls, edges, rotation, vertices=()) -> "PlaneGraph":
-        g = Graph.from_edges(edges, vertices)
-        return cls(g._adj, rotation)
-
-    def rotation(self, v: int) -> tuple[int, ...]:
-        try:
-            return self._rot[v]
-        except KeyError:
-            raise GraphError("unknown vertex %r" % (v,)) from None
+        return cls(_edge_adjacency(edges, vertices), rotation)
 
     def faces(self) -> tuple[Face, ...]:
         if self._faces is None:
@@ -283,13 +301,6 @@ class PlaneGraph(Graph):
 
     def __hash__(self):
         return hash((super().__hash__(), tuple(sorted(self._rot.items()))))
-
-
-def build_plane_graph(edges: Iterable[tuple[int, int]],
-                      rotation: Mapping[int, Sequence[int]],
-                      vertices: Iterable[int] = ()) -> PlaneGraph:
-    """Build a plane graph from an edge list and a rotation system."""
-    return PlaneGraph.from_edges_rotation(edges, rotation, vertices)
 
 
 def trace_faces(g: PlaneGraph) -> tuple[Face, ...]:

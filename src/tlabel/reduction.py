@@ -13,6 +13,14 @@ extender and the code the audit reports it under.  The finders, the
 labeler's scan, :func:`config_holds` and
 :func:`tlabel.discharge.scan_structure` all read that one table, so each
 condition is written once.
+
+The labeler edits one ``_WorkGraph``, a :class:`~tlabel.graphs.BaseGraph`
+like the immutable graphs, so predicates and availability read it through
+the same queries.  The extenders share their coloring steps: ``_available``
+tells edges from vertices, ``_color_least`` gives one element its smallest
+free color, ``_fit_pair`` tries colors on one element until a second still
+has one, ``_refit_face_edges`` moves a third edge out of a pinned face
+pair's way, and ``_list_color`` colors a set of edges from their lists.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Optional
 
 from .exact import find_labeling
-from .graphs import Graph, GraphError, PlaneGraph, edge_key
+from .graphs import BaseGraph, Graph, GraphError, PlaneGraph, edge_key
 from .labeling import (
     ColorInterval,
     Element,
@@ -431,10 +439,8 @@ def find_k_alternator(g: Graph, M: int, k: int) -> Optional[ReducibleConfig]:
     return ReducibleConfig(ALTERNATOR, _alternator_data(*fields))
 
 
-def _has_rotation(g) -> bool:
-    return isinstance(g, PlaneGraph) or (
-        isinstance(g, _WorkGraph) and g.rot is not None
-    )
+def _has_rotation(g: BaseGraph) -> bool:
+    return g._rot is not None
 
 
 # ---------------------------------------------------------------------------
@@ -445,59 +451,28 @@ def _has_rotation(g) -> bool:
 _CUT, _SPLICE, _DETACH = range(3)
 
 
-class _WorkGraph:
+class _WorkGraph(BaseGraph):
     """A mutable copy of a graph that reductions edit in place.
 
-    Adjacency is a dict of sets and rotations a dict of lists (``rot`` is
-    None for a graph without an embedding).  It answers the queries the
-    predicates, the extenders and the availability calculus make of a
-    :class:`Graph`.  Every edit appends its inverse to an undo log, and
-    :meth:`undo` restores the adjacency and the exact rotation slots.
+    Adjacency is a dict of sets and rotations a dict of lists (None for a
+    graph without an embedding); the queries are :class:`BaseGraph`'s.
+    Every edit appends its inverse to an undo log, and :meth:`undo`
+    restores the adjacency and the exact rotation slots.
     """
 
-    __slots__ = ("adj", "rot")
+    __slots__ = ()
 
     def __init__(self, g: Graph):
-        self.adj = {v: set(g.neighbors(v)) for v in g.vertices}
-        self.rot = (
-            {v: list(g.rotation(v)) for v in self.adj}
-            if isinstance(g, PlaneGraph) else None
+        self._adj = {v: set(g.neighbors(v)) for v in g.vertices}
+        self._rot = (
+            {v: list(g.rotation(v)) for v in self._adj}
+            if _has_rotation(g) else None
         )
 
-    # -- the read interface of Graph and PlaneGraph ------------------------
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.adj))
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.adj
-
-    def neighbors(self, v: int) -> set[int]:
-        try:
-            return self.adj[v]
-        except KeyError:
-            raise GraphError("unknown vertex %r" % (v,)) from None
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return u in self.adj and v in self.adj[u]
-
-    def edges(self) -> list[tuple[int, int]]:
-        return sorted((u, v) for u, ns in self.adj.items() for v in ns if u < v)
-
-    def rotation(self, v: int) -> list[int]:
-        try:
-            return self.rot[v]
-        except KeyError:
-            raise GraphError("unknown vertex %r" % (v,)) from None
-
     def freeze(self) -> Graph:
-        if self.rot is None:
-            return Graph(self.adj)
-        return PlaneGraph(self.adj, self.rot)
+        if self._rot is None:
+            return Graph(self._adj)
+        return PlaneGraph(self._adj, self._rot)
 
     # -- edits -------------------------------------------------------------
 
@@ -505,40 +480,40 @@ class _WorkGraph:
         """Delete the edge uv."""
         if not self.has_edge(u, v):
             raise GraphError("no edge (%d, %d) to delete" % (u, v))
-        self.adj[u].remove(v)
-        self.adj[v].remove(u)
+        self._adj[u].remove(v)
+        self._adj[v].remove(u)
         i = j = None
-        if self.rot is not None:
-            i = self.rot[u].index(v)
-            del self.rot[u][i]
-            j = self.rot[v].index(u)
-            del self.rot[v][j]
+        if self._rot is not None:
+            i = self._rot[u].index(v)
+            del self._rot[u][i]
+            j = self._rot[v].index(u)
+            del self._rot[v][j]
         log.append((_CUT, u, v, i, j))
 
     def splice(self, at: int, old: int, new: int, log: list) -> None:
         """Put the neighbor new in old's place at one vertex only."""
-        self.adj[at].remove(old)
-        self.adj[at].add(new)
-        i = self.rot[at].index(old)
-        self.rot[at][i] = new
+        self._adj[at].remove(old)
+        self._adj[at].add(new)
+        i = self._rot[at].index(old)
+        self._rot[at][i] = new
         log.append((_SPLICE, at, old, new, i))
 
     def detach(self, x: int, log: list) -> None:
         """Remove x, whose neighbors must no longer list it."""
-        rot = self.rot.pop(x) if self.rot is not None else None
-        log.append((_DETACH, x, self.adj.pop(x), rot))
+        rot = self._rot.pop(x) if self._rot is not None else None
+        log.append((_DETACH, x, self._adj.pop(x), rot))
 
     def drop(self, x: int, log: list) -> None:
         """Delete x with its edges."""
-        if x not in self.adj:
+        if x not in self._adj:
             raise GraphError("unknown vertex %r" % (x,))
-        order = self.rot[x] if self.rot is not None else sorted(self.adj[x])
+        order = self._rot[x] if self._rot is not None else sorted(self._adj[x])
         for w in list(order):
             self.cut(x, w, log)
         self.detach(x, log)
 
     def undo(self, log: list) -> None:
-        adj, rot = self.adj, self.rot
+        adj, rot = self._adj, self._rot
         for entry in reversed(log):
             if entry[0] == _CUT:
                 _, u, v, i, j = entry
@@ -581,7 +556,7 @@ def _reduce_two_deg2(w: _WorkGraph, cfg: ReducibleConfig, log: list) -> None:
     if cfg["case"] == 1:
         w.drop(x, log)
         w.drop(y, log)
-    elif w.rot is None:
+    elif not _has_rotation(w):
         raise GraphError("rewiring a path needs a rotation system")
     else:
         # each far end takes the deleted vertex's slot in the rotations, so
@@ -637,34 +612,48 @@ def _erase(work: dict, rec: ReductionRecord, element: Element) -> None:
     work.pop(key, None)
 
 
+def _available(g: Graph, work: dict, key: Element,
+               itv: ColorInterval) -> frozenset[int]:
+    """The colors free for a normalized element."""
+    if isinstance(key, tuple):
+        return available_edge(g, work, key, itv)
+    return available_vertex(g, work, key, itv)
+
+
+def _color_least(g: Graph, work: dict, itv: ColorInterval,
+                 rec: ReductionRecord, action: str, key: Element,
+                 required: int) -> bool:
+    """Give an element its smallest legal color, with any color it holds
+    lifted, and record the step; when it has none, leave it as it was and
+    record nothing."""
+    held = work.pop(key, None)
+    avail = _available(g, work, key, itv)
+    if not avail:
+        if held is not None:
+            work[key] = held
+        return False
+    c = min(avail)
+    rec.add(action, key, c, len(avail), required)
+    work[key] = c
+    return True
+
+
 def _assign_free(g: Graph, work: dict, itv: ColorInterval,
-                 rec: ReductionRecord, element: Element, required: int) -> int:
+                 rec: ReductionRecord, element: Element, required: int) -> None:
     """Give the element its smallest legal color, recording the slack."""
     key = normalize_element(element)
-    if isinstance(key, tuple):
-        avail = available_edge(g, work, key, itv)
-    else:
-        avail = available_vertex(g, work, key, itv)
-    if not avail:
+    if not _color_least(g, work, itv, rec, "assign", key, required):
         rec.add("assign", key, None, 0, required)
         raise ExtensionError(
             "no color available for %r in a %s extension" % (key, rec.kind)
         )
-    c = min(avail)
-    rec.add("assign", key, c, len(avail), required)
-    work[key] = c
-    return c
 
 
 def _assign_fixed(g: Graph, work: dict, itv: ColorInterval,
                   rec: ReductionRecord, element: Element, color: int) -> None:
     """Place a color carried over from the reduced graph, verifying it."""
     key = normalize_element(element)
-    if isinstance(key, tuple):
-        avail = available_edge(g, work, key, itv)
-    else:
-        avail = available_vertex(g, work, key, itv)
-    legal = 1 if color in avail else 0
+    legal = 1 if color in _available(g, work, key, itv) else 0
     rec.add("transfer", key, color, legal, 1)
     if not legal:
         raise ExtensionError(
@@ -672,6 +661,47 @@ def _assign_fixed(g: Graph, work: dict, itv: ColorInterval,
             % (color, key, rec.kind)
         )
     work[key] = color
+
+
+def _fit_pair(g: Graph, work: dict, itv: ColorInterval, rec: ReductionRecord,
+              action: str, first: Element, cands: list, second: Element,
+              required: tuple[int, int]) -> bool:
+    """Give first the first candidate that leaves second a legal color and
+    second its smallest, recording both.
+
+    Second's own color, if any, is lifted while it is tried.  On failure
+    first is left uncolored and second as it was.
+    """
+    held = work.pop(second, None)
+    for c in cands:
+        work[first] = c
+        avail = _available(g, work, second, itv)
+        if avail:
+            rec.add(action, first, c, len(cands), required[0])
+            least = min(avail)
+            rec.add(action, second, least, len(avail), required[1])
+            work[second] = least
+            return True
+        del work[first]
+    if held is not None:
+        work[second] = held
+    return False
+
+
+def _list_color(g: Graph, work: dict, itv: ColorInterval,
+                rec: ReductionRecord, edges: list, need: Callable) -> None:
+    """Color the edges together, as a list edge coloring from their free
+    colors of the graph they form, and record each with the slack
+    need(edge, that graph) guarantees."""
+    lists = {e: available_edge(g, work, e, itv) for e in edges}
+    helper = Graph.from_edges(edges)
+    try:
+        colored = list_edge_color(helper, lists)
+    except (ListSizeError, ListColorError) as exc:
+        raise ExtensionError(str(exc)) from exc
+    for e in edges:
+        rec.add("list", e, colored[e], len(lists[e]), need(e, helper))
+        work[e] = colored[e]
 
 
 def _separate_endpoints(g: Graph, work: dict, itv: ColorInterval,
@@ -686,14 +716,9 @@ def _separate_endpoints(g: Graph, work: dict, itv: ColorInterval,
     M = itv.k - 2
     first, second = sorted((u, v), key=lambda t: (g.degree(t), t))
     for a in (first, second):
-        held = work.pop(a)
-        avail = available_vertex(g, work, a, itv)
-        if avail:
-            rec.add("recolor", a, min(avail), len(avail),
-                    max(0, M + 6 - 4 * g.degree(a)))
-            work[a] = min(avail)
+        if _color_least(g, work, itv, rec, "recolor", a,
+                        max(0, M + 6 - 4 * g.degree(a))):
             return
-        work[a] = held
     # move one incident edge color aside to free a band for the endpoint
     for a in (first, second):
         for w in sorted(g.neighbors(a)):
@@ -701,22 +726,8 @@ def _separate_endpoints(g: Graph, work: dict, itv: ColorInterval,
             if ek not in work:
                 continue
             old = work.pop(ek)
-            cands = sorted(
-                available_edge(g, work, ek, itv) - {old}
-            )
-            moved = False
-            for r in cands:
-                work[ek] = r
-                held = work.pop(a)
-                avail = available_vertex(g, work, a, itv)
-                if avail:
-                    rec.add("recolor", ek, r, len(cands), 0)
-                    rec.add("recolor", a, min(avail), len(avail), 0)
-                    work[a] = min(avail)
-                    moved = True
-                    break
-                work[a] = held
-            if moved:
+            cands = sorted(available_edge(g, work, ek, itv) - {old})
+            if _fit_pair(g, work, itv, rec, "recolor", ek, cands, a, (0, 0)):
                 return
             work[ek] = old
     raise ExtensionError(
@@ -754,22 +765,14 @@ def _extend_deg4_low_neighbor(g: Graph, work: dict, cfg: ReducibleConfig,
     _erase(work, rec, u)
     slack = available_vertex(g, work, u, itv)
     rec.add("check", u, None, len(slack), max(2, M - 10))
-    cands = sorted(available_edge(g, work, (u, other), itv))
     required = max(3, M - 2 - g.degree(other))
     key = edge_key(u, other)
+    cands = sorted(available_edge(g, work, key, itv))
     # some candidate leaves the center colorable because its band cannot
     # cover two spare colors three different ways
-    for c in cands:
-        work[key] = c
-        after = available_vertex(g, work, u, itv)
-        if after:
-            rec.add("assign", key, c, len(cands), required)
-            rec.add("assign", u, min(after), len(after), 1)
-            work[u] = min(after)
-            return
-        del work[key]
-    rec.add("assign", key, None, 0, required)
-    raise ExtensionError("no edge candidate leaves the center colorable")
+    if not _fit_pair(g, work, itv, rec, "assign", key, cands, u, (required, 1)):
+        rec.add("assign", key, None, 0, required)
+        raise ExtensionError("no edge candidate leaves the center colorable")
 
 
 def _extend_two_deg2(g: Graph, work: dict, cfg: ReducibleConfig,
@@ -778,21 +781,9 @@ def _extend_two_deg2(g: Graph, work: dict, cfg: ReducibleConfig,
     xp, yp = cfg["x_other"], cfg["y_other"]
     M = itv.k - 2
     if cfg["case"] == 1:
-        ring = [(v, x), (x, xp), (xp, y), (y, v)]
-        lists = {
-            edge_key(*e): available_edge(g, work, e, itv) for e in ring
-        }
-        helper = Graph.from_edges(ring)
-        try:
-            colored = list_edge_color(helper, lists)
-        except (ListSizeError, ListColorError) as exc:
-            raise ExtensionError(str(exc)) from exc
-        for e in ring:
-            key = edge_key(*e)
-            anchor = v if v in key else xp
-            rec.add("list", key, colored[key], len(lists[key]),
-                    max(2, M + 2 - g.degree(anchor)))
-            work[key] = colored[key]
+        ring = [edge_key(*e) for e in ((v, x), (x, xp), (xp, y), (y, v))]
+        _list_color(g, work, itv, rec, ring, lambda e, _: max(
+            2, M + 2 - g.degree(v if v in e else xp)))
     else:
         carried_x = work.pop(edge_key(v, xp))
         carried_y = work.pop(edge_key(v, yp))
@@ -816,8 +807,7 @@ def _extend_twin_low_neighbor(g: Graph, work: dict, cfg: ReducibleConfig,
     _erase(work, rec, v2)
     e1, e2 = edge_key(v, v1), edge_key(v, v2)
     avail1 = available_edge(g, work, e1, itv)
-    avail2 = available_edge(g, work, e2, itv)
-    if len(avail1) == 1 and avail1 == avail2:
+    if len(avail1) == 1 and avail1 == available_edge(g, work, e2, itv):
         # both edges are pinned to the same color, so trade the apex
         # edge colors: the hub frees one color the second edge can take
         ka, kb = edge_key(u, v), edge_key(u, v1)
@@ -825,35 +815,37 @@ def _extend_twin_low_neighbor(g: Graph, work: dict, cfg: ReducibleConfig,
         _assign_fixed(g, work, itv, rec, ka, cb)
         _assign_fixed(g, work, itv, rec, kb, ca)
         avail1 = available_edge(g, work, e1, itv)
-        avail2 = available_edge(g, work, e2, itv)
-    for c1 in sorted(avail1):
-        rest = avail2 - {c1}
-        if rest:
-            rec.add("assign", e1, c1, len(avail1), 1)
-            work[e1] = c1
-            rec.add("assign", e2, min(rest), len(rest), 1)
-            work[e2] = min(rest)
-            break
-    else:
+    if not _fit_pair(g, work, itv, rec, "assign", e1, sorted(avail1), e2, (1, 1)):
         rec.add("assign", e1, None, 0, 1)
         raise ExtensionError("hub edges cannot take distinct colors")
     _assign_free(g, work, itv, rec, v1, max(1, M + 3 - 4 * g.degree(v1)))
     _assign_free(g, work, itv, rec, v2, max(1, M + 3 - 4 * g.degree(v2)))
 
 
-def _face_pair_attempt(g: Graph, work: dict, itv: ColorInterval,
-                       rec: ReductionRecord, e12: tuple, e13: tuple) -> bool:
-    """Try to color both deleted face edges, committing only on success."""
-    first = sorted(available_edge(g, work, e12, itv))
-    for c in first:
-        work[e12] = c
-        second = available_edge(g, work, e13, itv)
-        if second:
-            rec.add("assign", e12, c, len(first), 1)
-            rec.add("assign", e13, min(second), len(second), 1)
-            work[e13] = min(second)
+def _fit_face_edges(g: Graph, work: dict, itv: ColorInterval,
+                    rec: ReductionRecord, e12: tuple, e13: tuple) -> bool:
+    """Color the two face edges at the low corner, e12 first."""
+    cands = sorted(available_edge(g, work, e12, itv))
+    return _fit_pair(g, work, itv, rec, "assign", e12, cands, e13, (1, 1))
+
+
+def _refit_face_edges(g: Graph, work: dict, itv: ColorInterval,
+                      rec: ReductionRecord, e12: tuple, e13: tuple,
+                      moved: tuple, count_held: bool) -> bool:
+    """Try each other color on the edge moved and fit the face edges after
+    it, recording the move only when they fit; the edge keeps its color
+    otherwise.  With count_held the step's measured slack counts the
+    edge's held color among its choices."""
+    held = work.pop(moved)
+    cands = sorted(available_edge(g, work, moved, itv))
+    others = [r for r in cands if r != held]
+    for r in others:
+        work[moved] = r
+        rec.add("recolor", moved, r, len(cands if count_held else others), 1)
+        if _fit_face_edges(g, work, itv, rec, e12, e13):
             return True
-        del work[e12]
+        rec.steps.pop()
+    work[moved] = held
     return False
 
 
@@ -862,60 +854,33 @@ def _extend_face(g: Graph, work: dict, cfg: ReducibleConfig,
     v1, v2, v3 = cfg["corners"]
     M = itv.k - 2
     e12, e13 = edge_key(v1, v2), edge_key(v1, v3)
-    if work[v1] in (work[v2], work[v3]):
-        # the low corner lost both face edges in the reduced graph, so it
-        # may collide with a mate it is about to rejoin; two missing bands
-        # leave it at least M - 11 fresh colors
-        del work[v1]
-        avail = available_vertex(g, work, v1, itv)
-        if not avail:
-            raise ExtensionError(
-                "low corner %d of a tight face cannot be recolored" % v1
-            )
-        rec.add("recolor", v1, min(avail), len(avail),
-                max(1, M + 9 - 4 * g.degree(v1)))
-        work[v1] = min(avail)
+    # the low corner lost both face edges in the reduced graph, so it may
+    # collide with a mate it is about to rejoin; two missing bands leave it
+    # at least M - 11 fresh colors
+    if work[v1] in (work[v2], work[v3]) and not _color_least(
+            g, work, itv, rec, "recolor", v1, max(1, M + 9 - 4 * g.degree(v1))):
+        raise ExtensionError(
+            "low corner %d of a tight face cannot be recolored" % v1
+        )
     rec.add("check", e12, None,
             len(available_edge(g, work, e12, itv)),
             max(0, M - g.degree(v1) - g.degree(v2)))
     rec.add("check", e13, None,
             len(available_edge(g, work, e13, itv)),
             max(0, M - g.degree(v1) - g.degree(v3)))
-
-    if _face_pair_attempt(g, work, itv, rec, e12, e13):
+    if _fit_face_edges(g, work, itv, rec, e12, e13):
         return
-
     # freeing a color seen by both endpoints of the third side unsticks
     # the pinned pair
-    e23 = edge_key(v2, v3)
-    old = work.pop(e23)
-    cands = sorted(available_edge(g, work, e23, itv))
-    for r in cands:
-        if r == old:
-            continue
-        work[e23] = r
-        rec.add("recolor", e23, r, len(cands), 1)
-        if _face_pair_attempt(g, work, itv, rec, e12, e13):
-            return
-        rec.steps.pop()
-        del work[e23]
-    work[e23] = old
-
-    if cfg.kind == FACE_567:
-        # moving the outside edge at the low corner releases its old color
-        # for the third-side two-step
-        v4 = cfg["outside"]
-        e14 = edge_key(v1, v4)
-        old14 = work[e14]
-        cands14 = sorted(available_edge(g, work, e14, itv))
-        for r in cands14:
-            work[e14] = r
-            rec.add("recolor", e14, r, len(cands14), 1)
-            if _face_pair_attempt(g, work, itv, rec, e12, e13):
-                return
-            rec.steps.pop()
-            work[e14] = old14
-
+    if _refit_face_edges(g, work, itv, rec, e12, e13,
+                         edge_key(v2, v3), count_held=True):
+        return
+    # moving the outside edge at the low corner releases its old color
+    # for the third-side two-step
+    if cfg.kind == FACE_567 and _refit_face_edges(
+            g, work, itv, rec, e12, e13,
+            edge_key(v1, cfg["outside"]), count_held=False):
+        return
     rec.add("assign", e12, None, 0, 1)
     raise ExtensionError("face edges cannot be recolored consistently")
 
@@ -925,16 +890,8 @@ def _extend_alternator(g: Graph, work: dict, cfg: ReducibleConfig,
     M = itv.k - 2
     low = cfg["low_side"]
     cross = [edge_key(*e) for e in cfg["edges"]]
-    lists = {e: available_edge(g, work, e, itv) for e in cross}
-    helper = Graph.from_edges(cross)
-    try:
-        colored = list_edge_color(helper, lists)
-    except (ListSizeError, ListColorError) as exc:
-        raise ExtensionError(str(exc)) from exc
-    for e in cross:
-        need = max(helper.degree(e[0]), helper.degree(e[1]))
-        rec.add("list", e, colored[e], len(lists[e]), need)
-        work[e] = colored[e]
+    _list_color(g, work, itv, rec, cross,
+                lambda e, h: max(h.degree(e[0]), h.degree(e[1])))
     for x in sorted(low):
         _assign_free(g, work, itv, rec, x, max(1, M + 3 - 4 * g.degree(x)))
 
@@ -1116,10 +1073,10 @@ def _small_component(w: _WorkGraph, start: int) -> Optional[set[int]]:
     budget = 2 * BASE_ELEMENT_LIMIT  # each vertex costs 2, each edge 1 per end
     while stack:
         v = stack.pop()
-        budget -= 2 + len(w.adj[v])
+        budget -= 2 + len(w._adj[v])
         if budget < 0:
             return None
-        for x in w.adj[v]:
+        for x in w._adj[v]:
             if x not in seen:
                 seen.add(x)
                 stack.append(x)
@@ -1131,7 +1088,7 @@ def _detach_small(w: _WorkGraph, start: int, events: list) -> bool:
     comp = _small_component(w, start)
     if comp is None:
         return False
-    base = Graph({v: w.adj[v] for v in comp})
+    base = Graph({v: w._adj[v] for v in comp})
     log: list = []
     for v in sorted(comp):
         w.detach(v, log)
@@ -1144,8 +1101,8 @@ def _check_around(w: _WorkGraph, work: dict, itv: ColorInterval,
     """Validate every constraint on an element at or next to the region."""
     near = set(region)
     for v in region:
-        near |= w.adj[v]
-    local = Graph({v: w.adj[v] & near for v in near})
+        near |= w._adj[v]
+    local = Graph({v: w._adj[v] & near for v in near})
     lab = {v: work[v] for v in near if v in work}
     lab.update((e, work[e]) for e in local.edges() if e in work)
     bad = validate(local, lab, itv)
@@ -1220,16 +1177,16 @@ def label_planar(g: PlaneGraph, M: Optional[int] = None,
     for comp in g.components():
         _detach_small(w, min(comp), events)
 
-    while w.adj:
+    while w._adj:
         cfg = _next_config(w, M, sparse, light)
         log = _reduce(w, cfg)
         events.append((cfg, None, log))
         touched = sorted(_log_vertices(log))
         for v in touched:
-            if v in w.adj and _detach_small(w, v, events):
+            if v in w._adj and _detach_small(w, v, events):
                 trace.splits += 1
         for v in touched:
-            for x in w.adj.get(v, ()):
+            for x in w._adj.get(v, ()):
                 sparse.offer(edge_key(v, x))
                 light.offer(edge_key(v, x))
 

@@ -146,3 +146,24 @@ def separated_twin_instance() -> PlaneGraph:
     for leaf in range(10, 18):
         rot[leaf] = [0]
     return PlaneGraph({v: set(r) for v, r in rot.items()}, rot)
+
+
+def master_ladder(length: int) -> PlaneGraph:
+    """Masters 0..length on a cycle, client length+1+i on the outside of
+    the cycle edge (i, i+1), and a pendant vertex 2*length+1 inside at
+    master 0: 2*length+2 vertices of degree at most 4.
+
+    At budget 2 the clients take masters 0..length-1 in turn, so the
+    pendant's only master is free only at the end of an augmenting path
+    through every client.
+    """
+    masters = length + 1
+    pendant = 2 * length + 1
+    rot = {pendant: [0]}
+    for i in range(masters):
+        inside = [pendant] if i == 0 else []
+        outside = [length + j for j in (i, i + 1) if 1 <= j <= length]
+        rot[i] = [(i + 1) % masters, *inside, (i - 1) % masters, *outside]
+    for i in range(length):
+        rot[length + 1 + i] = [i, i + 1]
+    return PlaneGraph({v: set(r) for v, r in rot.items()}, rot)

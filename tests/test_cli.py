@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from gadgets import disjoint_union
+from gadgets import disjoint_union, master_ladder
 from tlabel.cli import main
 from tlabel.families import generate
 from tlabel.graphs import PlaneGraph
@@ -117,6 +117,15 @@ def test_audit_reports_reducible(tmp_path, capsys):
     assert payload["status"] == "reducible"
     assert payload["initial_total"] == "-8"
     assert payload["violations"]
+
+
+def test_audit_of_a_long_master_ladder_needs_no_recursion(tmp_path, capsys):
+    graph = tmp_path / "ladder.gr"
+    graph.write_text(serialize_graph(master_ladder(1200)))
+    assert main(["audit", str(graph)]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["status"] == "reducible"
+    assert "Traceback" not in err
 
 
 def test_label_needs_rotations(tmp_path, capsys):

@@ -15,6 +15,7 @@ from gadgets import spider as _make_spider
 from gadgets import (
     disjoint_union,
     leaf_triangle,
+    master_ladder,
     octahedron,
     pinned_twin_instance,
     separated_twin_instance,
@@ -145,6 +146,37 @@ def test_assign_masters_deficient_star():
     assert out.violator == frozenset({0})
     assert out.unmatched == 3
     assert out.load[0] == 2
+
+
+def test_assign_masters_follows_an_augmenting_path_through_every_client():
+    length = 1200
+    g = master_ladder(length)
+    out = assign_masters(g, 2)
+    assert out.status == "ok"
+    # each client moved one master along to free master 0 for the pendant
+    assert out.masters == {
+        **{length + 1 + i: i + 1 for i in range(length)}, 2 * length + 1: 0}
+    assert audit(g).status == "reducible"
+
+
+# sha256 of (status, masters, load, violator, unmatched) at budgets 2 and 3
+# on the acceptance corpus; recorded with the recursive augmenting-path
+# search
+MASTERS_DIGEST = (
+    "0bb99b1c33d05356dc11c43158a70ac3469d82992d3a6312943db599b995546e"
+)
+
+
+def test_assign_masters_reproduces_golden_digest():
+    lines = []
+    for name, g, _ in acceptance_corpus():
+        for k in (2, 3):
+            out = assign_masters(g, k)
+            lines.append("%s %d %s %r %r %r %r" % (
+                name, k, out.status, sorted(out.masters.items()),
+                sorted(out.load.items()), sorted(out.violator), out.unmatched))
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == MASTERS_DIGEST
 
 
 # ---------------------------------------------------------------------------

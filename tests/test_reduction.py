@@ -544,6 +544,213 @@ def test_transfer_records_shortfall_before_failing():
 
 
 # ---------------------------------------------------------------------------
+# extender branches that no generated graph reaches
+#
+# Each instance is a hand-built graph and child labeling fed straight to
+# one extender; none is an occurrence its kind's predicate accepts.  The
+# failing ones carry more edges than the kind admits, which is how they
+# starve a step that the degree bounds guarantee.
+
+
+def _hang_leaves(edges: list, work: dict, hub: int, first: int,
+                 colors) -> None:
+    """A leaf at hub for each edge color, numbered from first; each leaf
+    takes the least color its hub and its edge allow."""
+    for i, c in enumerate(colors):
+        leaf = first + i
+        edges.append((hub, leaf))
+        work[(hub, leaf)] = c
+        work[leaf] = min(x for x in ITV.colors()
+                         if x != work[hub] and abs(x - c) >= 2)
+
+
+def _pinned_face(kind: str, third: int, outside_edges) -> tuple:
+    """Triangle 0-1-2 whose two face edges both have color 7 as their one
+    free color, plus the outside neighbor 10 of corner 0.
+
+    The third side 1-2 has color third: 10 is a color its recoloring frees
+    for the face edges, 1 lies in corner 0's band and frees nothing.  The
+    outside edge 0-10 has color 4; the colors of 10's other edges decide
+    which colors that edge may move to.
+    """
+    edges = [(1, 2), (0, 10)]
+    work = {0: 0, 1: 13, 2: 12, 10: 14, (1, 2): third, (0, 10): 4}
+    _hang_leaves(edges, work, 0, 100, (2, 3))
+    _hang_leaves(edges, work, 1, 200, sorted({1, 5, 6, 8, 9, 10, 11} - {third}))
+    _hang_leaves(edges, work, 2, 300, sorted({1, 5, 6, 8, 9, 10, 14} - {third}))
+    _hang_leaves(edges, work, 10, 400, outside_edges)
+    g = Graph.from_edges(edges + [(0, 1), (0, 2)])
+    data = {"corners": (0, 1, 2)}
+    if kind == FACE_567:
+        data["outside"] = 10
+    return g, ReducibleConfig(kind, data), work
+
+
+def _deg4_starved() -> tuple:
+    """Center 0 keeps colors 8 and 9, and the edge to 1 can only take one
+    of them: vertex 1 has degree 8, one more than the kind admits."""
+    edges = [(0, 2), (0, 3), (0, 4)]
+    work = {0: 8, 1: 6, 2: 7, 3: 10, 4: 14, (0, 2): 1, (0, 3): 4, (0, 4): 12}
+    _hang_leaves(edges, work, 1, 20, (0, 2, 3, 10, 11, 13, 14))
+    g = Graph.from_edges(edges + [(0, 1)])
+    return g, ReducibleConfig(DEG4_LOW_NEIGHBOR, {"center": 0, "edge": (0, 1)}), work
+
+
+def _twin_starved() -> tuple:
+    """Hub 0 leaves colors 13 and 14 to its restored edges, and twin 2
+    blocks both with edges of its own: twins of degree 3 under a hub of
+    degree 12."""
+    edges = [(0, 3), (1, 3), (1, 30)]
+    work = {0: 7, 1: 14, 2: 0, 3: 0, (0, 3): 12, (1, 3): 3, (1, 30): 4, 30: 0}
+    _hang_leaves(edges, work, 0, 10, (0, 1, 2, 3, 4, 5, 9, 10, 11))
+    _hang_leaves(edges, work, 2, 20, (13, 14))
+    g = Graph.from_edges(edges + [(0, 1), (0, 2)])
+    cfg = ReducibleConfig(TWIN_LOW_NEIGHBOR, {"hub": 0, "twins": (1, 2), "apex": 3})
+    return g, cfg, work
+
+
+def _low_corner_starved() -> tuple:
+    """Corner 0 shares corner 1's color, and the bands of its five leaf
+    edges cover every color."""
+    edges = [(1, 2)]
+    work = {0: 0, 1: 0, 2: 5, (1, 2): 9}
+    _hang_leaves(edges, work, 0, 100, (1, 4, 7, 10, 13))
+    g = Graph.from_edges(edges + [(0, 1), (0, 2)])
+    return g, ReducibleConfig(FACE_566, {"corners": (0, 1, 2)}), work
+
+
+def _sparse_edge_starved() -> tuple:
+    """The restored edge 0-1 sees every color at its ends."""
+    edges = []
+    work = {0: 0, 1: 14}
+    _hang_leaves(edges, work, 0, 100, (2, 3, 4, 5, 6))
+    _hang_leaves(edges, work, 1, 200, (7, 8, 9, 10, 11, 12))
+    g = Graph.from_edges(edges + [(0, 1)])
+    return g, ReducibleConfig(SPARSE_EDGE, {"edge": (0, 1)}), work
+
+
+def _inseparable_ends() -> tuple:
+    """Both ends of the restored edge 0-1 have color 7.  Each has eleven
+    leaf edges, and two leaves of colors 6 and 8, which together block
+    every other color however one leaf edge moves."""
+    edges = []
+    work = {0: 7, 1: 7}
+    spread = (0, 1, 2, 3, 4, 5, 9, 10, 11, 12, 13)
+    _hang_leaves(edges, work, 0, 100, spread)
+    _hang_leaves(edges, work, 1, 200, spread)
+    work.update({100: 6, 101: 8, 200: 6, 201: 8})
+    g = Graph.from_edges(edges + [(0, 1)])
+    return g, ReducibleConfig(SPARSE_EDGE, {"edge": (0, 1)}), work
+
+
+def _branch_cases() -> list:
+    """(graph, configuration, child labeling, whether extending fails)."""
+    return [
+        (*_pinned_face(FACE_566, 10, (5, 6)), False),
+        (*_pinned_face(FACE_567, 1, (5, 6)), False),
+        (*_pinned_face(FACE_567, 1, (5, 6, 8, 9, 10, 11, 12)), True),
+        (*_deg4_starved(), True),
+        (*_twin_starved(), True),
+        (*_low_corner_starved(), True),
+        (*_sparse_edge_starved(), True),
+        (*_inseparable_ends(), True),
+    ]
+
+
+def _extend_until_done(g: Graph, cfg: ReducibleConfig, work: dict,
+                       fails: bool) -> ReductionRecord:
+    rec = ReductionRecord(cfg.kind, dict(cfg.data))
+    if fails:
+        with pytest.raises(ExtensionError):
+            reduction._CATALOGUE[cfg.kind].extend(g, work, cfg, ITV, rec)
+    else:
+        reduction._CATALOGUE[cfg.kind].extend(g, work, cfg, ITV, rec)
+    return rec
+
+
+def _steps_of(rec: ReductionRecord) -> list:
+    return [(s.action, s.element, s.color, s.measured, s.required)
+            for s in rec.steps]
+
+
+def test_face_recolors_the_third_side_to_free_the_pair():
+    g, cfg, work = _pinned_face(FACE_566, 10, (5, 6))
+    _check_child(g, cfg, work)
+    rec = _run_extension(g, cfg, work)
+    # the recolor step counts the third side's old color among its choices
+    assert _steps_of(rec)[2:] == [
+        ("recolor", (1, 2), 0, 6, 1),
+        ("assign", (0, 1), 7, 2, 1),
+        ("assign", (0, 2), 10, 1, 1),
+    ]
+
+
+def test_face_567_moves_the_outside_edge_when_the_third_side_cannot_help():
+    g, cfg, work = _pinned_face(FACE_567, 1, (5, 6))
+    _check_child(g, cfg, work)
+    rec = _run_extension(g, cfg, work)
+    # color 7 is tried first and fails; the step for it is taken back
+    assert work[(0, 10)] == 8 and work[(1, 2)] == 1
+    assert _steps_of(rec) == [
+        ("check", (0, 1), None, 1, 0),
+        ("check", (0, 2), None, 1, 0),
+        ("recolor", (0, 10), 8, 6, 1),
+        ("assign", (0, 1), 4, 2, 1),
+        ("assign", (0, 2), 7, 1, 1),
+    ]
+
+
+def test_face_fails_when_no_recoloring_frees_the_pair():
+    g, cfg, work = _pinned_face(FACE_567, 1, (5, 6, 8, 9, 10, 11, 12))
+    child = dict(work)
+    rec = _extend_until_done(g, cfg, work, fails=True)
+    assert _steps_of(rec)[2:] == [("assign", (0, 1), None, 0, 1)]
+    # every trial color was taken back
+    assert work == child
+
+
+def test_deg4_fails_when_every_edge_color_starves_the_center():
+    g, cfg, work = _deg4_starved()
+    rec = _extend_until_done(g, cfg, work, fails=True)
+    assert _steps_of(rec) == [
+        ("erase", 0, None, 0, 0),
+        ("check", 0, None, 2, 2),
+        ("assign", (0, 1), None, 0, 3),
+    ]
+    assert 0 not in work and (0, 1) not in work
+
+
+def test_twin_fails_when_the_hub_edges_have_no_pair():
+    g, cfg, work = _twin_starved()
+    rec = _extend_until_done(g, cfg, work, fails=True)
+    assert _steps_of(rec) == [
+        ("erase", 1, None, 0, 0),
+        ("erase", 2, None, 0, 0),
+        ("assign", (0, 1), None, 0, 1),
+    ]
+
+
+def test_face_fails_when_the_low_corner_has_no_color():
+    g, cfg, work = _low_corner_starved()
+    rec = _extend_until_done(g, cfg, work, fails=True)
+    assert rec.steps == []
+
+
+def test_assign_free_records_the_shortfall_before_failing():
+    g, cfg, work = _sparse_edge_starved()
+    rec = _extend_until_done(g, cfg, work, fails=True)
+    assert _steps_of(rec) == [("assign", (0, 1), None, 0, 1)]
+
+
+def test_separate_endpoints_fails_when_no_edge_move_frees_an_end():
+    g, cfg, work = _inseparable_ends()
+    child = dict(work)
+    rec = _extend_until_done(g, cfg, work, fails=True)
+    assert rec.steps == []
+    assert work == child
+
+
+# ---------------------------------------------------------------------------
 # the driver
 
 
@@ -639,11 +846,11 @@ def test_undo_restores_adjacency_and_rotation_slots():
         assert w.freeze() == reduce_config(g, cfg)
         assert w.freeze() != g
         w.undo(log)
-        assert w.adj == {v: set(g.neighbors(v)) for v in g.vertices}
+        assert w._adj == {v: set(g.neighbors(v)) for v in g.vertices}
         if isinstance(g, PlaneGraph):
-            assert w.rot == {v: list(g.rotation(v)) for v in g.vertices}
+            assert w._rot == {v: list(g.rotation(v)) for v in g.vertices}
         else:
-            assert w.rot is None
+            assert w._rot is None
 
 
 def test_local_triangle_faces_match_face_tracing():
@@ -680,9 +887,8 @@ def test_queued_choice_matches_a_full_scan(monkeypatch):
     assert {SPARSE_EDGE, LIGHT_EDGE} <= set(calls)
 
 
-def test_driver_reduces_and_extends_every_kind_in_place(monkeypatch):
-    # generated graphs only ever need sparse and light edges, so prefer the
-    # other kinds to run each one through the working graph and its undo
+def _prefer_rare_kinds(monkeypatch) -> None:
+    """Make label_planar take any rare kind before a queued edge."""
     queued = reduction._next_config
 
     def rare_first(w, M, sparse, light):
@@ -690,17 +896,51 @@ def test_driver_reduces_and_extends_every_kind_in_place(monkeypatch):
         return cfg if cfg is not None else queued(w, M, sparse, light)
 
     monkeypatch.setattr(reduction, "_next_config", rare_first)
+
+
+def _rare_first_graphs() -> tuple:
+    return (generate("stacked_triangulation", 40, 0, 12),
+            generate("random_planar", 80, 1, 14),
+            leaf_triangle(5, 6, 6), special_face_with_mate(),
+            pinned_twin_instance()[0])
+
+
+def test_driver_reduces_and_extends_every_kind_in_place(monkeypatch):
+    # generated graphs only ever need sparse and light edges, so prefer the
+    # other kinds to run each one through the working graph and its undo
+    _prefer_rare_kinds(monkeypatch)
     fired = set()
-    for g in (generate("stacked_triangulation", 40, 0, 12),
-              generate("random_planar", 80, 1, 14),
-              leaf_triangle(5, 6, 6), special_face_with_mate(),
-              pinned_twin_instance()[0]):
+    for g in _rare_first_graphs():
         M = max(12, g.max_degree)
         lab, trace = label_planar(g, M, deep_check=True)
         assert trace.ok()
         assert validate(g, lab, working_interval(M)) == []
         fired |= set(trace.kind_counts())
     assert set(reduction._RARE_KINDS) <= fired
+
+
+# sha256 of every step (kind, action, element, color, measured, required)
+# of the extender branch instances, the undo cases' roundtrips, the golden
+# labelings and the rare-first labeling run; recorded with the per-extender
+# recolor and pair-fit loops that the shared extension steps replaced
+EXTENSION_STEPS_DIGEST = (
+    "850b16b6003d2694c3d698551dc793d1255e6aa1a7113728de049e907996dcd8"
+)
+
+
+def test_extension_steps_reproduce_golden_digest(monkeypatch):
+    records = [_extend_until_done(*case) for case in _branch_cases()]
+    records += [_roundtrip(g, cfg) for g, cfg in _undo_cases()]
+    for family, n, seed, cap, _ in GOLDEN:
+        records += label_planar(generate(family, n, seed, cap), cap)[1].records
+    _prefer_rare_kinds(monkeypatch)
+    for g in _rare_first_graphs():
+        records += label_planar(g, max(12, g.max_degree))[1].records
+    text = "\n".join(
+        "%s %s %r %r %d %d" % (rec.kind, s.action, s.element, s.color,
+                               s.measured, s.required)
+        for rec in records for s in rec.steps)
+    assert hashlib.sha256(text.encode()).hexdigest() == EXTENSION_STEPS_DIGEST
 
 
 # sha256 of serialize_labeling(label_planar(g, M)[0]), recorded with the
