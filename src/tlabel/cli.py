@@ -22,9 +22,8 @@ from typing import Optional
 from .discharge import AuditError, audit
 from .exact import lambda_exact
 from .families import FAMILIES, generate
-from .graphs import DisconnectedError, EmbeddingError, GraphError, PlaneGraph
+from .graphs import GraphError, PlaneGraph
 from .io import (
-    FormatError,
     parse_graph,
     parse_labeling,
     serialize_graph,
@@ -249,8 +248,7 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, GraphError, DisconnectedError, EmbeddingError,
-            AuditError, ValueError, OSError) as exc:
+    except (ValueError, AuditError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -133,7 +133,7 @@ def assign_masters(g: Graph, k: int,
         clients = sorted(clients)
     cap = k - 1
     match: dict = {}
-    load: dict = {}
+    served: dict = {}  # master -> its clients, kept beside match
 
     def attempt(root: int, visited: set) -> bool:
         """Depth-first search for an augmenting path from root, on an
@@ -156,23 +156,25 @@ def assign_masters(g: Graph, k: int,
                 continue
             visited.add(m)
             frame[2] = m
-            if load.get(m, 0) < cap:
-                load[m] = load.get(m, 0) + 1
+            if len(served.get(m, ())) < cap:
                 for x, _, m, _ in reversed(stack):
+                    if x in match:
+                        served[match[x]].remove(x)
+                    served.setdefault(m, set()).add(x)
                     match[x] = m
                 return True
-            frame[3] = sorted(
-                (c for c, mm in match.items() if mm == m), reverse=True)
+            frame[3] = sorted(served[m], reverse=True)
         return False
 
     for x in clients:
         visited: set = set()
         if not attempt(x, visited):
-            return MasterOutcome(
-                k, "deficient", dict(match), dict(load),
-                frozenset(visited), x,
-            )
-    return MasterOutcome(k, "ok", match, load)
+            break
+    else:
+        x, visited = None, set()
+    load = {m: len(cs) for m, cs in served.items()}
+    return MasterOutcome(k, "ok" if x is None else "deficient", match, load,
+                         frozenset(visited), x)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,14 @@
 A bipartite graph whose every edge uv carries a list of at least
 max{deg(u), deg(v)} allowed colors always admits a proper edge coloring
 choosing from the lists.  The searcher here exploits that guarantee: it
-backtracks fail-first and treats exhaustion as a broken precondition
-rather than a legitimate outcome.
+backtracks fail-first, in one loop over an explicit stack that keeps each
+uncolored edge's free colors as a set, and treats exhaustion as a broken
+precondition rather than a legitimate outcome.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .graphs import Graph, GraphError, edge_key
 
@@ -70,43 +71,40 @@ def list_edge_color(g: Graph, lists: Mapping[tuple, Iterable[int]],
         check_list_sizes(g, lists)
 
     edges = [edge_key(u, v) for u, v in g.edges()]
-    choices = {e: sorted(set(lists[e])) for e in edges if e in lists}
     for e in edges:
-        if e not in choices:
+        if e not in lists:
             raise ListSizeError("edge (%d, %d) has no color list" % e)
 
+    # free[e] is e's list less the colors of its colored neighbors; it stays
+    # fixed once e is colored, since only uncolored edges are struck
+    free = {e: set(lists[e]) for e in edges}
     assignment: dict[tuple, int] = {}
-
-    def feasible(e: tuple) -> list[int]:
-        u, v = e
-        used = set()
-        for f, c in assignment.items():
-            if u in f or v in f:
-                used.add(c)
-        return [c for c in choices[e] if c not in used]
-
-    def pick() -> tuple | None:
-        best = None
-        best_count = None
-        for e in edges:
-            if e in assignment:
-                continue
-            count = len(feasible(e))
-            if best_count is None or count < best_count:
-                best, best_count = e, count
-        return best
-
-    def extend() -> bool:
-        e = pick()
-        if e is None:
-            return True
-        for c in feasible(e):
-            assignment[e] = c
-            if extend():
-                return True
-            del assignment[e]
-        return False
-
-    if not extend():
-        raise ListColorError("list edge coloring search exhausted")
-    return dict(assignment)
+    # per edge on the search path: the colors it has yet to try and the
+    # neighbors its current color was struck from
+    stack: list[tuple[tuple, Iterator[int], list[tuple]]] = []
+    while len(assignment) < len(edges):
+        if not stack or stack[-1][0] in assignment:
+            # fail-first: fewest free colors, ties to the first edge
+            e = min((f for f in edges if f not in assignment),
+                    key=lambda f: len(free[f]))
+            stack.append((e, iter(sorted(free[e])), []))
+        e, todo, struck = stack[-1]
+        c = next(todo, None)
+        if c is None:
+            stack.pop()
+            if not stack:
+                raise ListColorError("list edge coloring search exhausted")
+            e, _, struck = stack[-1]
+            c = assignment.pop(e)
+            for f in struck:
+                free[f].add(c)
+            struck.clear()
+            continue
+        assignment[e] = c
+        for v in e:
+            for w in g.neighbors(v):
+                f = edge_key(v, w)
+                if f not in assignment and c in free[f]:
+                    free[f].remove(c)
+                    struck.append(f)
+    return assignment

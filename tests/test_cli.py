@@ -12,6 +12,7 @@ from tlabel.families import generate
 from tlabel.graphs import PlaneGraph
 from tlabel.io import parse_graph, parse_labeling, serialize_graph
 from tlabel.labeling import ColorInterval, validate
+from tlabel.reduction import ExtensionError, IrreducibleError
 
 P3_TEXT = "p tlabel 3 2\ne 0 1\ne 1 2\n"
 K2_TEXT = "p tlabel 2 1\ne 0 1\n"
@@ -141,6 +142,25 @@ def test_label_rejects_small_bound(tmp_path, capsys):
                  "-o", str(graph)]) == 0
     assert main(["label", str(graph), "--bound", "12"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [
+    lambda g: ExtensionError("no legal color"),
+    lambda g: IrreducibleError(g, g.max_degree),
+], ids=["extension", "irreducible"])
+def test_label_reports_a_failed_labeling(tmp_path, capsys, monkeypatch,
+                                         error):
+    def fail(g, bound):
+        raise error(g)
+
+    monkeypatch.setattr("tlabel.cli.label_planar", fail)
+    graph = tmp_path / "wheel.gr"
+    assert main(["gen", "--family", "wheel", "--n", "6",
+                 "-o", str(graph)]) == 0
+    assert main(["label", str(graph)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("labeling failed: ")
+    assert "Traceback" not in err
 
 
 def test_usage_errors(tmp_path, capsys):

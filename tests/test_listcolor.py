@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -113,3 +114,44 @@ def test_search_matches_brute_force_on_small_instances():
         out = list_edge_color(g, lists)
         assert _is_proper(g, out)
         assert _brute_force_solvable(g, lists)
+
+
+def test_long_path_colors_without_recursion():
+    # fail-first takes the path edge by edge, one search level each
+    n = 3000
+    g = Graph.from_edges((i, i + 1) for i in range(n))
+    out = list_edge_color(g, {e: {0, 1} for e in g.edges()})
+    assert out == {(i, i + 1): i % 2 for i in range(n)}
+
+
+# sha256 of each seeded instance's coloring, or the name of the error it
+# raised, with threshold-size lists, larger lists, and undersized lists under
+# check=False; recorded with the recursive search that the flat loop replaced
+LIST_COLOR_DIGEST = (
+    "12f808922ebbc8998308ce5443503e3c94e76ecdd5223b34383c946cd68e6125"
+)
+
+
+def _digest_corpus_text() -> str:
+    rng = random.Random(94)
+    lines = []
+    for i in range(600):
+        g = _make_bipartite(rng, max_edges=12)
+        mode = i % 3
+        lists = {}
+        for u, v in g.edges():
+            need = max(g.degree(u), g.degree(v))
+            size = (need, need + rng.randint(0, 2), rng.randint(1, need))[mode]
+            lists[edge_key(u, v)] = rng.sample(range(size + rng.randint(0, 3)),
+                                               size)
+        try:
+            out = list_edge_color(g, lists, check=mode < 2)
+            lines.append("%d %r" % (i, sorted(out.items())))
+        except (ListSizeError, ListColorError) as exc:
+            lines.append("%d %s" % (i, type(exc).__name__))
+    return "\n".join(lines)
+
+
+def test_list_edge_color_reproduces_golden_digest():
+    text = _digest_corpus_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == LIST_COLOR_DIGEST

@@ -533,6 +533,16 @@ def test_alternator_roundtrip():
     assert actions.count("assign") == 2
 
 
+def test_alternator_with_1200_cross_edges_extends():
+    # 100 disjoint 12-leaf stars: one list coloring of 1,200 cross edges
+    g = Graph.from_edges(
+        (13 * s, 13 * s + i) for s in range(100) for i in range(1, 13))
+    cfg = find_k_alternator(g, 12, 3)
+    assert len(cfg["edges"]) == 1200
+    rec = _roundtrip(g, cfg)
+    assert [s.action for s in rec.steps].count("list") == 1200
+
+
 def test_transfer_records_shortfall_before_failing():
     g = Graph.from_edges([(0, 1)])
     work = {0: 0, 1: 5}
