@@ -38,9 +38,6 @@ from .labeling import (
     available,
     available_edge,
     available_vertex,
-    color_band,
-    forbidden_vertex_set,
-    incident_edge_colors,
     validate,
     working_interval,
 )

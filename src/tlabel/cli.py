@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
 from .discharge import AuditError, audit
@@ -30,7 +29,7 @@ from .io import (
     serialize_labeling,
 )
 from .labeling import ColorInterval, validate
-from .reduction import ExtensionError, IrreducibleError, label_planar
+from .reduction import ExtensionError, IrreducibleError, degree_bound, label_planar
 
 SCHEMA = 1
 
@@ -151,8 +150,7 @@ def _cmd_audit(args) -> int:
     return 0 if report.status == "reducible" else 1
 
 
-def _bench_worker(job: tuple) -> dict:
-    path, bound = job
+def _bench_one(path: str, bound: Optional[int]) -> dict:
     out: dict = {"path": path}
     try:
         g = _plane(path)
@@ -173,12 +171,8 @@ def _bench_worker(job: tuple) -> dict:
 
 
 def _cmd_bench(args) -> int:
-    jobs = [(path, args.bound) for path in sorted(args.graphs)]
-    if args.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_bench_worker, jobs))
-    else:
-        results = [_bench_worker(job) for job in jobs]
+    degree_bound(args.bound)  # a bad bound is bad input, not a failed file
+    results = [_bench_one(path, args.bound) for path in sorted(args.graphs)]
     failures = sum(1 for r in results if not r["ok"])
     _emit_json({"results": results, "failures": failures})
     return 0 if failures == 0 else 1
@@ -237,15 +231,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time the labeler over graph files")
     p.add_argument("graphs", nargs="+")
     p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_bench)
 
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, AuditError, OSError) as exc:

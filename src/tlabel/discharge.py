@@ -14,12 +14,12 @@ arithmetic uses Fraction, so nothing is lost to rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from .graphs import DisconnectedError, Graph, GraphError, PlaneGraph
-from .reduction import _CATALOGUE
+from .reduction import _CATALOGUE, degree_bound
 
 
 class AuditError(RuntimeError):
@@ -310,13 +310,7 @@ def audit(g: PlaneGraph, M: Optional[int] = None) -> AuditReport:
     """
     if not isinstance(g, PlaneGraph):
         raise GraphError("auditing needs a plane graph with rotations")
-    delta = g.max_degree if g.n else 0
-    if M is None:
-        M = max(12, delta)
-    if M < 12:
-        raise ValueError("the audit argument needs a bound of at least 12")
-    if delta > M:
-        raise ValueError("maximum degree %d exceeds the bound %d" % (delta, M))
+    M = degree_bound(M, g.max_degree)
 
     violations = scan_structure(g, M)
     try:

@@ -257,51 +257,45 @@ def lambda_exact(g: Graph, d: int = 2, budget: Optional[int] = None) -> SolveRes
                        PartialLabeling(merged), sum(levels), levels)
 
 
-def _min_colors(same: list, budget: Optional[int]) -> int:
+def _min_colors(same: list) -> int:
     """The fewest colors properly coloring items 0..n-1 (n >= 1), where
     ``same[i]`` lists the later items that must differ from item i."""
     no_band = [[] for _ in same]
     for c in itertools.count(1):
-        colors, _ = _search(same, no_band, c - 1, 1, budget)
+        colors, _ = _search(same, no_band, c - 1, 1, None)
         if colors is not None:
             return c
 
 
-def chromatic_number(g: Graph, budget: Optional[int] = None) -> int:
+def chromatic_number(g: Graph) -> int:
     """Exact chromatic number by exhaustive search over color counts."""
-    _check_budget(budget)
     if g.n == 0:
         return 0
     verts = g.vertices
     index = {v: i for i, v in enumerate(verts)}
     same = [[j for j in (index[w] for w in g.neighbors(v)) if j > i]
             for i, v in enumerate(verts)]
-    return _min_colors(same, budget)
+    return _min_colors(same)
 
 
-def edge_chromatic_number(g: Graph, budget: Optional[int] = None) -> int:
+def edge_chromatic_number(g: Graph) -> int:
     """Exact chromatic index by exhaustive search over color counts."""
-    _check_budget(budget)
     edges = g.edges()
     if not edges:
         return 0
     index = {e: i for i, e in enumerate(edges)}
     same = [[j for j in (index[edge_key(x, w)] for x in e for w in g.neighbors(x)) if j > i]
             for i, e in enumerate(edges)]
-    return _min_colors(same, budget)
+    return _min_colors(same)
 
 
-def bounds(g: Graph, d: int = 2, budget: Optional[int] = None) -> tuple[int, int]:
+def bounds(g: Graph, d: int = 2) -> tuple[int, int]:
     """Lower and upper bounds sandwiching the optimal span.
 
     Lower: max-degree bounds (plus one when d dominates the degree or the
     graph is regular).  Upper: chromatic number plus chromatic index plus
     d - 2, from coloring vertices and edges separately and spreading them.
-    A negative budget raises ValueError.
     """
-    _check_budget(budget)
-    chi = chromatic_number(g, budget)
-    chi_prime = edge_chromatic_number(g, budget)
-    upper = chi + chi_prime + d - 2
+    upper = chromatic_number(g) + edge_chromatic_number(g) + d - 2
     lower = span_lower_bound(g, d)
     return lower, max(lower, upper)

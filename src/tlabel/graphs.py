@@ -97,6 +97,12 @@ class BaseGraph:
         except TypeError:
             raise GraphError("the graph has no rotation system") from None
 
+    def induced(self, keep: Iterable[int]) -> "Graph":
+        """The subgraph on the vertices in keep, without an embedding;
+        built from keep alone, so it costs O(|keep|) and not O(n)."""
+        keep = set(keep)
+        return Graph({v: self.neighbors(v) & keep for v in keep})
+
 
 class Graph(BaseGraph):
     """Immutable simple undirected graph on integer vertex ids.
@@ -168,17 +174,6 @@ class Graph(BaseGraph):
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
 
-    # -- derived graphs ----------------------------------------------------
-
-    def without_vertices(self, drop: Iterable[int]) -> "Graph":
-        gone = set(drop)
-        adj = {v: ns - gone for v, ns in self._adj.items() if v not in gone}
-        return Graph(adj)
-
-    def induced(self, keep: Iterable[int]) -> "Graph":
-        keep = set(keep)
-        return self.without_vertices(set(self._adj) - keep)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self._adj == other._adj
 
@@ -204,9 +199,6 @@ class Face:
     @property
     def degree(self) -> int:
         return len(self.boundary)
-
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.boundary)
 
     def __repr__(self) -> str:
         return "Face%r" % (self.boundary,)
@@ -274,20 +266,6 @@ class PlaneGraph(Graph):
             rot[u] = tuple(w for w in rot[u] if w != v)
             rot[v] = tuple(w for w in rot[v] if w != u)
         return PlaneGraph(adj, rot)
-
-    def without_vertices(self, drop: Iterable[int]) -> "PlaneGraph":
-        gone = set(drop)
-        adj = {v: ns - gone for v, ns in self._adj.items() if v not in gone}
-        rot = {
-            v: tuple(w for w in self._rot[v] if w not in gone)
-            for v in self._adj
-            if v not in gone
-        }
-        return PlaneGraph(adj, rot)
-
-    def induced(self, keep: Iterable[int]) -> "PlaneGraph":
-        keep = set(keep)
-        return self.without_vertices(set(self._adj) - keep)
 
     def __repr__(self) -> str:
         return "PlaneGraph(n=%d, m=%d)" % (self.n, self.m)

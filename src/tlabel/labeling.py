@@ -69,13 +69,6 @@ def working_interval(max_degree_bound: int) -> ColorInterval:
     return ColorInterval(k=max_degree_bound + 2, d=2)
 
 
-def color_band(c: int, interval: ColorInterval) -> frozenset[int]:
-    """Colors within distance d-1 of c, clipped to the interval."""
-    lo = max(0, c - interval.d + 1)
-    hi = min(interval.k, c + interval.d - 1)
-    return frozenset(range(lo, hi + 1))
-
-
 def _in_order(elements: Collection[Element]) -> list[Element]:
     """Vertices ascending, then edges ascending."""
     return sorted(e for e in elements if not is_edge(e)) + sorted(
@@ -227,30 +220,6 @@ def validate(g: Graph, phi: Labeling, interval: ColorInterval) -> list[Violation
                     out.append(Violation(EDGE_ADJACENCY, (e, f), (ce, cf)))
 
     out.extend(gaps)
-    return out
-
-
-def incident_edge_colors(g: Graph, phi: Labeling, v: int) -> frozenset[int]:
-    """Colors already used on edges at v.
-
-    phi is a PartialLabeling or a dict keyed by normalized elements.
-    """
-    get = _color_map(phi).get
-    cols = (get((v, w) if v < w else (w, v)) for w in g.neighbors(v))
-    return frozenset(c for c in cols if c is not None)
-
-
-def forbidden_vertex_set(g: Graph, phi: Labeling, v: int,
-                         interval: ColorInterval) -> frozenset[int]:
-    """Colors an edge at v must avoid: edge colors at v plus the band
-    around v's own color (empty when v is uncolored).
-
-    phi is a PartialLabeling or a dict keyed by normalized elements.
-    """
-    out = incident_edge_colors(g, phi, v)
-    cv = _color_map(phi).get(v)
-    if cv is not None:
-        out |= color_band(cv, interval)
     return out
 
 

@@ -1088,7 +1088,7 @@ def _detach_small(w: _WorkGraph, start: int, events: list) -> bool:
     comp = _small_component(w, start)
     if comp is None:
         return False
-    base = Graph({v: w._adj[v] for v in comp})
+    base = w.induced(comp)
     log: list = []
     for v in sorted(comp):
         w.detach(v, log)
@@ -1102,7 +1102,7 @@ def _check_around(w: _WorkGraph, work: dict, itv: ColorInterval,
     near = set(region)
     for v in region:
         near |= w._adj[v]
-    local = Graph({v: w._adj[v] & near for v in near})
+    local = w.induced(near)
     lab = {v: work[v] for v in near if v in work}
     lab.update((e, work[e]) for e in local.edges() if e in work)
     bad = validate(local, lab, itv)
@@ -1128,6 +1128,18 @@ def _next_config(w: _WorkGraph, M: int, sparse: _EdgeQueue,
     if cfg is None:
         raise IrreducibleError(w.freeze(), M)
     return cfg
+
+
+def degree_bound(M: Optional[int], delta: int = 0) -> int:
+    """The bound M, or max(12, delta) when M is None.  ValueError when M
+    is below 12, where the guarantee does not hold, or below delta."""
+    if M is None:
+        return max(12, delta)
+    if M < 12:
+        raise ValueError("the labeling guarantee needs a bound of at least 12")
+    if delta > M:
+        raise ValueError("maximum degree %d exceeds the bound %d" % (delta, M))
+    return M
 
 
 def label_planar(g: PlaneGraph, M: Optional[int] = None,
@@ -1156,15 +1168,7 @@ def label_planar(g: PlaneGraph, M: Optional[int] = None,
     """
     if not isinstance(g, PlaneGraph):
         raise GraphError("a plane graph with a rotation system is required")
-    delta = g.max_degree if g.n else 0
-    if M is None:
-        M = max(12, delta)
-    if M < 12:
-        raise ValueError("the labeling guarantee needs a bound of at least 12")
-    if delta > M:
-        raise ValueError(
-            "maximum degree %d exceeds the bound %d" % (delta, M)
-        )
+    M = degree_bound(M, g.max_degree)
     itv = working_interval(M)
     trace = ExtensionTrace(M)
 

@@ -190,6 +190,19 @@ def test_bench_reports_per_file(tmp_path, capsys):
     assert payload["failures"] == 1
 
 
+def test_bench_rejects_a_low_bound_before_reading(tmp_path, capsys):
+    # a bound below 12 is bad usage, as for label, even with a missing file
+    graph = tmp_path / "w.gr"
+    assert main(["gen", "--family", "wheel", "--n", "7", "-o", str(graph)]) == 0
+    capsys.readouterr()
+    assert main(["bench", str(graph), str(tmp_path / "gone.gr"),
+                 "--bound", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert main(["label", str(graph), "--bound", "5"]) == 2
+
+
 def test_label_disconnected_plane_graph(tmp_path, capsys):
     parts = (generate("wheel", 13), generate("star", 3),
              PlaneGraph({0: set()}, {0: ()}))

@@ -67,9 +67,6 @@ def test_negative_budget_is_rejected():
     calls = [
         lambda h: find_labeling(h, ColorInterval(4, 2), budget=-1),
         lambda h: lambda_exact(h, d=2, budget=-1),
-        lambda h: chromatic_number(h, budget=-1),
-        lambda h: edge_chromatic_number(h, budget=-1),
-        lambda h: bounds(h, 2, budget=-1),
     ]
     for call in calls:
         for h in (g, empty):

@@ -113,27 +113,15 @@ def test_delete_edges_keeps_rotation_order():
     assert h.rotation(5) == g.rotation(5)
 
 
-def test_without_vertices_and_induced():
+def test_induced():
     g = generate("wheel", 6)
-    h = g.without_vertices((3,))
-    assert 3 not in h and h.n == g.n - 1
-    assert not any(3 in e for e in h.edges())
     sub = g.induced(frozenset({0, 1, 2}))
     assert sorted(sub.vertices) == [0, 1, 2]
     assert sub.has_edge(0, 1) and sub.has_edge(1, 2)
-
-
-def test_plane_components_preserve_embedding():
-    # without the hub and two opposite rim vertices, the rim falls apart
-    # into two paths; each induced piece keeps its rotations
-    g = generate("wheel", 6)
-    h = g.without_vertices((0, 3, 6))
-    comps = [h.induced(c) for c in h.components()]
-    assert sorted(c.vertices for c in comps) == [(1, 2), (4, 5)]
-    for c in comps:
-        assert isinstance(c, PlaneGraph)
-        assert all(c.rotation(v) == h.rotation(v) for v in c.vertices)
-        assert c.n - c.m + len(c.faces()) == 2
+    # the subgraph of a plane graph carries no embedding
+    assert type(sub) is Graph
+    with pytest.raises(GraphError, match="unknown vertex 99"):
+        g.induced({0, 1, 99})
 
 
 def test_components_and_connectivity():

@@ -19,9 +19,6 @@ from tlabel.labeling import (
     available,
     available_edge,
     available_vertex,
-    color_band,
-    forbidden_vertex_set,
-    incident_edge_colors,
     normalize_element,
     validate,
     working_interval,
@@ -59,14 +56,6 @@ def test_interval_basics():
     assert list(ITV.colors()) == list(range(15))
     assert 0 in ITV and 14 in ITV and 15 not in ITV
     assert working_interval(12) == ColorInterval(14, 2)
-
-
-def test_color_band_clips_at_the_ends():
-    assert color_band(0, ITV) == frozenset({0, 1})
-    assert color_band(7, ITV) == frozenset({6, 7, 8})
-    assert color_band(14, ITV) == frozenset({13, 14})
-    wide = ColorInterval(10, 3)
-    assert color_band(5, wide) == frozenset({3, 4, 5, 6, 7})
 
 
 def test_partial_labeling_is_immutable_and_normalizing():
@@ -170,33 +159,27 @@ def _random_partial(rng: random.Random, g: Graph, itv: ColorInterval):
 
 def test_availability_is_sound_and_complete():
     # every offered color keeps the labeling valid; every rejected color
-    # breaks it; a PartialLabeling and its plain dict offer the same colors
-    rng = random.Random(23)
-    for _ in range(20):
-        g = generate("random_planar", rng.randint(5, 14),
-                     seed=rng.randint(0, 500))
-        itv = working_interval(max(12, g.max_degree))
-        phi = _random_partial(rng, g, itv)
-        plain = phi.as_dict()
-        assert validate(g, phi, itv) == []
-        assert validate(g, plain, itv) == []
-        for v in g.vertices:
-            at_v = frozenset(phi.color((v, w)) for w in g.neighbors(v)
-                             if (v, w) in phi)
-            band = color_band(phi.color(v), itv) if v in phi else frozenset()
-            for form in (phi, plain):
-                assert incident_edge_colors(g, form, v) == at_v
-                assert forbidden_vertex_set(g, form, v, itv) == at_v | band
-        elements = list(g.vertices) + list(g.edges())
-        for el in elements:
-            if el in phi:
-                continue
-            offered = available(g, phi, el, itv)
-            assert available(g, plain, el, itv) == offered
-            for c in offered:
-                assert validate(g, _with(phi, el, c), itv) == []
-            for c in set(itv.colors()) - set(offered):
-                assert validate(g, _with(phi, el, c), itv)
+    # breaks it; a PartialLabeling and its plain dict offer the same colors.
+    # With d=3 a vertex bars a band of five edge colors, clipped at the ends.
+    for d in (2, 3):
+        rng = random.Random(23)
+        for _ in range(20):
+            g = generate("random_planar", rng.randint(5, 14),
+                         seed=rng.randint(0, 500))
+            itv = ColorInterval(max(12, g.max_degree) + 2, d)
+            phi = _random_partial(rng, g, itv)
+            plain = phi.as_dict()
+            assert validate(g, phi, itv) == []
+            assert validate(g, plain, itv) == []
+            for el in list(g.vertices) + list(g.edges()):
+                if el in phi:
+                    continue
+                offered = available(g, phi, el, itv)
+                assert available(g, plain, el, itv) == offered
+                for c in offered:
+                    assert validate(g, _with(phi, el, c), itv) == []
+                for c in set(itv.colors()) - set(offered):
+                    assert validate(g, _with(phi, el, c), itv)
 
 
 def test_validate_rejects_foreign_elements():

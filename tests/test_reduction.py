@@ -863,6 +863,17 @@ def test_undo_restores_adjacency_and_rotation_slots():
             assert w._rot is None
 
 
+def test_induced_reads_the_current_working_graph():
+    g = generate("stacked_triangulation", 30, seed=3, max_degree=12)
+    w = _WorkGraph(g)
+    log: list = []
+    for u, v in g.edges()[::3]:
+        w.cut(u, v, log)
+    keep = set(g.vertices[::2])
+    assert w.induced(keep) == w.freeze().induced(keep)
+    assert w.induced(keep) != g.induced(keep)
+
+
 def test_local_triangle_faces_match_face_tracing():
     for g in face_sample():
         traced = [
