@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .graphs import DisconnectedError, Graph, GraphError, PlaneGraph
+from .graphs import Graph, GraphError, PlaneGraph
 from .reduction import _CATALOGUE, degree_bound
 
 
@@ -315,7 +315,7 @@ def audit(g: PlaneGraph, M: Optional[int] = None) -> AuditReport:
     violations = scan_structure(g, M)
     try:
         initial = initial_charges(g).total()
-    except (DisconnectedError, GraphError):
+    except GraphError:
         initial = None
 
     if violations:

@@ -7,20 +7,24 @@ structures, shrinks the graph across it, labels the remainder, and extends
 the labeling back while logging how much slack each coloring step actually
 had against its guaranteed minimum.
 
-The menu is one catalogue, ``_CATALOGUE``: for each kind a predicate over
-plain fields, an enumerator of candidates in scan order, a reducer, an
-extender and the code the audit reports it under.  The finders, the
-labeler's scan, :func:`config_holds` and
-:func:`tlabel.discharge.scan_structure` all read that one table, so each
-condition is written once.
+:func:`label_planar` checks the guarantee's terms and runs the engine,
+``_label``, which checks no bound and so also runs below 12.
+
+The menu is one catalogue, ``_CATALOGUE``, in the kind order
+``KIND_ORDER``: for each kind a predicate over plain fields, an enumerator
+of candidates in scan order, a reducer, an extender and the code the audit
+reports it under.  The finders, the labeler's scan, :func:`config_holds`
+and :func:`tlabel.discharge.scan_structure` all read that one table, so
+each condition is written once.
 
 The labeler edits one ``_WorkGraph``, a :class:`~tlabel.graphs.BaseGraph`
-like the immutable graphs, so predicates and availability read it through
-the same queries.  The extenders share their coloring steps: ``_available``
-tells edges from vertices, ``_color_least`` gives one element its smallest
-free color, ``_fit_pair`` tries colors on one element until a second still
-has one, ``_refit_face_edges`` moves a third edge out of a pinned face
-pair's way, and ``_list_color`` colors a set of edges from their lists.
+like the immutable graphs, so predicates, availability and validation read
+it through the same queries.  The extenders share their coloring steps,
+which take normalized keys: ``_available`` tells edges from vertices,
+``_color_least`` gives one element its smallest free color, ``_fit_pair``
+tries colors on one element until a second still has one,
+``_refit_face_edges`` moves a third edge out of a pinned face pair's way,
+and ``_list_color`` colors a set of edges from their lists.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .labeling import (
     PartialLabeling,
     available_edge,
     available_vertex,
-    normalize_element,
     validate,
     working_interval,
 )
@@ -52,17 +55,6 @@ TWIN_LOW_NEIGHBOR = "twin_low_neighbor"
 FACE_566 = "face_566"
 FACE_567 = "face_567"
 ALTERNATOR = "alternator"
-
-KIND_ORDER = (
-    SPARSE_EDGE,
-    LIGHT_EDGE,
-    DEG4_LOW_NEIGHBOR,
-    TWO_DEG2,
-    TWIN_LOW_NEIGHBOR,
-    FACE_566,
-    FACE_567,
-    ALTERNATOR,
-)
 
 # A connected graph this small has maximum degree at most 5, so separate
 # vertex and edge colorings spread d-1 apart fit inside any working
@@ -135,7 +127,7 @@ class ExtensionTrace:
     Records appear in extension order, innermost reduction first.
     ``base_cases`` counts the small components labeled by exact search and
     ``splits`` those among them that a reduction cut loose (see
-    :func:`label_planar`).
+    ``_label``).
     """
 
     max_degree_bound: int
@@ -606,10 +598,10 @@ def reduce_config(g: Graph, cfg: ReducibleConfig) -> Graph:
 # extensions
 
 
-def _erase(work: dict, rec: ReductionRecord, element: Element) -> None:
-    key = normalize_element(element)
+def _erase(work: dict, rec: ReductionRecord, key: Element) -> Optional[int]:
+    """Uncolor an element, recording the step; return the color it held."""
     rec.add("erase", key, None, 0, 0)
-    work.pop(key, None)
+    return work.pop(key, None)
 
 
 def _available(g: Graph, work: dict, key: Element,
@@ -639,9 +631,8 @@ def _color_least(g: Graph, work: dict, itv: ColorInterval,
 
 
 def _assign_free(g: Graph, work: dict, itv: ColorInterval,
-                 rec: ReductionRecord, element: Element, required: int) -> None:
+                 rec: ReductionRecord, key: Element, required: int) -> None:
     """Give the element its smallest legal color, recording the slack."""
-    key = normalize_element(element)
     if not _color_least(g, work, itv, rec, "assign", key, required):
         rec.add("assign", key, None, 0, required)
         raise ExtensionError(
@@ -650,9 +641,8 @@ def _assign_free(g: Graph, work: dict, itv: ColorInterval,
 
 
 def _assign_fixed(g: Graph, work: dict, itv: ColorInterval,
-                  rec: ReductionRecord, element: Element, color: int) -> None:
+                  rec: ReductionRecord, key: Element, color: int) -> None:
     """Place a color carried over from the reduced graph, verifying it."""
-    key = normalize_element(element)
     legal = 1 if color in _available(g, work, key, itv) else 0
     rec.add("transfer", key, color, legal, 1)
     if not legal:
@@ -785,14 +775,12 @@ def _extend_two_deg2(g: Graph, work: dict, cfg: ReducibleConfig,
         _list_color(g, work, itv, rec, ring, lambda e, _: max(
             2, M + 2 - g.degree(v if v in e else xp)))
     else:
-        carried_x = work.pop(edge_key(v, xp))
-        carried_y = work.pop(edge_key(v, yp))
-        rec.add("erase", edge_key(v, xp), None, 0, 0)
-        rec.add("erase", edge_key(v, yp), None, 0, 0)
-        _assign_fixed(g, work, itv, rec, (x, xp), carried_x)
-        _assign_fixed(g, work, itv, rec, (v, y), carried_x)
-        _assign_fixed(g, work, itv, rec, (y, yp), carried_y)
-        _assign_fixed(g, work, itv, rec, (v, x), carried_y)
+        carried_x = _erase(work, rec, edge_key(v, xp))
+        carried_y = _erase(work, rec, edge_key(v, yp))
+        _assign_fixed(g, work, itv, rec, edge_key(x, xp), carried_x)
+        _assign_fixed(g, work, itv, rec, edge_key(v, y), carried_x)
+        _assign_fixed(g, work, itv, rec, edge_key(y, yp), carried_y)
+        _assign_fixed(g, work, itv, rec, edge_key(v, x), carried_y)
     _assign_free(g, work, itv, rec, x, max(1, M - 5))
     _assign_free(g, work, itv, rec, y, max(1, M - 5))
 
@@ -993,7 +981,7 @@ _CATALOGUE = {
         _reduce_alternator, _extend_alternator,
     ),
 }
-assert tuple(_CATALOGUE) == KIND_ORDER
+KIND_ORDER = tuple(_CATALOGUE)
 
 # sparse and light edges are queued by the labeler; it scans only for these
 _RARE_KINDS = KIND_ORDER[2:]
@@ -1096,21 +1084,13 @@ def _detach_small(w: _WorkGraph, start: int, events: list) -> bool:
     return True
 
 
-def _check_around(w: _WorkGraph, work: dict, itv: ColorInterval,
-                  region: set) -> None:
-    """Validate every constraint on an element at or next to the region."""
-    near = set(region)
-    for v in region:
-        near |= w._adj[v]
-    local = w.induced(near)
-    lab = {v: work[v] for v in near if v in work}
-    lab.update((e, work[e]) for e in local.edges() if e in work)
-    bad = validate(local, lab, itv)
+def _require_valid(g: Graph, work: dict, itv: ColorInterval,
+                   stage: str) -> None:
+    """Raise ExtensionError, naming the stage, when work breaks a rule."""
+    bad = validate(g, work, itv)
     if bad:
-        raise ExtensionError(
-            "intermediate labeling violates %d constraints: %r"
-            % (len(bad), bad[:3])
-        )
+        raise ExtensionError("%s labeling violates %d constraints: %r"
+                             % (stage, len(bad), bad[:3]))
 
 
 def _next_config(w: _WorkGraph, M: int, sparse: _EdgeQueue,
@@ -1147,6 +1127,19 @@ def label_planar(g: PlaneGraph, M: Optional[int] = None,
     """A total labeling of g with colors {0..M+2}, plus its build trace.
 
     M defaults to max(12, max degree).  The graph need not be connected.
+    This is the theorem's gate: g must be a plane graph, and M at least 12
+    and at least its maximum degree (GraphError, ValueError otherwise).
+    The labeling, and deep_check, are the engine's, ``_label``.
+    """
+    if not isinstance(g, PlaneGraph):
+        raise GraphError("a plane graph with a rotation system is required")
+    return _label(g, degree_bound(M, g.max_degree), deep_check)
+
+
+def _label(g: Graph, M: int,
+           deep_check: bool = False) -> tuple[PartialLabeling, ExtensionTrace]:
+    """Label g with colors {0..M+2} by reduction and extension, checking
+    no bound: below 12 it may raise IrreducibleError or ExtensionError.
 
     The labeler works on one mutable copy of g.  A forward loop removes one
     reducible structure at a time in place and keeps each removal's undo
@@ -1163,12 +1156,10 @@ def label_planar(g: PlaneGraph, M: Optional[int] = None,
 
     The trace counts the base cases in ``base_cases``; ``splits`` counts
     those among them that a reduction cut loose, which excludes the small
-    components g starts with.  With deep_check the labeling is validated
-    around every event as the backward loop goes, not just at the end.
+    components g starts with.  With deep_check the whole working graph is
+    validated after every event of the backward loop, not just at the end:
+    a quadratic check meant for tests.
     """
-    if not isinstance(g, PlaneGraph):
-        raise GraphError("a plane graph with a rotation system is required")
-    M = degree_bound(M, g.max_degree)
     itv = working_interval(M)
     trace = ExtensionTrace(M)
 
@@ -1206,25 +1197,15 @@ def label_planar(g: PlaneGraph, M: Optional[int] = None,
                 )
             work.update(phi.as_dict())
             trace.base_cases += 1
-            if deep_check:
-                _check_around(w, work, itv, set(base.vertices))
         else:
             rec = ReductionRecord(cfg.kind, dict(cfg.data))
             _CATALOGUE[cfg.kind].extend(w, work, cfg, itv, rec)
             trace.records.append(rec)
-            if deep_check:
-                region = _log_vertices(log)
-                for step in rec.steps:
-                    el = step.element
-                    region.update(el if isinstance(el, tuple) else (el,))
-                _check_around(w, work, itv, region)
+        if deep_check:
+            _require_valid(w, work, itv, "intermediate")
 
     out = PartialLabeling(work)
     if not out.is_total(g):
         raise ExtensionError("extension finished without covering the graph")
-    bad = validate(g, out, itv)
-    if bad:
-        raise ExtensionError(
-            "final labeling violates %d constraints: %r" % (len(bad), bad[:3])
-        )
+    _require_valid(g, work, itv, "final")
     return out, trace

@@ -3,6 +3,7 @@
 Each constructor documents the degrees it produces; rotations are chosen
 so the central triangle is a face of the embedding (the two corners that
 precede everything else in each corner's rotation close the cycle).
+The triangulations are read off their faces by ``_from_faces``.
 """
 
 from __future__ import annotations
@@ -167,3 +168,65 @@ def master_ladder(length: int) -> PlaneGraph:
     for i in range(length):
         rot[length + 1 + i] = [i, i + 1]
     return PlaneGraph({v: set(r) for v, r in rot.items()}, rot)
+
+
+def _from_faces(faces) -> PlaneGraph:
+    """The triangulation whose faces are the given triangles, each listed
+    a -> b -> c in one common orientation, so that every dart lies on
+    exactly one of them.
+
+    Face tracing follows the dart (a, b) with (b, s_b(a)), so the face
+    a -> b -> c sets s_b(a) = c, s_c(b) = a and s_a(c) = b; each rotation
+    is read off by following these successors around its vertex.
+    """
+    succ: dict[int, dict[int, int]] = {}
+    for a, b, c in faces:
+        for at, prev, nxt in ((b, a, c), (c, b, a), (a, c, b)):
+            assert prev not in succ.setdefault(at, {}), "dart on two faces"
+            succ[at][prev] = nxt
+    rot = {}
+    for v, s in succ.items():
+        order = [min(s)]
+        while s[order[-1]] != order[0]:
+            order.append(s[order[-1]])
+        assert len(order) == len(s), "rotation is not one cycle"
+        rot[v] = order
+    return PlaneGraph({v: set(r) for v, r in rot.items()}, rot)
+
+
+def triakis_tetrahedron() -> PlaneGraph:
+    """The tetrahedron 0..3 with a vertex 4..7 inside each face, joined to
+    its three corners: 8 vertices and 18 edges, four 3-vertices each on
+    three 6-vertices.  At bound 9 it has no reducible structure."""
+    faces = ((0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2))
+    return _from_faces(
+        t for x, (a, b, c) in enumerate(faces, start=4)
+        for t in ((a, b, x), (b, c, x), (c, a, x)))
+
+
+def geodesic_sphere() -> PlaneGraph:
+    """The frequency-2 subdivision of the icosahedron: its 12 vertices
+    keep degree 5, and a vertex in the middle of each of its 30 edges has
+    degree 6, so 42 vertices, 120 edges and 80 triangle faces.
+
+    The icosahedron has apex 0, upper ring 1..5, lower ring 6..10 and
+    nadir 11; lower vertex 6 + i sits below the gap between upper
+    vertices 1 + i and 1 + (i + 1) % 5.  Each face a -> b -> c splits into
+    four faces on the midpoints of its sides, numbered 12 and up in the
+    order the sides first appear.
+    """
+    ico = []
+    for i in range(5):
+        u, u1 = 1 + i, 1 + (i + 1) % 5
+        lo, lo1 = 6 + i, 6 + (i + 1) % 5
+        ico += [(0, u, u1), (u1, u, lo), (u1, lo, lo1), (11, lo1, lo)]
+    mid: dict[tuple[int, int], int] = {}
+
+    def m(a: int, b: int) -> int:
+        return mid.setdefault((min(a, b), max(a, b)), 12 + len(mid))
+
+    faces = []
+    for a, b, c in ico:
+        ab, bc, ca = m(a, b), m(b, c), m(c, a)
+        faces += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
+    return _from_faces(faces)

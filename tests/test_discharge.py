@@ -355,6 +355,16 @@ def test_audit_argument_checks():
         audit(generate("wheel", 14), M=12)
 
 
+def test_audit_of_a_disconnected_graph_has_no_initial_total():
+    # face tracing needs a connected graph, so the charges are left out
+    g = disjoint_union(generate("wheel", 13), generate("wheel", 9))
+    rep = audit(g)
+    assert rep.status == "reducible"
+    assert rep.initial_total is None
+    assert "C1" in {v.code for v in rep.violations}
+    assert json.dumps(rep.to_dict())
+
+
 def test_audit_flags_clean_scans_as_candidates(monkeypatch):
     # no plane graph under the bound should ever scan clean; if one did,
     # the audit must surface it with the full ledger attached

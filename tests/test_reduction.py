@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -12,13 +14,15 @@ from gadgets import c4 as _make_c4
 from gadgets import spider as _make_spider
 from gadgets import (
     disjoint_union,
+    geodesic_sphere,
     leaf_triangle,
     octahedron,
     pinned_twin_instance,
     separated_twin_instance,
     special_face_with_mate,
+    triakis_tetrahedron,
 )
-from tlabel import reduction
+from tlabel import discharge, reduction
 from tlabel.exact import find_labeling
 from tlabel.families import generate
 from tlabel.graphs import Graph, GraphError, PlaneGraph, trace_faces
@@ -796,6 +800,45 @@ def test_label_planar_gadget_graphs():
         assert lab.is_total(g)
 
 
+def test_engine_reports_the_irreducible_residue_below_12():
+    # every 3-vertex of the triakis tetrahedron sits on three 6-vertices, so
+    # at bound 9 no edge is sparse or light and no other kind occurs
+    t = triakis_tetrahedron()
+    with pytest.raises(IrreducibleError) as info:
+        reduction._label(t, 9)
+    assert (info.value.graph.n, info.value.graph.m) == (8, 18)
+    assert discharge.scan_structure(t, 9) == ()
+    with pytest.raises(ValueError):
+        label_planar(t, 9)
+    lab, trace = label_planar(t, 12)
+    assert trace.ok()
+    assert validate(t, lab, ITV) == []
+
+
+def test_driver_scans_for_rare_kinds_when_the_queues_are_empty():
+    # no edge of the geodesic sphere is sparse or light at bound 12, so the
+    # driver itself must find a rare kind before any queued edge
+    geo = geodesic_sphere()
+    lab, trace = label_planar(geo, 12, deep_check=True)
+    assert validate(geo, lab, ITV) == []
+    assert trace.ok()
+    assert FACE_566 in trace.kind_counts()
+
+
+def test_deep_check_catches_a_broken_intermediate_labeling(monkeypatch):
+    entry = reduction._CATALOGUE[SPARSE_EDGE]
+
+    def clash(g, work, cfg, itv, rec):
+        entry.extend(g, work, cfg, itv, rec)
+        u, v = cfg["edge"]
+        work[u] = work[v]
+
+    monkeypatch.setitem(reduction._CATALOGUE, SPARSE_EDGE,
+                        dataclasses.replace(entry, extend=clash))
+    with pytest.raises(ExtensionError, match="intermediate"):
+        label_planar(generate("wheel", 9), deep_check=True)
+
+
 def test_label_planar_input_errors():
     w4 = generate("wheel", 4)
     with pytest.raises(ValueError):
@@ -872,6 +915,20 @@ def test_induced_reads_the_current_working_graph():
     keep = set(g.vertices[::2])
     assert w.induced(keep) == w.freeze().induced(keep)
     assert w.induced(keep) != g.induced(keep)
+
+
+def test_validate_reads_the_current_working_graph():
+    g = generate("stacked_triangulation", 30, seed=3, max_degree=12)
+    w = _WorkGraph(g)
+    log: list = []
+    for u, v in g.edges()[::3]:
+        w.cut(u, v, log)
+    rng = random.Random(0)
+    work = {el: rng.randrange(ITV.size) for el in w.vertices + w.edges()}
+    assert validate(w, work, ITV) == validate(w.freeze(), work, ITV) != []
+    work[g.edges()[0]] = 0
+    with pytest.raises(GraphError):
+        validate(w, work, ITV)
 
 
 def test_local_triangle_faces_match_face_tracing():
