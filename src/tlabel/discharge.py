@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .graphs import Graph, GraphError, PlaneGraph
+from .graphs import DisconnectedError, Graph, GraphError, PlaneGraph
 from .reduction import _CATALOGUE, degree_bound
 
 
@@ -307,6 +307,8 @@ def audit(g: PlaneGraph, M: Optional[int] = None) -> AuditReport:
     A clean scan would mean the graph evades every reduction this package
     can perform, which the charge argument says cannot happen; such a
     graph is reported as a contradiction candidate for manual review.
+    A disconnected graph is reported without initial charges; a rotation
+    system that is not plane raises EmbeddingError.
     """
     if not isinstance(g, PlaneGraph):
         raise GraphError("auditing needs a plane graph with rotations")
@@ -315,7 +317,7 @@ def audit(g: PlaneGraph, M: Optional[int] = None) -> AuditReport:
     violations = scan_structure(g, M)
     try:
         initial = initial_charges(g).total()
-    except GraphError:
+    except DisconnectedError:
         initial = None
 
     if violations:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .graphs import Graph, edge_key
 from .labeling import ColorInterval, PartialLabeling, is_edge
@@ -152,27 +152,28 @@ def _search(same: list, band: list, k: int, d: int,
     return [b.bit_length() - 1 for b in bits], nodes
 
 
-def _total_conflicts(g: Graph, order: list) -> tuple[list, list]:
-    """The later "same" and "band" conflicts of each element in order."""
+def _total_conflicts(g: Graph, order: Sequence) -> tuple[list, list]:
+    """The later "same" and "band" conflicts of each element in order; an
+    element left out of the order constrains nothing."""
     index = {el: i for i, el in enumerate(order)}
     same: list = [[] for _ in order]
     band: list = [[] for _ in order]
     for i, el in enumerate(order):
         if is_edge(el):
             for x in el:
-                j = index[x]
+                j = index.get(x, -1)
                 if j > i:
                     band[i].append(j)
                 for w in g.neighbors(x):
-                    j = index[edge_key(x, w)]
+                    j = index.get(edge_key(x, w), -1)
                     if j > i:
                         same[i].append(j)
         else:
             for w in g.neighbors(el):
-                j = index[w]
+                j = index.get(w, -1)
                 if j > i:
                     same[i].append(j)
-                j = index[edge_key(el, w)]
+                j = index.get(edge_key(el, w), -1)
                 if j > i:
                     band[i].append(j)
     return same, band
@@ -271,22 +272,14 @@ def chromatic_number(g: Graph) -> int:
     """Exact chromatic number by exhaustive search over color counts."""
     if g.n == 0:
         return 0
-    verts = g.vertices
-    index = {v: i for i, v in enumerate(verts)}
-    same = [[j for j in (index[w] for w in g.neighbors(v)) if j > i]
-            for i, v in enumerate(verts)]
-    return _min_colors(same)
+    return _min_colors(_total_conflicts(g, g.vertices)[0])
 
 
 def edge_chromatic_number(g: Graph) -> int:
     """Exact chromatic index by exhaustive search over color counts."""
-    edges = g.edges()
-    if not edges:
+    if g.m == 0:
         return 0
-    index = {e: i for i, e in enumerate(edges)}
-    same = [[j for j in (index[edge_key(x, w)] for x in e for w in g.neighbors(x)) if j > i]
-            for i, e in enumerate(edges)]
-    return _min_colors(same)
+    return _min_colors(_total_conflicts(g, g.edges())[0])
 
 
 def bounds(g: Graph, d: int = 2) -> tuple[int, int]:

@@ -19,7 +19,9 @@ each condition is written once.
 
 The labeler edits one ``_WorkGraph``, a :class:`~tlabel.graphs.BaseGraph`
 like the immutable graphs, so predicates, availability and validation read
-it through the same queries.  The extenders share their coloring steps,
+it through the same queries.  Each reduction's undo log maps the vertices
+it touched to their neighbor lists from before it, and undoing assigns
+those lists back.  The extenders share their coloring steps,
 which take normalized keys: ``_available`` tells edges from vertices,
 ``_color_least`` gives one element its smallest free color, ``_fit_pair``
 tries colors on one element until a second still has one,
@@ -438,18 +440,17 @@ def _has_rotation(g: BaseGraph) -> bool:
 # ---------------------------------------------------------------------------
 # reductions
 
-# undo log entries: (_CUT, u, v, slot of v at u, slot of u at v),
-# (_SPLICE, at, old, new, slot), (_DETACH, x, neighbor set, rotation)
-_CUT, _SPLICE, _DETACH = range(3)
-
 
 class _WorkGraph(BaseGraph):
     """A mutable copy of a graph that reductions edit in place.
 
     Adjacency is a dict of sets and rotations a dict of lists (None for a
     graph without an embedding); the queries are :class:`BaseGraph`'s.
-    Every edit appends its inverse to an undo log, and :meth:`undo`
-    restores the adjacency and the exact rotation slots.
+    Every edit first saves, in the event's undo log, the neighbor list each
+    vertex it changes had before the event: its rotation when the graph
+    has one.  The log's keys are thus the vertices the event touched, and
+    :meth:`undo` puts their lists back, rotation slots included.  Undo
+    builds new neighbor sets, so none may be held across it.
     """
 
     __slots__ = ()
@@ -468,82 +469,59 @@ class _WorkGraph(BaseGraph):
 
     # -- edits -------------------------------------------------------------
 
-    def cut(self, u: int, v: int, log: list) -> None:
+    def _save(self, v: int, log: dict) -> None:
+        """Keep v's neighbors from before the event, once per event."""
+        if v not in log:
+            log[v] = list(self._adj[v] if self._rot is None else self._rot[v])
+
+    def cut(self, u: int, v: int, log: dict) -> None:
         """Delete the edge uv."""
         if not self.has_edge(u, v):
             raise GraphError("no edge (%d, %d) to delete" % (u, v))
+        self._save(u, log)
+        self._save(v, log)
         self._adj[u].remove(v)
         self._adj[v].remove(u)
-        i = j = None
         if self._rot is not None:
-            i = self._rot[u].index(v)
-            del self._rot[u][i]
-            j = self._rot[v].index(u)
-            del self._rot[v][j]
-        log.append((_CUT, u, v, i, j))
+            self._rot[u].remove(v)
+            self._rot[v].remove(u)
 
-    def splice(self, at: int, old: int, new: int, log: list) -> None:
+    def splice(self, at: int, old: int, new: int, log: dict) -> None:
         """Put the neighbor new in old's place at one vertex only."""
+        self._save(at, log)
         self._adj[at].remove(old)
         self._adj[at].add(new)
-        i = self._rot[at].index(old)
-        self._rot[at][i] = new
-        log.append((_SPLICE, at, old, new, i))
+        order = self._rot[at]
+        order[order.index(old)] = new
 
-    def detach(self, x: int, log: list) -> None:
+    def detach(self, x: int, log: dict) -> None:
         """Remove x, whose neighbors must no longer list it."""
-        rot = self._rot.pop(x) if self._rot is not None else None
-        log.append((_DETACH, x, self._adj.pop(x), rot))
+        nbrs = self._adj.pop(x)
+        order = list(nbrs) if self._rot is None else self._rot.pop(x)
+        log.setdefault(x, order)
 
-    def drop(self, x: int, log: list) -> None:
+    def drop(self, x: int, log: dict) -> None:
         """Delete x with its edges."""
         if x not in self._adj:
             raise GraphError("unknown vertex %r" % (x,))
-        order = self._rot[x] if self._rot is not None else sorted(self._adj[x])
-        for w in list(order):
+        for w in list(self._adj[x]):
             self.cut(x, w, log)
         self.detach(x, log)
 
-    def undo(self, log: list) -> None:
-        adj, rot = self._adj, self._rot
-        for entry in reversed(log):
-            if entry[0] == _CUT:
-                _, u, v, i, j = entry
-                adj[u].add(v)
-                adj[v].add(u)
-                if rot is not None:
-                    rot[v].insert(j, u)
-                    rot[u].insert(i, v)
-            elif entry[0] == _SPLICE:
-                _, at, old, new, i = entry
-                adj[at].remove(new)
-                adj[at].add(old)
-                rot[at][i] = old
-            else:
-                _, x, nbrs, order = entry
-                adj[x] = nbrs
-                if rot is not None:
-                    rot[x] = order
+    def undo(self, log: dict) -> None:
+        """Give every vertex the log saved its neighbors back.  The saved
+        rotations become the graph's own, so a log is undone only once."""
+        for v, order in log.items():
+            self._adj[v] = set(order)
+            if self._rot is not None:
+                self._rot[v] = order
 
 
-def _log_vertices(log: list) -> set[int]:
-    """Every vertex an undo log names."""
-    out: set[int] = set()
-    for entry in log:
-        if entry[0] == _CUT:
-            out.update(entry[1:3])
-        elif entry[0] == _SPLICE:
-            out.update(entry[1:4])
-        else:
-            out.add(entry[1])
-    return out
-
-
-def _cut_edge(w: _WorkGraph, cfg: ReducibleConfig, log: list) -> None:
+def _cut_edge(w: _WorkGraph, cfg: ReducibleConfig, log: dict) -> None:
     w.cut(*cfg["edge"], log)
 
 
-def _reduce_two_deg2(w: _WorkGraph, cfg: ReducibleConfig, log: list) -> None:
+def _reduce_two_deg2(w: _WorkGraph, cfg: ReducibleConfig, log: dict) -> None:
     v, x, y = cfg["hub"], cfg["x"], cfg["y"]
     if cfg["case"] == 1:
         w.drop(x, log)
@@ -562,27 +540,27 @@ def _reduce_two_deg2(w: _WorkGraph, cfg: ReducibleConfig, log: list) -> None:
         w.detach(y, log)
 
 
-def _reduce_twin(w: _WorkGraph, cfg: ReducibleConfig, log: list) -> None:
+def _reduce_twin(w: _WorkGraph, cfg: ReducibleConfig, log: dict) -> None:
     for twin in cfg["twins"]:
         w.cut(cfg["hub"], twin, log)
 
 
-def _reduce_face(w: _WorkGraph, cfg: ReducibleConfig, log: list) -> None:
+def _reduce_face(w: _WorkGraph, cfg: ReducibleConfig, log: dict) -> None:
     v1, v2, v3 = cfg["corners"]
     w.cut(v1, v2, log)
     w.cut(v1, v3, log)
 
 
-def _reduce_alternator(w: _WorkGraph, cfg: ReducibleConfig, log: list) -> None:
+def _reduce_alternator(w: _WorkGraph, cfg: ReducibleConfig, log: dict) -> None:
     for x in cfg["low_side"]:
         w.drop(x, log)
 
 
-def _reduce(w: _WorkGraph, cfg: ReducibleConfig) -> list:
+def _reduce(w: _WorkGraph, cfg: ReducibleConfig) -> dict:
     """Remove the structure from w in place; return the undo log."""
     if cfg.kind not in _CATALOGUE:
         raise ValueError("unknown structure kind %r" % cfg.kind)
-    log: list = []
+    log: dict = {}
     _CATALOGUE[cfg.kind].reduce(w, cfg, log)
     return log
 
@@ -1076,11 +1054,10 @@ def _detach_small(w: _WorkGraph, start: int, events: list) -> bool:
     comp = _small_component(w, start)
     if comp is None:
         return False
-    base = w.induced(comp)
-    log: list = []
+    log: dict = {}
     for v in sorted(comp):
         w.detach(v, log)
-    events.append((None, base, log))
+    events.append((None, log))
     return True
 
 
@@ -1130,10 +1107,22 @@ def label_planar(g: PlaneGraph, M: Optional[int] = None,
     This is the theorem's gate: g must be a plane graph, and M at least 12
     and at least its maximum degree (GraphError, ValueError otherwise).
     The labeling, and deep_check, are the engine's, ``_label``.
+
+    A rotation system that is not plane is bad input too, but it is looked
+    for only when the engine fails: then the faces of each component are
+    traced, which raises EmbeddingError for such a system, and otherwise
+    the engine's IrreducibleError or ExtensionError is raised unchanged.
     """
     if not isinstance(g, PlaneGraph):
         raise GraphError("a plane graph with a rotation system is required")
-    return _label(g, degree_bound(M, g.max_degree), deep_check)
+    M = degree_bound(M, g.max_degree)
+    try:
+        return _label(g, M, deep_check)
+    except (IrreducibleError, ExtensionError):
+        for comp in g.components():
+            PlaneGraph({v: g.neighbors(v) for v in comp},
+                       {v: g.rotation(v) for v in comp}).faces()
+        raise
 
 
 def _label(g: Graph, M: int,
@@ -1142,17 +1131,20 @@ def _label(g: Graph, M: int,
     no bound: below 12 it may raise IrreducibleError or ExtensionError.
 
     The labeler works on one mutable copy of g.  A forward loop removes one
-    reducible structure at a time in place and keeps each removal's undo
-    log, so the reductions form a chain, not a tree of graph copies.
+    reducible structure at a time in place and records each removal as an
+    event, a pair of its configuration and its undo log, so the reductions
+    form a chain, not a tree of graph copies.
     Sparse and light edges wait in two queues ordered by edge key: no
     reduction raises a degree, so an edge that qualifies keeps qualifying
     until it is deleted, and only the edges at vertices a reduction touched
     are offered again.  The other kinds are scanned for only when both
     queues are empty.  Whenever the component of a touched vertex has at
     most BASE_ELEMENT_LIMIT elements, it is detached as a base case; so is
-    every such component of g at the start.  The backward loop then undoes
-    the events in reverse: a base case is labeled by exact search, a
-    reduction is extended across on the restored graph.
+    every such component of g at the start, as an event with no
+    configuration whose log saved exactly that component.  The backward
+    loop then undoes the events in reverse: a base case is rebuilt from its
+    log's vertices and labeled by exact search, a reduction is extended
+    across on the restored graph.
 
     The trace counts the base cases in ``base_cases``; ``splits`` counts
     those among them that a reduction cut loose, which excludes the small
@@ -1167,16 +1159,15 @@ def _label(g: Graph, M: int,
     sparse = _EdgeQueue(lambda e: _sparse_edge(w, M, *e), g.edges())
     light = _EdgeQueue(
         lambda e: _light_end(w, M, *e) is not None, g.edges())
-    # (configuration or None, base graph or None, undo log)
-    events: list[tuple] = []
+    events: list[tuple] = []  # (configuration or None, undo log)
     for comp in g.components():
         _detach_small(w, min(comp), events)
 
     while w._adj:
         cfg = _next_config(w, M, sparse, light)
         log = _reduce(w, cfg)
-        events.append((cfg, None, log))
-        touched = sorted(_log_vertices(log))
+        events.append((cfg, log))
+        touched = sorted(log)
         for v in touched:
             if v in w._adj and _detach_small(w, v, events):
                 trace.splits += 1
@@ -1186,9 +1177,10 @@ def _label(g: Graph, M: int,
                 light.offer(edge_key(v, x))
 
     work: dict = {}
-    for cfg, base, log in reversed(events):
+    for cfg, log in reversed(events):
         w.undo(log)
-        if base is not None:
+        if cfg is None:
+            base = w.induced(log)
             phi, _ = find_labeling(base, itv)
             if phi is None:
                 raise ExtensionError(

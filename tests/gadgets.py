@@ -230,3 +230,21 @@ def geodesic_sphere() -> PlaneGraph:
         ab, bc, ca = m(a, b), m(b, c), m(c, a)
         faces += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
     return _from_faces(faces)
+
+
+def toroidal_k7() -> PlaneGraph:
+    """K7 embedded on the torus: the rotation at vertex i is i+1, i+3,
+    i+2, i+6, i+4, i+5 (mod 7), which traces 14 triangles, so
+    V - E + F = 7 - 21 + 14 = 0.  Every vertex has degree 6, so at bound
+    12 no structure is reducible."""
+    rot = {i: [(i + d) % 7 for d in (1, 3, 2, 6, 4, 5)] for i in range(7)}
+    return PlaneGraph({v: set(r) for v, r in rot.items()}, rot)
+
+
+def one_face_k33() -> PlaneGraph:
+    """K3,3 on sides 0..2 and 3..5 with a rotation system tracing a single
+    face of degree 18, so V - E + F = 6 - 9 + 1 = -2.  Its 3-vertices make
+    every edge sparse at bound 12."""
+    rot = {v: [3, 4, 5] for v in (0, 1, 2)}
+    rot.update({3: [0, 1, 2], 4: [0, 1, 2], 5: [2, 1, 0]})
+    return PlaneGraph({v: set(r) for v, r in rot.items()}, rot)

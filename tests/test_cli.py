@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from gadgets import disjoint_union, master_ladder
+from gadgets import disjoint_union, master_ladder, one_face_k33, toroidal_k7
 from tlabel.cli import main
 from tlabel.families import generate
 from tlabel.graphs import PlaneGraph
@@ -160,6 +160,22 @@ def test_label_reports_a_failed_labeling(tmp_path, capsys, monkeypatch,
     assert main(["label", str(graph)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("labeling failed: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("make, command", [
+    (toroidal_k7, ["label", "--bound", "12"]),
+    (toroidal_k7, ["audit"]),
+    (one_face_k33, ["audit"]),
+], ids=["label-k7", "audit-k7", "audit-k33"])
+def test_nonplane_rotation_system_is_bad_input(tmp_path, capsys, make,
+                                               command):
+    graph = tmp_path / "g.gr"
+    graph.write_text(serialize_graph(make()))
+    assert main([command[0], str(graph), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not planar" in err
     assert "Traceback" not in err
 
 

@@ -17,9 +17,11 @@ from gadgets import (
     leaf_triangle,
     master_ladder,
     octahedron,
+    one_face_k33,
     pinned_twin_instance,
     separated_twin_instance,
     special_face_with_mate,
+    toroidal_k7,
 )
 from tlabel.discharge import (
     AuditError,
@@ -31,7 +33,7 @@ from tlabel.discharge import (
     scan_structure,
 )
 from tlabel.families import generate
-from tlabel.graphs import Graph, GraphError, PlaneGraph
+from tlabel.graphs import EmbeddingError, Graph, GraphError, PlaneGraph
 from tlabel.reduction import (
     DEG4_LOW_NEIGHBOR,
     FACE_566,
@@ -363,6 +365,14 @@ def test_audit_of_a_disconnected_graph_has_no_initial_total():
     assert rep.initial_total is None
     assert "C1" in {v.code for v in rep.violations}
     assert json.dumps(rep.to_dict())
+
+
+@pytest.mark.parametrize("make", [toroidal_k7, one_face_k33])
+def test_audit_rejects_a_nonplane_rotation_system(make):
+    # the K3,3 gadget has sparse edges, so its scan is not clean; the audit
+    # must still refuse it rather than report a reducible graph
+    with pytest.raises(EmbeddingError):
+        audit(make())
 
 
 def test_audit_flags_clean_scans_as_candidates(monkeypatch):

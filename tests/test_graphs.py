@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from gadgets import one_face_k33, toroidal_k7
 from tlabel.families import generate
 from tlabel.graphs import (
     DisconnectedError,
@@ -83,6 +84,12 @@ def test_trace_faces_rejects_disconnected():
                    {0: (1,), 1: (0,), 2: (3,), 3: (2,)})
     with pytest.raises(DisconnectedError):
         trace_faces(g)
+
+
+@pytest.mark.parametrize("make", [toroidal_k7, one_face_k33])
+def test_trace_faces_rejects_a_nonplane_rotation_system(make):
+    with pytest.raises(EmbeddingError, match="not planar"):
+        trace_faces(make())
 
 
 def test_rotation_must_match_adjacency():

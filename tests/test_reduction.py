@@ -17,15 +17,23 @@ from gadgets import (
     geodesic_sphere,
     leaf_triangle,
     octahedron,
+    one_face_k33,
     pinned_twin_instance,
     separated_twin_instance,
     special_face_with_mate,
+    toroidal_k7,
     triakis_tetrahedron,
 )
 from tlabel import discharge, reduction
 from tlabel.exact import find_labeling
 from tlabel.families import generate
-from tlabel.graphs import Graph, GraphError, PlaneGraph, trace_faces
+from tlabel.graphs import (
+    EmbeddingError,
+    Graph,
+    GraphError,
+    PlaneGraph,
+    trace_faces,
+)
 from tlabel.io import serialize_labeling
 from tlabel.labeling import PartialLabeling, validate, working_interval
 from tlabel.reduction import (
@@ -815,6 +823,36 @@ def test_engine_reports_the_irreducible_residue_below_12():
     assert validate(t, lab, ITV) == []
 
 
+def test_label_planar_blames_a_nonplane_rotation_system_on_failure(
+        monkeypatch):
+    # K7 on the torus has no reducible structure at 12; tracing its faces
+    # after the engine fails shows the input is not plane
+    with pytest.raises(EmbeddingError):
+        label_planar(toroidal_k7(), 12)
+    # a labeling that succeeds traces no face, even on non-plane input
+    traced = []
+    monkeypatch.setattr("tlabel.graphs.trace_faces", traced.append)
+    k33 = one_face_k33()
+    lab, _ = label_planar(k33, 12)
+    assert traced == [] and validate(k33, lab, ITV) == []
+
+
+@pytest.mark.parametrize("error", [
+    ExtensionError("no legal color"),
+    IrreducibleError(octahedron(), 12),
+], ids=["extension", "irreducible"])
+def test_label_planar_reraises_the_engine_error_on_plane_input(
+        monkeypatch, error):
+    def fail(g, M, deep_check=False):
+        raise error
+
+    monkeypatch.setattr(reduction, "_label", fail)
+    # each component is traced on its own, so a disconnected graph passes
+    with pytest.raises(type(error)) as info:
+        label_planar(disjoint_union(octahedron(), octahedron()), 12)
+    assert info.value is error
+
+
 def test_driver_scans_for_rare_kinds_when_the_queues_are_empty():
     # no edge of the geodesic sphere is sparse or light at bound 12, so the
     # driver itself must find a rare kind before any queued edge
@@ -906,10 +944,49 @@ def test_undo_restores_adjacency_and_rotation_slots():
             assert w._rot is None
 
 
+def _state(w: _WorkGraph) -> tuple:
+    rot = None if w._rot is None else {v: list(r) for v, r in w._rot.items()}
+    return {v: set(ns) for v, ns in w._adj.items()}, rot
+
+
+def test_undo_restores_every_state_of_a_chain_of_events():
+    # reduce to empty, rare kinds first, detaching a small component when
+    # nothing is found; undoing in reverse must pass back through every
+    # state the forward pass saw, rotation slots included
+    order = reduction._RARE_KINDS + (SPARSE_EDGE, LIGHT_EDGE)
+    fired = set()
+    splices = bases = 0
+    for g, M in ((generate("stacked_triangulation", 200, 0, 12), 12),
+                 (generate("stacked_triangulation", 300, 0, 10), 10),
+                 (generate("random_planar", 200, 0, 14), 14),
+                 (generate("random_planar", 300, 0, 9), 9),
+                 (geodesic_sphere(), 12)):
+        w = _WorkGraph(g)
+        states, events = [], []
+        while w._adj:
+            before = _state(w)
+            cfg = reduction._first_config(w, M, order)
+            if cfg is not None:
+                events.append((cfg, _reduce(w, cfg)))
+                fired.add(cfg.kind)
+                splices += cfg.kind == TWO_DEG2 and cfg["case"] == 3
+            else:
+                assert any(reduction._detach_small(w, v, events)
+                           for v in sorted(w._adj)), (g, M)
+                bases += 1
+            states.append(before)
+        for before, (_, log) in zip(reversed(states), reversed(events)):
+            w.undo(log)
+            assert _state(w) == before
+        assert _state(w) == _state(_WorkGraph(g))
+    assert fired == set(KIND_ORDER)
+    assert splices >= 5 and bases >= 1
+
+
 def test_induced_reads_the_current_working_graph():
     g = generate("stacked_triangulation", 30, seed=3, max_degree=12)
     w = _WorkGraph(g)
-    log: list = []
+    log: dict = {}
     for u, v in g.edges()[::3]:
         w.cut(u, v, log)
     keep = set(g.vertices[::2])
@@ -920,7 +997,7 @@ def test_induced_reads_the_current_working_graph():
 def test_validate_reads_the_current_working_graph():
     g = generate("stacked_triangulation", 30, seed=3, max_degree=12)
     w = _WorkGraph(g)
-    log: list = []
+    log: dict = {}
     for u, v in g.edges()[::3]:
         w.cut(u, v, log)
     rng = random.Random(0)
