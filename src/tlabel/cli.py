@@ -117,7 +117,7 @@ def _cmd_verify(args) -> int:
     phi = parse_labeling(_read(args.labeling), g)
     span = args.span
     if span is None:
-        span = phi.max_color() if len(phi) else 0
+        span = max(phi.max_color() or 0, 0)  # largest color used, at least 0
     interval = ColorInterval(k=span, d=args.gap)
     violations = validate(g, phi, interval)
     complete = phi.is_total(g)

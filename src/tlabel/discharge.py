@@ -307,8 +307,8 @@ def audit(g: PlaneGraph, M: Optional[int] = None) -> AuditReport:
     A clean scan would mean the graph evades every reduction this package
     can perform, which the charge argument says cannot happen; such a
     graph is reported as a contradiction candidate for manual review.
-    A disconnected graph is reported without initial charges; a rotation
-    system that is not plane raises EmbeddingError.
+    A rotation system that is not plane raises EmbeddingError, connected
+    or not; a disconnected plane graph is reported without initial charges.
     """
     if not isinstance(g, PlaneGraph):
         raise GraphError("auditing needs a plane graph with rotations")

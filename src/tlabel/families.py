@@ -1,8 +1,9 @@
 """Deterministic generators for plane graph families.
 
-Every generator returns a connected :class:`PlaneGraph` whose rotation
-system is planar by construction.  Randomized families are driven entirely
-by an explicit seed, so the same call always produces the same graph.
+Every generator returns a connected :class:`PlaneGraph`, built from its
+rotations alone, whose rotation system is planar by construction.
+Randomized families are driven entirely by an explicit seed, so the same
+call always produces the same graph.
 
 The random families are near-linear: ``stacked_triangulation`` picks each
 admissible face through a Fenwick tree in O(log n), and ``random_planar``
@@ -23,35 +24,30 @@ def cycle(n: int) -> PlaneGraph:
     """Cycle on vertices 0..n-1; two faces of degree n."""
     if n < 3:
         raise GraphError("cycle needs n >= 3, got %d" % n)
-    adj = {i: {(i - 1) % n, (i + 1) % n} for i in range(n)}
     rot = {i: ((i - 1) % n, (i + 1) % n) for i in range(n)}
-    return PlaneGraph(adj, rot)
+    return PlaneGraph(rot, rot)
 
 
 def star(n: int) -> PlaneGraph:
     """Star with center 0 and n leaves; a tree with a single face."""
     if n < 1:
         raise GraphError("star needs n >= 1, got %d" % n)
-    adj = {0: set(range(1, n + 1))}
     rot = {0: tuple(range(1, n + 1))}
     for i in range(1, n + 1):
-        adj[i] = {0}
         rot[i] = (0,)
-    return PlaneGraph(adj, rot)
+    return PlaneGraph(rot, rot)
 
 
 def wheel(n: int) -> PlaneGraph:
     """Wheel with hub 0 and rim 1..n: n triangular faces plus the outer n-gon."""
     if n < 3:
         raise GraphError("wheel needs rim size n >= 3, got %d" % n)
-    adj: dict[int, set[int]] = {0: set(range(1, n + 1))}
     rot: dict[int, tuple[int, ...]] = {0: tuple(range(n, 0, -1))}
     for i in range(1, n + 1):
         nxt = i % n + 1
         prv = (i - 2) % n + 1
-        adj[i] = {0, prv, nxt}
         rot[i] = (0, nxt, prv)
-    return PlaneGraph(adj, rot)
+    return PlaneGraph(rot, rot)
 
 
 class _Fenwick:
@@ -160,8 +156,7 @@ def stacked_triangulation(n: int, seed: int = 0,
                     unmark(s)
         for face in new:
             add_face(face)
-    adj = {v: set(order) for v, order in rot.items()}
-    return PlaneGraph(adj, {v: tuple(order) for v, order in rot.items()})
+    return PlaneGraph(rot, rot)
 
 
 def random_planar(n: int, seed: int = 0, max_degree: Optional[int] = None,

@@ -1,10 +1,10 @@
 """Simple undirected graphs with optional combinatorial plane embeddings.
 
 A plane embedding is carried as a rotation system: the cyclic order of the
-neighbors around each vertex.  Faces are never stored; they are derived by
-tracing dart orbits and validated against Euler's formula, so a rotation
-system that does not describe a plane embedding is always caught at trace
-time rather than silently accepted.
+neighbors around each vertex.  Faces are not input; they are derived by
+tracing dart orbits and validated against Euler's formula, component by
+component, so a rotation system that does not describe a plane embedding
+is always caught at trace time rather than silently accepted.
 
 The read queries live once, in :class:`BaseGraph`; the immutable graphs
 here and the labeler's mutable working graph all answer through it.
@@ -208,10 +208,10 @@ class PlaneGraph(Graph):
     """A graph together with a rotation system describing its embedding.
 
     The rotation at a vertex is the cyclic sequence of its neighbors.  The
-    constructor checks that each rotation lists exactly the incident edges;
-    the Euler check is deferred to :func:`trace_faces` so that intermediate
-    (possibly disconnected) graphs produced while reducing can still be
-    represented.
+    constructor checks only that each rotation lists exactly the incident
+    edges, so building one traces nothing; whether the rotations are plane
+    is decided by :func:`trace_faces`, for every component at once, the
+    first time :meth:`faces` is asked for.
     """
 
     __slots__ = ("_faces",)
@@ -284,14 +284,14 @@ class PlaneGraph(Graph):
 def trace_faces(g: PlaneGraph) -> tuple[Face, ...]:
     """Partition the darts of ``g`` into face boundary walks.
 
-    Requires a connected graph.  After tracing, the face count is checked
-    against Euler's formula |V| - |E| + |F| = 2; a mismatch means the
-    rotation system embeds the graph on a higher-genus surface and raises
-    :class:`EmbeddingError`.
+    Every component is traced, and an isolated vertex bounds one face with
+    an empty walk.  Each component has V - E + F <= 2, with equality exactly
+    when its rotations are plane, so g is plane exactly when the sum is 2
+    per component; otherwise, and for the empty graph, EmbeddingError is
+    raised.  Only after that does a plane graph with several components
+    raise :class:`DisconnectedError`.
     """
     comps = g.components()
-    if len(comps) > 1:
-        raise DisconnectedError(comps)
 
     succ: dict[int, dict[int, int]] = {}
     for v in g.vertices:
@@ -306,7 +306,7 @@ def trace_faces(g: PlaneGraph) -> tuple[Face, ...]:
     darts.sort()
 
     seen: set[tuple[int, int]] = set()
-    faces: list[Face] = []
+    faces: list[Face] = [Face(()) for c in comps if len(c) == 1]
     for start in darts:
         if start in seen:
             continue
@@ -321,12 +321,14 @@ def trace_faces(g: PlaneGraph) -> tuple[Face, ...]:
                 break
         faces.append(Face(tuple(walk)))
 
-    if g.n == 1 and g.m == 0:
-        faces = [Face(())]  # a single vertex bounds the one outer face
-
-    if g.n - g.m + len(faces) != 2:
+    euler = g.n - g.m + len(faces)
+    plane = 2 * max(len(comps), 1)  # the empty graph is not plane
+    if euler != plane:
         raise EmbeddingError(
-            "rotation system is not planar: V-E+F = %d-%d+%d != 2"
-            % (g.n, g.m, len(faces))
+            "rotation system is not planar: V-E+F = %d-%d+%d = %d on %d "
+            "component(s), where a plane embedding has %d"
+            % (g.n, g.m, len(faces), euler, len(comps), plane)
         )
+    if len(comps) > 1:
+        raise DisconnectedError(comps)
     return tuple(faces)

@@ -4,12 +4,16 @@ Graph files::
 
     p tlabel <n> <m>
     e <u> <v>            one line per edge
-    r <v> <w1> ... <wk>  clockwise neighbor order (optional, all or none)
+    r <v> <w1> ... <wk>  clockwise neighbor order (all or none; optional
+                         for an isolated vertex)
 
 Lines starting with ``c`` are comments.  Vertex labels in a file may be any
 non-negative integers; they are mapped to dense ids 0..n-1 in ascending
 label order on load.  The serializer always writes dense ids with edges and
 rotations sorted, so serialize(parse(serialize(g))) is byte-identical.
+A file that breaks the grammar raises :class:`FormatError`; a graph error,
+such as a duplicate edge or a rotation that misses an edge, raises the
+constructor's ``GraphError`` as it is.  No face is traced on load.
 
 Labeling files::
 
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from .graphs import Graph, GraphError, PlaneGraph, edge_key
+from .graphs import Graph, PlaneGraph, edge_key
 from .labeling import PartialLabeling
 
 
@@ -92,14 +96,9 @@ def parse_graph(text: str) -> Union[Graph, PlaneGraph]:
     if not rotations:
         return Graph.from_edges(dense_edges, vertices=range(n))
     rot = {remap[v]: [remap[w] for w in order] for v, order in rotations.items()}
-    missing = set(range(n)) - set(rot)
-    # vertices of degree zero may omit their (empty) rotation line
-    for v in missing:
-        rot[v] = []
-    try:
-        return PlaneGraph.from_edges_rotation(dense_edges, rot, vertices=range(n))
-    except GraphError as exc:
-        raise FormatError("bad rotation system: %s" % exc) from None
+    for v in range(n):  # a vertex of degree zero may omit its rotation line
+        rot.setdefault(v, [])
+    return PlaneGraph.from_edges_rotation(dense_edges, rot, vertices=range(n))
 
 
 def serialize_graph(g: Graph) -> str:

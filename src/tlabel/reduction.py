@@ -33,11 +33,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Optional
 
 from .exact import find_labeling
-from .graphs import BaseGraph, Graph, GraphError, PlaneGraph, edge_key
+from .graphs import (BaseGraph, DisconnectedError, Graph, GraphError,
+                     PlaneGraph, edge_key)
 from .labeling import (
     ColorInterval,
     Element,
@@ -1109,9 +1111,9 @@ def label_planar(g: PlaneGraph, M: Optional[int] = None,
     The labeling, and deep_check, are the engine's, ``_label``.
 
     A rotation system that is not plane is bad input too, but it is looked
-    for only when the engine fails: then the faces of each component are
-    traced, which raises EmbeddingError for such a system, and otherwise
-    the engine's IrreducibleError or ExtensionError is raised unchanged.
+    for only when the engine fails: then g's faces are traced, which raises
+    EmbeddingError for such a system, connected or not, and otherwise the
+    engine's IrreducibleError or ExtensionError is raised unchanged.
     """
     if not isinstance(g, PlaneGraph):
         raise GraphError("a plane graph with a rotation system is required")
@@ -1119,9 +1121,8 @@ def label_planar(g: PlaneGraph, M: Optional[int] = None,
     try:
         return _label(g, M, deep_check)
     except (IrreducibleError, ExtensionError):
-        for comp in g.components():
-            PlaneGraph({v: g.neighbors(v) for v in comp},
-                       {v: g.rotation(v) for v in comp}).faces()
+        with suppress(DisconnectedError):  # plane, only not connected
+            g.faces()
         raise
 
 

@@ -127,6 +127,12 @@ def disjoint_union(*parts: PlaneGraph, stride: int = 100) -> PlaneGraph:
     return PlaneGraph(adj, rot)
 
 
+def with_isolated_vertex(g: PlaneGraph) -> PlaneGraph:
+    """g beside one isolated vertex, numbered 100: a disconnected graph
+    whose rotation system is plane exactly when g's is."""
+    return disjoint_union(g, PlaneGraph({0: set()}, {0: ()}))
+
+
 def separated_twin_instance() -> PlaneGraph:
     """Twins on a triangle that is not a face.
 

@@ -6,7 +6,13 @@ import json
 
 import pytest
 
-from gadgets import disjoint_union, master_ladder, one_face_k33, toroidal_k7
+from gadgets import (
+    disjoint_union,
+    master_ladder,
+    one_face_k33,
+    toroidal_k7,
+    with_isolated_vertex,
+)
 from tlabel.cli import main
 from tlabel.families import generate
 from tlabel.graphs import PlaneGraph
@@ -73,6 +79,19 @@ def test_verify_respects_span_argument(tmp_path, capsys):
     verdict = _json_out(capsys)
     assert verdict["span"] == 8
     assert verdict["valid"] is False
+
+
+def test_verify_defaults_the_span_to_at_least_0(tmp_path, capsys):
+    # the largest color used is negative here, so the span is 0 and the
+    # color is out of range: a clean negative verdict, not bad input
+    graph = tmp_path / "k1.gr"
+    graph.write_text("p tlabel 1 0\n")
+    lab = tmp_path / "neg.lab"
+    lab.write_text("v 0 -3\n")
+    assert main(["verify", str(graph), str(lab)]) == 1
+    verdict = _json_out(capsys)
+    assert verdict["span"] == 0 and verdict["complete"] is True
+    assert [v["rule"] for v in verdict["violations"]] == ["color-out-of-range"]
 
 
 def test_exact_solves_and_writes_witness(tmp_path, capsys):
@@ -163,11 +182,17 @@ def test_label_reports_a_failed_labeling(tmp_path, capsys, monkeypatch,
     assert "Traceback" not in err
 
 
+def _k7_beside_a_vertex():
+    return with_isolated_vertex(toroidal_k7())
+
+
 @pytest.mark.parametrize("make, command", [
     (toroidal_k7, ["label", "--bound", "12"]),
     (toroidal_k7, ["audit"]),
     (one_face_k33, ["audit"]),
-], ids=["label-k7", "audit-k7", "audit-k33"])
+    (_k7_beside_a_vertex, ["label", "--bound", "12"]),
+    (_k7_beside_a_vertex, ["audit"]),
+], ids=["label-k7", "audit-k7", "audit-k33", "label-k7+k1", "audit-k7+k1"])
 def test_nonplane_rotation_system_is_bad_input(tmp_path, capsys, make,
                                                command):
     graph = tmp_path / "g.gr"
@@ -177,6 +202,71 @@ def test_nonplane_rotation_system_is_bad_input(tmp_path, capsys, make,
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "not planar" in err
     assert "Traceback" not in err
+
+
+# each case runs the command with G and L replaced by a graph and a
+# labeling file holding the given texts; the one error line holds the words
+@pytest.mark.parametrize("argv, graph, labeling, words", [
+    (["exact", "G"], "p tlabel 2 1\ne 0 1 2\n", "", "edge line must be"),
+    (["exact", "G"], "p tlabel 2 1\ne 0 1\nr\n", "", "needs a vertex"),
+    (["exact", "G"], "p tlabel 2 1\ne 0 1\nr 0 1\nr 0 1\nr 1 0\n", "",
+     "duplicate rotation for 0"),
+    (["exact", "G"], "p tlabel 2 1\ne 0 -1\n", "", "non-negative"),
+    (["exact", "G"], "p tlabel 3 1\ne 0 5\n", "", "2 distinct labels"),
+    (["exact", "G"], "p tlabel 2 1\ne 0 x\n", "", "invalid literal"),
+    (["exact", "G"], "p tlabel 2 1\ne 0 1\nr 0 1 1\nr 1 0\n", "",
+     "error: rotation at 0 repeats a neighbor"),
+    (["exact", "G"], "p tlabel 3 1\ne 0 1\nr 0 1 2\nr 1 0\n", "",
+     "error: rotation at 0 lists non-edges [2]"),
+    (["exact", "G"], "p tlabel 3 2\ne 0 1\ne 0 2\nr 0 1\nr 1 0\nr 2 0\n",
+     "", "error: rotation at 0 misses neighbors [2]"),
+    (["exact", "G"], "p tlabel 2 2\ne 0 1\ne 1 0\n", "",
+     "error: duplicate edge (0, 1)"),
+    (["exact", "G"], "p tlabel 2 2\ne 0 1\ne 1 0\nr 0 1\nr 1 0\n", "",
+     "error: duplicate edge (0, 1)"),
+    (["exact", "G"], "p tlabel 1 1\ne 0 0\n", "", "error: self-loop (0, 0)"),
+    (["exact", "G"], "p tlabel 1 1\ne 0 0\nr 0 0\n", "",
+     "error: self-loop (0, 0)"),
+    (["verify", "G", "L"], P3_TEXT, "v 0\n", "vertex line must be"),
+    (["verify", "G", "L"], P3_TEXT, "e 0 1\n", "edge line must be"),
+    (["verify", "G", "L"], P3_TEXT, "e 0 1 5\ne 0 1 6\n", "labeled twice"),
+    (["verify", "G", "L"], P3_TEXT, "e 0 1 5\ne 1 0 6\n", "labeled twice"),
+    (["verify", "G", "L"], P3_TEXT, "x 0 1\n", "unknown record"),
+    (["gen", "--family", "cycle", "--n", "2"], "", "", "n >= 3"),
+    (["gen", "--family", "star", "--n", "0"], "", "", "n >= 1"),
+    (["gen", "--family", "stacked_triangulation", "--n", "2"], "", "",
+     "n >= 3"),
+    (["verify", "G", "L", "--span", "-1"], P3_TEXT, "v 0 0\n",
+     "k must be non-negative"),
+    (["exact", "G", "--gap", "0"], P3_TEXT, "", "d must be at least 1"),
+], ids=[
+    "edge-arity", "rotation-without-vertex", "duplicate-rotation",
+    "negative-label", "header-vertex-count", "non-integer",
+    "rotation-repeats", "rotation-non-edge", "rotation-misses",
+    "duplicate-edge", "duplicate-edge-with-rotations", "self-loop",
+    "self-loop-with-rotations", "vertex-arity", "labeling-edge-arity",
+    "edge-labeled-twice", "edge-labeled-twice-reversed", "unknown-record",
+    "gen-cycle-n", "gen-star-n", "gen-stacked-n", "verify-negative-span",
+    "exact-gap-0",
+])
+def test_malformed_input_exits_2(tmp_path, capsys, argv, graph, labeling,
+                                 words):
+    files = {"G": tmp_path / "g.gr", "L": tmp_path / "l.lab"}
+    files["G"].write_text(graph)
+    files["L"].write_text(labeling)
+    assert main([str(files.get(a, a)) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert words in err
+    assert "Traceback" not in err
+
+
+def test_an_isolated_vertex_may_omit_its_rotation_line(tmp_path, capsys):
+    graph = tmp_path / "g.gr"
+    graph.write_text("p tlabel 3 1\ne 0 1\nr 0 1\nr 1 0\n")
+    assert main(["label", str(graph), "--report", "-"]) == 0
+    assert '"slack_ok": true' in capsys.readouterr().out
 
 
 def test_usage_errors(tmp_path, capsys):

@@ -22,6 +22,7 @@ from gadgets import (
     separated_twin_instance,
     special_face_with_mate,
     toroidal_k7,
+    with_isolated_vertex,
 )
 from tlabel.discharge import (
     AuditError,
@@ -367,7 +368,12 @@ def test_audit_of_a_disconnected_graph_has_no_initial_total():
     assert json.dumps(rep.to_dict())
 
 
-@pytest.mark.parametrize("make", [toroidal_k7, one_face_k33])
+@pytest.mark.parametrize("make", [
+    toroidal_k7, one_face_k33,
+    # being disconnected must not spare a rotation system its face tracing
+    pytest.param(lambda: with_isolated_vertex(toroidal_k7()), id="k7+k1"),
+    pytest.param(lambda: with_isolated_vertex(one_face_k33()), id="k33+k1"),
+])
 def test_audit_rejects_a_nonplane_rotation_system(make):
     # the K3,3 gadget has sparse edges, so its scan is not clean; the audit
     # must still refuse it rather than report a reducible graph

@@ -8,7 +8,14 @@ import random
 import pytest
 
 from tlabel.cli import main
-from tlabel.families import generate, random_planar, stacked_triangulation
+from tlabel.families import (
+    cycle,
+    generate,
+    random_planar,
+    stacked_triangulation,
+    star,
+    wheel,
+)
 from tlabel.graphs import GraphError
 from tlabel.io import parse_graph, serialize_graph
 
@@ -39,6 +46,24 @@ def _golden_digest() -> str:
 
 def test_generators_reproduce_golden_digest():
     assert _golden_digest() == GOLDEN_DIGEST
+
+
+# sha256 of serialize_graph for cycle, star and wheel at n = 3..20, in that
+# order; recorded when they still built an adjacency beside their rotations
+FIXED_DIGEST = "f91e6715517e13199cd36241233ab2325caa5cab8506ed29ee7803c24ea3a5a7"
+
+
+def test_fixed_families_reproduce_golden_digest():
+    h = hashlib.sha256()
+    for gen in (cycle, star, wheel):
+        for n in range(3, 21):
+            h.update(serialize_graph(gen(n)).encode())
+    assert h.hexdigest() == FIXED_DIGEST
+
+
+def test_random_planar_never_drops_every_edge():
+    with pytest.raises(GraphError, match="drop probability"):
+        random_planar(10, 0, None, drop=1.0)
 
 
 def _thin_by_copying(n: int, seed: int, cap: int, drop: float):

@@ -6,11 +6,18 @@ import random
 
 import pytest
 
-from gadgets import one_face_k33, toroidal_k7
+from gadgets import (
+    disjoint_union,
+    octahedron,
+    one_face_k33,
+    toroidal_k7,
+    with_isolated_vertex,
+)
 from tlabel.families import generate
 from tlabel.graphs import (
     DisconnectedError,
     EmbeddingError,
+    Face,
     Graph,
     GraphError,
     PlaneGraph,
@@ -86,10 +93,26 @@ def test_trace_faces_rejects_disconnected():
         trace_faces(g)
 
 
-@pytest.mark.parametrize("make", [toroidal_k7, one_face_k33])
+@pytest.mark.parametrize("make", [
+    toroidal_k7, one_face_k33,
+    # Euler's formula is checked per component before connectivity, so a
+    # non-plane component is never reported as merely disconnected
+    pytest.param(lambda: with_isolated_vertex(toroidal_k7()), id="k7+k1"),
+    pytest.param(lambda: with_isolated_vertex(one_face_k33()), id="k33+k1"),
+])
 def test_trace_faces_rejects_a_nonplane_rotation_system(make):
     with pytest.raises(EmbeddingError, match="not planar"):
         trace_faces(make())
+
+
+def test_trace_faces_on_isolated_vertices_and_plane_components():
+    two_points = PlaneGraph({0: set(), 1: set()}, {0: (), 1: ()})
+    for g in (two_points, disjoint_union(octahedron(), octahedron())):
+        with pytest.raises(DisconnectedError):
+            trace_faces(g)
+    assert trace_faces(PlaneGraph({0: set()}, {0: ()})) == (Face(()),)
+    with pytest.raises(EmbeddingError, match="not planar"):
+        trace_faces(PlaneGraph({}, {}))
 
 
 def test_rotation_must_match_adjacency():

@@ -23,6 +23,7 @@ from gadgets import (
     special_face_with_mate,
     toroidal_k7,
     triakis_tetrahedron,
+    with_isolated_vertex,
 )
 from tlabel import discharge, reduction
 from tlabel.exact import find_labeling
@@ -835,6 +836,13 @@ def test_label_planar_blames_a_nonplane_rotation_system_on_failure(
     k33 = one_face_k33()
     lab, _ = label_planar(k33, 12)
     assert traced == [] and validate(k33, lab, ITV) == []
+
+
+def test_label_planar_blames_a_nonplane_component_beside_others():
+    # the engine finds nothing to reduce in K7 at 12, and tracing the faces
+    # of the whole graph blames the rotation system, not the lone vertex
+    with pytest.raises(EmbeddingError, match="not planar"):
+        label_planar(with_isolated_vertex(toroidal_k7()), 12)
 
 
 @pytest.mark.parametrize("error", [
