@@ -8,12 +8,14 @@ scan runs the predicates of :mod:`tlabel.reduction`'s catalogue and reports
 every occurrence they accept.  When the scan comes up empty, an exact
 rational charge redistribution runs; its fixed negative total certifies
 that a clean scan describes an impossible graph, and any vertex or face
-left negative shows exactly where the bookkeeping says so.  All charge
-arithmetic uses Fraction, so nothing is lost to rounding.
+left negative shows exactly where the bookkeeping says so.  Every rule
+moves a whole number of units of 1/UNIT, so the charges are counted
+exactly on ints; a ledger hands them out as Fractions, each built once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -52,10 +54,6 @@ class ChargeLedger:
     def get(self, key) -> Fraction:
         return self.charges[key]
 
-    def move(self, frm, to, amount: Fraction) -> None:
-        self.charges[frm] -= amount
-        self.charges[to] += amount
-
     def total(self) -> Fraction:
         return sum(self.charges.values(), Fraction(0))
 
@@ -74,14 +72,55 @@ class ChargeLedger:
         return {"vertices": verts, "faces": faces, "total": str(self.total())}
 
 
+# The amounts the rules move.  A 2- or 3-vertex takes MASTER_PAYMENT from
+# its master, and a 2-vertex HEAVY_PAYMENT from each neighbor of degree at
+# least M.  A triangle corner pays its face CORNER_PAYMENT[min(d, 8)] by
+# its degree d: nothing below 5, (d - 4)/d at 6 and 7, 1/2 from 8 up; a
+# 5-corner of a special triangle pays SPECIAL_FIVE_PAYMENT instead.
+MASTER_PAYMENT = Fraction(1)
+HEAVY_PAYMENT = Fraction(1, 2)
+SPECIAL_FIVE_PAYMENT = Fraction(1, 4)
+CORNER_PAYMENT = (0, 0, 0, 0, 0, Fraction(1, 6), Fraction(1, 3),
+                  Fraction(3, 7), Fraction(1, 2))
+
+# The ledger counts in units of 1/UNIT, the coarsest unit in which every
+# amount above is whole.
+UNIT = math.lcm(*(Fraction(a).denominator for a in (
+    MASTER_PAYMENT, HEAVY_PAYMENT, SPECIAL_FIVE_PAYMENT, *CORNER_PAYMENT)))
+
+_MASTER_UNITS = int(MASTER_PAYMENT * UNIT)
+_HEAVY_UNITS = int(HEAVY_PAYMENT * UNIT)
+_CORNER_UNITS = tuple(int(a * UNIT) for a in CORNER_PAYMENT)
+_SPECIAL_CORNER_UNITS = (
+    _CORNER_UNITS[:5] + (int(SPECIAL_FIVE_PAYMENT * UNIT),)
+    + _CORNER_UNITS[6:])
+
+
+def _initial_units(g: PlaneGraph, deg: dict) -> tuple[dict, list]:
+    """Degree-minus-four charges in units: a dict over the vertices in
+    deg's order, and a list over the faces."""
+    return ({v: (d - 4) * UNIT for v, d in deg.items()},
+            [(face.degree - 4) * UNIT for face in g.faces()])
+
+
+def _ledger(vertex_units: dict, face_units: list) -> ChargeLedger:
+    """The charges as Fractions, one built per distinct value."""
+    distinct = {*vertex_units.values(), *face_units}
+    value = {u: Fraction(u, UNIT) for u in distinct}
+    charges = {("v", v): value[u] for v, u in vertex_units.items()}
+    charges.update(
+        (("f", idx), value[u]) for idx, u in enumerate(face_units))
+    return ChargeLedger(charges)
+
+
+def _degrees(g: Graph) -> dict:
+    """Each vertex's degree, vertices ascending."""
+    return {v: g.degree(v) for v in g.vertices}
+
+
 def initial_charges(g: PlaneGraph) -> ChargeLedger:
     """Degree-minus-four charges; any connected plane graph totals -8."""
-    charges: dict = {}
-    for v in g.vertices:
-        charges[("v", v)] = Fraction(g.degree(v) - 4)
-    for idx, face in enumerate(g.faces()):
-        charges[("f", idx)] = Fraction(face.degree - 4)
-    return ChargeLedger(charges)
+    return _ledger(*_initial_units(g, _degrees(g)))
 
 
 SPECIAL_FACE_DEGREES = (5, 6, 7)
@@ -90,12 +129,11 @@ SPECIAL_FACE_DEGREES = (5, 6, 7)
 def classify_faces(g: PlaneGraph) -> tuple[str, ...]:
     """Label each face "special", "normal" (other triangles), or "big"."""
     out = []
+    special = list(SPECIAL_FACE_DEGREES)
     for face in g.faces():
         if face.degree != 3 or len(set(face.boundary)) != 3:
             out.append("big")
-        elif sorted(g.degree(v) for v in face.boundary) == list(
-            SPECIAL_FACE_DEGREES
-        ):
+        elif sorted(map(g.degree, face.boundary)) == special:
             out.append("special")
         else:
             out.append("normal")
@@ -187,46 +225,41 @@ def apply_rules(g: PlaneGraph, M: int) -> ChargeLedger:
     Senders: every vertex of degree at least M pushes 1/2 to each
     neighbor of degree 2; every vertex of degree 2 or 3 additionally
     pulls 1 from its assigned master; triangle corners pay their face on
-    a sliding scale by degree, with the special triangles cheaper for
-    the 5-corner.
+    a sliding scale by degree, a 5-corner paying more on a special
+    triangle.  The moves count units of 1/UNIT on ints.
     """
-    ledger = initial_charges(g)
-    needy = [v for v in sorted(g.vertices) if g.degree(v) in (2, 3)]
+    deg = _degrees(g)
+    vertex_units, face_units = _initial_units(g, deg)
+    needy = [v for v, d in deg.items() if d in (2, 3)]
     masters: dict = {}
     if needy:
         outcome = assign_masters(g, 3, clients=needy)
         if outcome.status != "ok":
             raise AuditError(
                 "vertex %d of degree %d has no master with spare capacity"
-                % (outcome.unmatched, g.degree(outcome.unmatched))
+                % (outcome.unmatched, deg[outcome.unmatched])
             )
         masters = outcome.masters
 
-    half = Fraction(1, 2)
     for v in needy:
-        ledger.move(("v", masters[v]), ("v", v), Fraction(1))
-        if g.degree(v) == 2:
-            for w in sorted(g.neighbors(v)):
-                if g.degree(w) >= M:
-                    ledger.move(("v", w), ("v", v), half)
+        vertex_units[masters[v]] -= _MASTER_UNITS
+        vertex_units[v] += _MASTER_UNITS
+        if deg[v] == 2:
+            for w in g.neighbors(v):
+                if deg[w] >= M:
+                    vertex_units[w] -= _HEAVY_UNITS
+                    vertex_units[v] += _HEAVY_UNITS
 
-    labels = classify_faces(g)
-    for idx, face in enumerate(g.faces()):
-        kind = labels[idx]
+    capped = {v: min(d, 8) for v, d in deg.items()}
+    for idx, (face, kind) in enumerate(zip(g.faces(), classify_faces(g))):
         if kind == "big":
             continue
+        pays = _SPECIAL_CORNER_UNITS if kind == "special" else _CORNER_UNITS
         for v in face.boundary:
-            d = g.degree(v)
-            if d == 5:
-                amount = Fraction(1, 4) if kind == "special" else Fraction(1, 6)
-            elif d in (6, 7):
-                amount = Fraction(d - 4, d)
-            elif d >= 8:
-                amount = half
-            else:
-                continue
-            ledger.move(("v", v), ("f", idx), amount)
-    return ledger
+            amount = pays[capped[v]]
+            vertex_units[v] -= amount
+            face_units[idx] += amount
+    return _ledger(vertex_units, face_units)
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +280,9 @@ def scan_structure(g: Graph, M: int) -> tuple[StructureViolation, ...]:
     """
     found: list[StructureViolation] = []
 
-    if g.n and not g.is_connected():
-        sizes = sorted((len(c) for c in g.components()), reverse=True)
+    comps = g.components()
+    if len(comps) > 1:
+        sizes = sorted((len(c) for c in comps), reverse=True)
         found.append(StructureViolation(
             "C1", "disconnected: component sizes %s" % sizes, ()
         ))
@@ -316,7 +350,8 @@ def audit(g: PlaneGraph, M: Optional[int] = None) -> AuditReport:
 
     violations = scan_structure(g, M)
     try:
-        initial = initial_charges(g).total()
+        vertex_units, face_units = _initial_units(g, _degrees(g))
+        initial = Fraction(sum(vertex_units.values()) + sum(face_units), UNIT)
     except DisconnectedError:
         initial = None
 

@@ -79,7 +79,10 @@ class BaseGraph:
             raise GraphError("unknown vertex %r" % (v,)) from None
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
+        try:
+            return len(self._adj[v])
+        except KeyError:
+            raise GraphError("unknown vertex %r" % (v,)) from None
 
     def has_edge(self, u: int, v: int) -> bool:
         return u in self._adj and v in self._adj[u]

@@ -22,9 +22,15 @@ from gadgets import (
     separated_twin_instance,
     special_face_with_mate,
     toroidal_k7,
+    triakis_tetrahedron,
     with_isolated_vertex,
 )
 from tlabel.discharge import (
+    CORNER_PAYMENT,
+    HEAVY_PAYMENT,
+    MASTER_PAYMENT,
+    SPECIAL_FIVE_PAYMENT,
+    UNIT,
     AuditError,
     apply_rules,
     assign_masters,
@@ -225,6 +231,32 @@ def test_rules_fail_when_masters_run_out():
         apply_rules(generate("wheel", 12), 12)
 
 
+def test_every_rule_amount_is_a_whole_number_of_units():
+    # the paper's amounts: 1 from a master, 1/2 from a heavy neighbor, and
+    # 1/4, 1/6, 1/3, 3/7, 1/2 from triangle corners of degree 5, 6, 7, 8+
+    amounts = {Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 6),
+               Fraction(1, 3), Fraction(3, 7)}
+    rules = {MASTER_PAYMENT, HEAVY_PAYMENT, SPECIAL_FIVE_PAYMENT,
+             *CORNER_PAYMENT} - {0}
+    assert rules == amounts
+    assert all((a * UNIT).denominator == 1 for a in amounts)
+    assert UNIT == 84
+
+
+def test_triakis_tetrahedron_scans_clean_and_ends_negative_at_bound_9():
+    # the smallest residue the construction leaves below the paper's
+    # threshold: nothing reducible, yet every face finishes at -1/3
+    g = triakis_tetrahedron()
+    assert scan_structure(g, 9) == ()
+    led = apply_rules(g, 9)
+    faces = [c for k, c in led.charges.items() if k[0] == "f"]
+    assert faces == [Fraction(-1, 3)] * 12
+    assert led.get(("v", 0)) == -2 and led.get(("v", 1)) == -2
+    assert led.total() == -8
+    assert list(led.charges) == (
+        [("v", v) for v in range(8)] + [("f", i) for i in range(12)])
+
+
 # ---------------------------------------------------------------------------
 # structural scan
 
@@ -368,6 +400,21 @@ def test_audit_of_a_disconnected_graph_has_no_initial_total():
     assert json.dumps(rep.to_dict())
 
 
+def test_audit_computes_components_at_most_twice(monkeypatch):
+    # once for the scan's disconnection check, once for face tracing
+    calls = []
+    components = Graph.components
+
+    def counted(self):
+        calls.append(self)
+        return components(self)
+
+    monkeypatch.setattr(Graph, "components", counted)
+    g = disjoint_union(generate("wheel", 13), generate("wheel", 9))
+    assert audit(g).status == "reducible"
+    assert len(calls) <= 2
+
+
 @pytest.mark.parametrize("make", [
     toroidal_k7, one_face_k33,
     # being disconnected must not spare a rotation system its face tracing
@@ -410,6 +457,32 @@ def test_scan_reproduces_golden_digest():
                     lines.append("%d %d %r" % (i, M, (v.code, v.note, v.elements)))
     text = "\n".join(lines)
     assert hashlib.sha256(text.encode()).hexdigest() == SCAN_DIGEST
+
+
+# sha256 of the JSON of initial_charges, apply_rules (or its error) and
+# audit (or its error), each as to_dict(), on the face sample and the
+# acceptance corpus at two bounds; it pins values and key order.  Recorded
+# with the ledger that kept a Fraction per key.
+LEDGER_DIGEST = (
+    "e2a5c373b9f445a5cb09255f08f915220bc258b1546670864bd7e0073c83e2dc"
+)
+
+
+def _ledger_outcome(fn, *args):
+    try:
+        return fn(*args).to_dict()
+    except (AuditError, ValueError) as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+def test_ledgers_reproduce_golden_digest():
+    entries = [
+        [_ledger_outcome(initial_charges, g),
+         _ledger_outcome(apply_rules, g, M), _ledger_outcome(audit, g, M)]
+        for g in digest_graphs() for M in (12, 16)
+    ]
+    text = json.dumps(entries)
+    assert hashlib.sha256(text.encode()).hexdigest() == LEDGER_DIGEST
 
 
 def _config_named_by(g: Graph, M: int, v) -> ReducibleConfig:

@@ -24,6 +24,7 @@ from tlabel.graphs import (
     edge_key,
     trace_faces,
 )
+from tlabel.reduction import _WorkGraph
 
 
 def _make_k4() -> PlaneGraph:
@@ -152,6 +153,24 @@ def test_induced():
     assert type(sub) is Graph
     with pytest.raises(GraphError, match="unknown vertex 99"):
         g.induced({0, 1, 99})
+
+
+def _dropped_vertex_work_graph():
+    w = _WorkGraph(generate("wheel", 6))
+    w.drop(3, {})  # cuts the edges at 3, then detaches it
+    return w
+
+
+@pytest.mark.parametrize("make, gone", [
+    (lambda: Graph.from_edges([(0, 1), (1, 2)]), 99),
+    (lambda: generate("wheel", 6), 99),
+    (_dropped_vertex_work_graph, 3),
+], ids=["graph", "plane", "work-after-detach"])
+def test_degree_of_an_unknown_vertex_raises(make, gone):
+    g = make()
+    with pytest.raises(GraphError, match="unknown vertex %d" % gone):
+        g.degree(gone)
+    assert g.degree(1) == len(g.neighbors(1))
 
 
 def test_components_and_connectivity():
