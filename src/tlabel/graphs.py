@@ -13,6 +13,7 @@ here and the labeler's mutable working graph all answer through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
 
@@ -43,17 +44,18 @@ def _edge_adjacency(edges: Iterable[tuple[int, int]],
                     vertices: Iterable[int]) -> dict[int, set[int]]:
     """The neighbor sets of an edge list, which may not repeat an edge or
     hold a self-loop."""
-    adj: dict[int, set[int]] = {int(v): set() for v in vertices}
-    seen: set[tuple[int, int]] = set()
+    adj: dict[int, set[int]] = {v: set() for v in map(int, vertices)}
     for u, v in edges:
+        try:
+            nu, nv = adj[u], adj[v]
+        except KeyError:
+            nu, nv = adj.setdefault(u, set()), adj.setdefault(v, set())
         if u == v:
             raise GraphError("self-loop (%d, %d)" % (u, v))
-        k = edge_key(u, v)
-        if k in seen:
-            raise GraphError("duplicate edge (%d, %d)" % k)
-        seen.add(k)
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
+        if v in nu:
+            raise GraphError("duplicate edge (%d, %d)" % edge_key(u, v))
+        nu.add(v)
+        nv.add(u)
     return adj
 
 
@@ -120,14 +122,14 @@ class Graph(BaseGraph):
     def __init__(self, adjacency: Mapping[int, Iterable[int]]):
         adj: dict[int, frozenset[int]] = {}
         for v, nbrs in adjacency.items():
-            ns = frozenset(int(w) for w in nbrs)
+            ns = frozenset(map(int, nbrs))
             v = int(v)
             if v in ns:
                 raise GraphError("self-loop at vertex %d" % v)
             adj[v] = ns
         for v, ns in adj.items():
             for w in ns:
-                if w not in adj or v not in adj[w]:
+                if v not in adj.get(w, ()):
                     raise GraphError("asymmetric adjacency on edge (%d, %d)" % (v, w))
         self._adj = adj
         self._rot = None
@@ -222,23 +224,23 @@ class PlaneGraph(Graph):
     def __init__(self, adjacency, rotation: Mapping[int, Sequence[int]]):
         super().__init__(adjacency)
         rot: dict[int, tuple[int, ...]] = {}
-        for v in self._adj:
+        for v, ns in self._adj.items():
             try:
-                order = tuple(int(w) for w in rotation[v])
+                order = tuple(map(int, rotation[v]))
             except KeyError:
                 raise GraphError("vertex %d has no rotation" % v) from None
-            if len(set(order)) != len(order):
-                raise GraphError("rotation at %d repeats a neighbor" % v)
-            extra = set(order) - self._adj[v]
-            missing = self._adj[v] - set(order)
-            if extra:
-                raise GraphError("rotation at %d lists non-edges %s" % (v, sorted(extra)))
-            if missing:
-                raise GraphError("rotation at %d misses neighbors %s" % (v, sorted(missing)))
+            if len(order) != len(ns) or ns != set(order):  # name the rule broken
+                listed = set(order)
+                if len(listed) != len(order):
+                    raise GraphError("rotation at %d repeats a neighbor" % v)
+                if listed - ns:
+                    raise GraphError("rotation at %d lists non-edges %s" % (v, sorted(listed - ns)))
+                raise GraphError("rotation at %d misses neighbors %s" % (v, sorted(ns - listed)))
             rot[v] = order
-        for v in rotation:
-            if int(v) not in self._adj:
-                raise GraphError("rotation for unknown vertex %r" % (v,))
+        if len(rotation) != len(rot):
+            for v in rotation:
+                if int(v) not in self._adj:
+                    raise GraphError("rotation for unknown vertex %r" % (v,))
         self._rot = rot
         self._faces = None
 
@@ -287,42 +289,35 @@ class PlaneGraph(Graph):
 def trace_faces(g: PlaneGraph) -> tuple[Face, ...]:
     """Partition the darts of ``g`` into face boundary walks.
 
-    Every component is traced, and an isolated vertex bounds one face with
-    an empty walk.  Each component has V - E + F <= 2, with equality exactly
-    when its rotations are plane, so g is plane exactly when the sum is 2
-    per component; otherwise, and for the empty graph, EmbeddingError is
-    raised.  Only after that does a plane graph with several components
-    raise :class:`DisconnectedError`.
+    The dart (u, v) is followed on its face by (v, w), w the neighbor after
+    u in the rotation at v.  One map sends each dart (u, v) to that w, and a
+    walk pops the darts it visits; walks start in sorted dart order, so the
+    faces come in the order of their least darts, after one face with an
+    empty walk for each isolated vertex.  Every component is traced.  Each
+    component has V - E + F <= 2, with equality exactly when its rotations
+    are plane, so g is plane exactly when the sum is 2 per component;
+    otherwise, and for the empty graph, EmbeddingError is raised.  Only
+    after that does a plane graph with several components raise
+    :class:`DisconnectedError`.
     """
     comps = g.components()
 
-    succ: dict[int, dict[int, int]] = {}
-    for v in g.vertices:
-        order = g.rotation(v)
-        k = len(order)
-        succ[v] = {order[i]: order[(i + 1) % k] for i in range(k)}
+    nxt: dict[tuple[int, int], int] = {}  # dart (u, v) -> w
+    for v, order in g._rot.items():
+        nxt.update(zip(zip(order, repeat(v)), order[1:] + order[:1]))
 
-    darts = []
-    for u, v in g.edges():
-        darts.append((u, v))
-        darts.append((v, u))
-    darts.sort()
-
-    seen: set[tuple[int, int]] = set()
     faces: list[Face] = [Face(()) for c in comps if len(c) == 1]
-    for start in darts:
-        if start in seen:
-            continue
-        walk = []
-        cur = start
-        while True:
-            seen.add(cur)
-            walk.append(cur[0])
-            u, v = cur
-            cur = (v, succ[v][u])
-            if cur == start:
-                break
-        faces.append(Face(tuple(walk)))
+    for u in sorted(g._rot):  # walks start in sorted dart order
+        for v in sorted(g._rot[u]):
+            w = nxt.pop((u, v), None)
+            if w is None:  # the dart lies on a face already traced
+                continue
+            walk = [u]
+            a, b = v, w
+            while a != u or b != v:  # until back at the dart (u, v)
+                walk.append(a)
+                a, b = b, nxt.pop((a, b))
+            faces.append(Face(tuple(walk)))
 
     euler = g.n - g.m + len(faces)
     plane = 2 * max(len(comps), 1)  # the empty graph is not plane

@@ -7,13 +7,15 @@ Graph files::
     r <v> <w1> ... <wk>  clockwise neighbor order (all or none; optional
                          for an isolated vertex)
 
-Lines starting with ``c`` are comments.  Vertex labels in a file may be any
-non-negative integers; they are mapped to dense ids 0..n-1 in ascending
-label order on load.  The serializer always writes dense ids with edges and
-rotations sorted, so serialize(parse(serialize(g))) is byte-identical.
-A file that breaks the grammar raises :class:`FormatError`; a graph error,
-such as a duplicate edge or a rotation that misses an edge, raises the
-constructor's ``GraphError`` as it is.  No face is traced on load.
+Lines starting with ``c`` are comments.  Vertex labels may be any
+non-negative integers: when all are below n they are the ids (an absent id
+is an isolated vertex), and otherwise the n labels map to 0..n-1 in
+ascending order.  Loading splits each line once; the constructors check
+each edge and rotation entry once per rule.  The serializer writes dense
+ids with edges and rotations sorted, so serialize(parse(serialize(g))) is
+byte-identical.  A file that breaks the grammar raises :class:`FormatError`;
+a graph error, such as a duplicate edge or a rotation that misses an edge,
+raises the constructor's ``GraphError`` as it is.  No face is traced.
 
 Labeling files::
 
@@ -25,6 +27,7 @@ Partial labelings are fine: absent elements are simply unassigned.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Union
 
 from .graphs import Graph, PlaneGraph, edge_key
@@ -36,11 +39,10 @@ class FormatError(ValueError):
 
 
 def _tokens(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        yield lineno, line.split()
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        toks = line.split()
+        if toks and toks[0][0] != "c":
+            yield lineno, toks
 
 
 def parse_graph(text: str) -> Union[Graph, PlaneGraph]:
@@ -50,13 +52,7 @@ def parse_graph(text: str) -> Union[Graph, PlaneGraph]:
     rotations: dict[int, list[int]] = {}
     for lineno, toks in _tokens(text):
         kind = toks[0]
-        if kind == "p":
-            if header is not None:
-                raise FormatError("line %d: duplicate header" % lineno)
-            if len(toks) != 4 or toks[1] != "tlabel":
-                raise FormatError("line %d: header must be 'p tlabel <n> <m>'" % lineno)
-            header = (int(toks[2]), int(toks[3]))
-        elif kind == "e":
+        if kind == "e":
             if len(toks) != 3:
                 raise FormatError("line %d: edge line must be 'e <u> <v>'" % lineno)
             edges.append((int(toks[1]), int(toks[2])))
@@ -66,7 +62,13 @@ def parse_graph(text: str) -> Union[Graph, PlaneGraph]:
             v = int(toks[1])
             if v in rotations:
                 raise FormatError("line %d: duplicate rotation for %d" % (lineno, v))
-            rotations[v] = [int(t) for t in toks[2:]]
+            rotations[v] = list(map(int, toks[2:]))
+        elif kind == "p":
+            if header is not None:
+                raise FormatError("line %d: duplicate header" % lineno)
+            if len(toks) != 4 or toks[1] != "tlabel":
+                raise FormatError("line %d: header must be 'p tlabel <n> <m>'" % lineno)
+            header = (int(toks[2]), int(toks[3]))
         else:
             raise FormatError("line %d: unknown record %r" % (lineno, kind))
     if header is None:
@@ -75,30 +77,23 @@ def parse_graph(text: str) -> Union[Graph, PlaneGraph]:
     if m != len(edges):
         raise FormatError("header says %d edges, file has %d" % (m, len(edges)))
 
-    labels = set()
-    for u, v in edges:
-        labels.add(u)
-        labels.add(v)
-    labels |= set(rotations)
-    for v, order in rotations.items():
-        labels |= set(order)
-    if any(lab < 0 for lab in labels):
+    labels = set(chain(*edges, rotations, *rotations.values()))
+    if labels and min(labels) < 0:
         raise FormatError("vertex labels must be non-negative")
-    if not labels or max(labels) < n:
-        labels |= set(range(n))  # dense convention: missing ids are isolated
-    if len(labels) != n:
-        raise FormatError(
-            "header says %d vertices, file uses %d distinct labels" % (n, len(labels))
-        )
-    remap = {lab: i for i, lab in enumerate(sorted(labels))}
+    if max(labels, default=-1) >= n:  # not dense: map labels to 0..n-1
+        if len(labels) != n:
+            raise FormatError("header says %d vertices, file uses %d distinct labels"
+                              % (n, len(labels)))
+        remap = {lab: i for i, lab in enumerate(sorted(labels))}
+        edges = [(remap[u], remap[v]) for u, v in edges]
+        rotations = {remap[v]: [remap[w] for w in order]
+                     for v, order in rotations.items()}
 
-    dense_edges = [edge_key(remap[u], remap[v]) for u, v in edges]
     if not rotations:
-        return Graph.from_edges(dense_edges, vertices=range(n))
-    rot = {remap[v]: [remap[w] for w in order] for v, order in rotations.items()}
+        return Graph.from_edges(edges, vertices=range(n))
     for v in range(n):  # a vertex of degree zero may omit its rotation line
-        rot.setdefault(v, [])
-    return PlaneGraph.from_edges_rotation(dense_edges, rot, vertices=range(n))
+        rotations.setdefault(v, [])
+    return PlaneGraph.from_edges_rotation(edges, rotations, vertices=range(n))
 
 
 def serialize_graph(g: Graph) -> str:

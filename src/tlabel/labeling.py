@@ -81,11 +81,11 @@ class PartialLabeling:
     __slots__ = ("_map",)
 
     def __init__(self, assignment: Optional[Mapping[Element, int]] = None):
-        m = {}
-        if assignment:
-            for el, c in assignment.items():
-                m[normalize_element(el)] = int(c)
-        self._map = m
+        # the only key to normalize is an edge given as (u, v) with u > v
+        self._map = {
+            (el[1], el[0]) if isinstance(el, tuple) and el[0] > el[1] else el: int(c)
+            for el, c in (assignment or {}).items()
+        }
 
     def color(self, element: Element) -> Optional[int]:
         return self._map.get(normalize_element(element))

@@ -161,9 +161,9 @@ class ExtensionTrace:
 #
 # Each kind is a predicate over plain fields (vertices, and for the
 # alternator its budget and sides) plus an enumerator of candidate field
-# tuples in scan order.  An enumerator prunes only by a vertex's own degree
-# or by triangle-face membership, so the predicate alone decides what is an
-# occurrence; each occurrence has exactly one field tuple.
+# tuples in scan order.  An enumerator prunes only what the predicate rejects,
+# by degrees, degree sums, 2-neighbors or triangle-face membership, so the
+# predicate alone decides what is an occurrence; each has one field tuple.
 
 
 def _sparse_edge(g: Graph, M: int, u: int, v: int) -> bool:
@@ -187,9 +187,15 @@ def _light_edge(g: Graph, M: int, u: int, v: int, low: int) -> bool:
     return u < v and low == _light_end(g, M, u, v)
 
 
+def _edges_summing_at_most(g: Graph, total: int) -> list[tuple[int, int]]:
+    """The edges of g, in order, whose end degrees sum to at most total."""
+    deg = {v: g.degree(v) for v in g.vertices}
+    return [(u, v) for u, v in g.edges() if deg[u] + deg[v] <= total]
+
+
 def _light_candidates(g: Graph, M: int) -> Iterator[tuple]:
     cap = (M + 2) // 4
-    for u, v in g.edges():
+    for u, v in _edges_summing_at_most(g, M + 1):
         for low in (u, v):
             if g.degree(low) <= cap:
                 yield u, v, low
@@ -224,9 +230,13 @@ def _two_deg2(g: Graph, M: int, hub: int, x: int, y: int,
 
 
 def _two_deg2_candidates(g: Graph, M: int) -> Iterator[tuple]:
-    for v in g.vertices:
-        twos = [x for x in sorted(g.neighbors(v)) if g.degree(x) == 2]
-        for x, y in itertools.combinations(twos, 2):
+    twos: dict[int, list[int]] = {}  # hub -> its 2-neighbors, ascending
+    for x in g.vertices:
+        if g.degree(x) == 2:
+            for v in g.neighbors(x):
+                twos.setdefault(v, []).append(x)
+    for v in sorted(twos):
+        for x, y in itertools.combinations(twos[v], 2):
             (xp,) = g.neighbors(x) - {v}
             (yp,) = g.neighbors(y) - {v}
             yield v, x, y, xp, yp
@@ -893,7 +903,7 @@ class _Kind:
 
 _CATALOGUE = {
     SPARSE_EDGE: _Kind(
-        lambda g, M: g.edges(), _sparse_edge,
+        lambda g, M: _edges_summing_at_most(g, M - 2), _sparse_edge,
         lambda u, v: {"edge": (u, v)}, lambda d: d["edge"],
         _cut_edge, _extend_sparse_edge, code="C2",
         cite=lambda g, M, u, v: (

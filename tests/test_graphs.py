@@ -116,6 +116,22 @@ def test_trace_faces_on_isolated_vertices_and_plane_components():
         trace_faces(PlaneGraph({}, {}))
 
 
+def test_faces_come_in_least_dart_order_whatever_the_vertex_order():
+    # face indices key the charge ledger, so they may not depend on the
+    # order in which the rotation system lists its vertices
+    g = generate("random_planar", 40, seed=3)
+    backwards = g.vertices[::-1]
+    h = PlaneGraph({v: g.neighbors(v) for v in backwards},
+                   {v: g.rotation(v) for v in backwards})
+    assert h.faces() == g.faces()
+    firsts = []
+    for f in g.faces():
+        darts = list(zip(f.boundary, f.boundary[1:] + f.boundary[:1]))
+        assert darts[0] == min(darts)
+        firsts.append(darts[0])
+    assert firsts == sorted(firsts)
+
+
 def test_rotation_must_match_adjacency():
     with pytest.raises((GraphError, EmbeddingError)):
         PlaneGraph({0: {1}, 1: {0}}, {0: (1,), 1: ()})

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
 
+from corpus import digest_graphs
+from gadgets import toroidal_k7, with_isolated_vertex
 from tlabel.families import generate
-from tlabel.graphs import Graph, PlaneGraph
+from tlabel.graphs import Graph, GraphError, PlaneGraph, trace_faces
 from tlabel.io import (
     FormatError,
     parse_graph,
@@ -98,3 +102,115 @@ def test_labeling_rejects_foreign_elements():
 
 def test_empty_labeling_serializes_empty():
     assert serialize_labeling(PartialLabeling({})) == ""
+
+
+# sha256 of what loading each text gives: the serialized graph and, with
+# rotations, the traced face boundaries, or the error either step raises.
+# The texts are every digest graph, each again with ids mapped to 3 id + 1,
+# lines shuffled and comments inserted, the malformed graphs that the CLI
+# tests feed, the loader's corner cases, and the toroidal K7 alone and
+# beside an isolated vertex; the constructors' own errors come last.
+# Recorded with the three-pass loader and the seen-set face tracer.
+LOAD_DIGEST = (
+    "bbcd13c6113a4762cc8574e2fe66574dcfcfee968557954c1aab7e638b60140c"
+)
+
+MALFORMED_GRAPHS = (
+    "p tlabel 2 1\ne 0 1 2\n",
+    "p tlabel 2 1\ne 0 1\nr\n",
+    "p tlabel 2 1\ne 0 1\nr 0 1\nr 0 1\nr 1 0\n",
+    "p tlabel 2 1\ne 0 -1\n",
+    "p tlabel 3 1\ne 0 5\n",
+    "p tlabel 2 1\ne 0 x\n",
+    "p tlabel 2 1\ne 0 1\nr 0 1 1\nr 1 0\n",
+    "p tlabel 3 1\ne 0 1\nr 0 1 2\nr 1 0\n",
+    "p tlabel 3 2\ne 0 1\ne 0 2\nr 0 1\nr 1 0\nr 2 0\n",
+    "p tlabel 2 2\ne 0 1\ne 1 0\n",
+    "p tlabel 2 2\ne 0 1\ne 1 0\nr 0 1\nr 1 0\n",
+    "p tlabel 1 1\ne 0 0\n",
+    "p tlabel 1 1\ne 0 0\nr 0 0\n",
+    "p tlabel 3 2\ne 0 1\ne 1 2\n",
+)
+
+# corners of the loader: ids filled in from the header, sparse ids on
+# isolated vertices, and rotations that break more than one rule
+LOADER_CORNERS = (
+    "p tlabel 0 0\n",
+    "p tlabel 1 0\nr 0\n",
+    "p tlabel 4 1\ne 0 1\n",
+    "p tlabel 4 1\ne 0 1\nr 0 1\nr 1 0\n",
+    "p tlabel 2 0\nr 5\nr 9\n",
+    "p tlabel 0 0\nr 0\n",
+    "p tlabel 3 2\ne 0 1\ne 1 2\nr 0 2\nr 1 0 2\nr 2 1\n",
+    "p tlabel 3 2\ne 0 1\ne 0 2\nr 0 1 1\nr 1 0\nr 2 0\n",
+    "p tlabel 3 2\ne 0 1\ne 0 2\nr 0 1 2 1\nr 1 0\nr 2 0\n",
+    "p tlabel 3 2\ne 0 1\ne 0 2\nr 0 2 1\nr 1 0\n",
+    "p tlabel 3 2\ne 0 1\ne 0 2\nr 0 1 2\nr 1 0\nr 2\n",
+)
+
+# errors that no file can reach: the loader hands the constructors
+# symmetric adjacency and a rotation for every vertex it knows
+CONSTRUCTOR_ERRORS = (
+    lambda: Graph({0: [1], 1: []}),
+    lambda: Graph({0: [1]}),
+    lambda: Graph({0: [0, 1], 1: [0]}),
+    lambda: PlaneGraph({0: [1], 1: [0]}, {0: [1]}),
+    lambda: PlaneGraph({0: [1], 1: [0]}, {0: [1], 1: [0], 2: []}),
+)
+
+
+def _error(exc: Exception) -> str:
+    return "%s: %s" % (type(exc).__name__, exc)
+
+
+def _outcome(build) -> str:
+    try:
+        g = build()
+    except ValueError as exc:  # FormatError and GraphError among them
+        return _error(exc)
+    out = serialize_graph(g)
+    if isinstance(g, PlaneGraph):
+        try:
+            out += repr([f.boundary for f in trace_faces(g)])
+        except GraphError as exc:
+            out += _error(exc)
+    return out
+
+
+def _load_outcome(text: str) -> str:
+    return _outcome(lambda: parse_graph(text))
+
+
+def _relabeled(text: str, rng: random.Random) -> str:
+    """text with every id mapped to 3 id + 1, its lines shuffled, and
+    comments, blank and indented lines inserted."""
+    lines = []
+    for line in text.splitlines():
+        toks = line.split()
+        if toks[0] in "er":
+            toks[1:] = [str(3 * int(t) + 1) for t in toks[1:]]
+        lines.append(" ".join(toks))
+    rng.shuffle(lines)
+    for extra in ("c a comment", "", "   ", "cc", "\tc indented comment"):
+        lines.insert(rng.randrange(len(lines) + 1), extra)
+    i = rng.randrange(len(lines))
+    lines[i] = "  " + lines[i] + "\t"
+    return "\n".join(lines) + "\n"
+
+
+def test_loading_reproduces_golden_digest():
+    rng = random.Random(15)
+    outcomes = []
+    for g in digest_graphs():
+        text = serialize_graph(g)
+        outcomes.append(_load_outcome(text))
+        copy = _relabeled(text, rng)
+        outcomes.append(_load_outcome(copy))
+        assert outcomes[-1] == outcomes[-2], copy
+    outcomes += [_load_outcome(text) for text in MALFORMED_GRAPHS]
+    outcomes += [_load_outcome(text) for text in LOADER_CORNERS]
+    for g in (toroidal_k7(), with_isolated_vertex(toroidal_k7())):
+        outcomes.append(_load_outcome(serialize_graph(g)))
+    outcomes += [_outcome(build) for build in CONSTRUCTOR_ERRORS]
+    text = json.dumps(outcomes)
+    assert hashlib.sha256(text.encode()).hexdigest() == LOAD_DIGEST

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from corpus import digest_graphs, face_sample
+from corpus import acceptance_corpus, digest_graphs, face_sample
 from gadgets import c4 as _make_c4
 from gadgets import spider as _make_spider
 from gadgets import (
@@ -1203,3 +1203,40 @@ def test_enumerators_find_every_occurrence_exactly_once():
                 cfg = ReducibleConfig(kind, entry.data(*found[0]))
                 assert config_holds(g, M, cfg)
     assert hit == set(ARITY)
+
+
+def _brute_force(kind: str, g: Graph, M: int) -> list:
+    """The field tuples the kind's predicate accepts among all edges, or
+    among all hubs with a pair of neighbors and a far end of each, in the
+    enumerators' scan order."""
+    holds = reduction._CATALOGUE[kind].holds
+    if kind == SPARSE_EDGE:
+        tuples = g.edges()
+    elif kind == LIGHT_EDGE:
+        tuples = [(u, v, low) for u, v in g.edges() for low in (u, v)]
+    else:
+        tuples = [
+            (v, x, y, xp, yp)
+            for v in g.vertices
+            for x, y in itertools.combinations(sorted(g.neighbors(v)), 2)
+            for xp in sorted(g.neighbors(x)) for yp in sorted(g.neighbors(y))
+        ]
+    return [t for t in tuples if holds(g, M, *t)]
+
+
+@pytest.mark.parametrize("kind", [SPARSE_EDGE, LIGHT_EDGE, TWO_DEG2])
+def test_pruned_enumerators_yield_what_brute_force_accepts_in_order(kind):
+    # these enumerators skip candidates by degree sums or by 2-vertices;
+    # on graphs with 2-vertices they must still yield every occurrence,
+    # and in the order of offering every tuple to the predicate
+    graphs = [g for name, g, _ in acceptance_corpus()
+              if name.startswith(("random", "cycle", "star"))]
+    graphs += [_make_spider(), _make_c4()]
+    bounds = (12,) if kind == TWO_DEG2 else (12, 14, 16)  # C6c reads no M
+    hits = 0
+    for g in graphs:
+        for M in bounds:
+            found = list(reduction._CATALOGUE[kind].occurrences(g, M))
+            assert found == _brute_force(kind, g, M), (kind, g, M)
+            hits += len(found)
+    assert hits
