@@ -11,10 +11,13 @@ interpreter's recursion limit.  Every element carries its remaining colors
 as an int bitmask.  Placing a color removes it from the later elements that
 must differ ("same" conflicts: adjacent vertices, edges sharing an
 endpoint) and removes the band of colors closer than d from the later
-elements that must keep the gap ("band" conflicts: a vertex and an incident
-edge).  Each removal is pushed on a trail that is unwound on backtracking,
-and a placement is pruned as soon as a domain becomes empty.  Elements are
-tried in a static order with colors ascending; a smallest-domain-first
+elements that must keep the gap ("band" conflicts: a vertex and an
+incident edge).  A color that would empty one of those domains is pruned
+and leaves every domain as it found it; a placement that survives saves
+the domains it narrows and writes them back when the search returns to
+its depth, so the saved domains never outnumber the conflicts.  The
+conflicts come from one index of each vertex's incident edges.  Elements
+are tried in a static order with colors ascending; a smallest-domain-first
 order would find other first solutions and so change the witnesses that
 the labeler's base cases and their golden digests depend on.
 
@@ -28,7 +31,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graphs import Graph, edge_key
+from .graphs import Graph
 from .labeling import ColorInterval, PartialLabeling, is_edge
 
 
@@ -73,13 +76,15 @@ def _element_order(g: Graph) -> list:
     An edge weighs the sum of its endpoint degrees, a vertex its own degree;
     ties break toward vertices and then lower ids so runs are reproducible.
     """
+    deg = {}
     items = []
     for v in g.vertices:
-        items.append(((-g.degree(v), 0, v, v), v))
+        deg[v] = dv = g.degree(v)
+        items.append((-dv, 0, v, v))
     for u, v in g.edges():
-        items.append(((-(g.degree(u) + g.degree(v)), 1, u, v), (u, v)))
-    items.sort(key=lambda t: t[0])
-    return [el for _, el in items]
+        items.append((-(deg[u] + deg[v]), 1, u, v))
+    items.sort()
+    return [u if kind == 0 else (u, v) for _, kind, u, v in items]
 
 
 def _search(same: list, band: list, k: int, d: int,
@@ -91,6 +96,14 @@ def _search(same: list, band: list, k: int, d: int,
     least d.  Returns (colors, nodes) with colors None when no coloring
     exists; one node is spent per candidate color tried.  Raises
     BudgetExceeded past ``budget`` nodes.
+
+    A placement that survives saves the domains it narrows in
+    ``undo[i]``, and returning to depth i from deeper writes them back.  A
+    pruned color leaves nothing behind: its band is checked before anything
+    is written, and what it wrote before emptying a "same" domain is put
+    back at once.  The two lists of one item never share an item (a "same"
+    pair is two vertices or two edges, a band pair a vertex and an edge),
+    so checking the band first decides the same colors as checking it last.
     """
     n = len(same)
     full = (1 << (k + 1)) - 1
@@ -99,8 +112,7 @@ def _search(same: list, band: list, k: int, d: int,
     dom = [full] * n
     bits = [0] * n       # the placed color of each item, as a one-bit mask
     rest = [0] * n       # colors not yet tried at each depth
-    mark = [0] * n       # trail length on entering each depth
-    trail: list = []     # (item, domain before a removal)
+    undo: list = [None] * n  # (item, domain before) per domain narrowed at each depth
     nodes = 0
     i = 0
     if n:
@@ -111,71 +123,88 @@ def _search(same: list, band: list, k: int, d: int,
             if i == 0:
                 return None, nodes
             i -= 1
+            for j, m in undo[i]:
+                dom[j] = m
             continue
         low = r & -r
         rest[i] = r ^ low
         nodes += 1
         if nodes > limit:
             raise BudgetExceeded(nodes)
-        top = mark[i]
-        if len(trail) > top:
-            for j, m in reversed(trail[top:]):
-                dom[j] = m
-            del trail[top:]
-        ok = True
+        if band[i]:
+            drop = (spread * low) >> (d - 1)
+            keep = ~drop
+            emptied = False
+            for j in band[i]:
+                if not dom[j] & keep:
+                    emptied = True
+                    break
+            if emptied:
+                continue
+        saved = []
+        emptied = False
         for j in same[i]:
             m = dom[j]
             if m & low:
-                trail.append((j, m))
-                m ^= low
-                dom[j] = m
-                if not m:
-                    ok = False
+                if m == low:  # the color alone: placing it empties m
+                    emptied = True
                     break
-        if ok and band[i]:
-            drop = ((spread * low) >> (d - 1)) & full
+                saved.append((j, m))
+                dom[j] = m ^ low
+        if emptied:
+            for j, m in saved:
+                dom[j] = m
+            continue
+        if band[i]:
             for j in band[i]:
                 m = dom[j]
                 if m & drop:
-                    trail.append((j, m))
-                    m &= ~drop
-                    dom[j] = m
-                    if not m:
-                        ok = False
-                        break
-        if ok:
-            bits[i] = low
-            i += 1
-            if i < n:
-                mark[i] = len(trail)
-                rest[i] = dom[i]
+                    saved.append((j, m))
+                    dom[j] = m & keep
+        undo[i] = saved
+        bits[i] = low
+        i += 1
+        if i < n:
+            rest[i] = dom[i]
     return [b.bit_length() - 1 for b in bits], nodes
 
 
 def _total_conflicts(g: Graph, order: Sequence) -> tuple[list, list]:
     """The later "same" and "band" conflicts of each element in order; an
-    element left out of the order constrains nothing."""
-    index = {el: i for i, el in enumerate(order)}
-    same: list = [[] for _ in order]
-    band: list = [[] for _ in order]
+    element left out of the order constrains nothing.
+
+    One pass indexes the position of each vertex and of each vertex's
+    edges; every element's conflicts are then read off that index.
+    """
+    pos: dict = {}       # vertex -> its position in order
+    incident: dict = {}  # vertex -> the positions of its edges
     for i, el in enumerate(order):
         if is_edge(el):
             for x in el:
-                j = index.get(x, -1)
-                if j > i:
-                    band[i].append(j)
-                for w in g.neighbors(x):
-                    j = index.get(edge_key(x, w), -1)
+                incident.setdefault(x, []).append(i)
+        else:
+            pos[el] = i
+    same: list = []
+    band: list = []
+    for i, el in enumerate(order):
+        later_same: list = []
+        later_band: list = []
+        if is_edge(el):
+            for x in el:
+                if pos.get(x, -1) > i:
+                    later_band.append(pos[x])
+                for j in incident[x]:
                     if j > i:
-                        same[i].append(j)
+                        later_same.append(j)
         else:
             for w in g.neighbors(el):
-                j = index.get(w, -1)
+                if pos.get(w, -1) > i:
+                    later_same.append(pos[w])
+            for j in incident.get(el, ()):
                 if j > i:
-                    same[i].append(j)
-                j = index.get(edge_key(el, w), -1)
-                if j > i:
-                    band[i].append(j)
+                    later_band.append(j)
+        same.append(later_same)
+        band.append(later_band)
     return same, band
 
 

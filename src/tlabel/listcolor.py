@@ -4,8 +4,9 @@ A bipartite graph whose every edge uv carries a list of at least
 max{deg(u), deg(v)} allowed colors always admits a proper edge coloring
 choosing from the lists.  The searcher here exploits that guarantee: it
 backtracks fail-first, in one loop over an explicit stack that keeps each
-uncolored edge's free colors as a set, and treats exhaustion as a broken
-precondition rather than a legitimate outcome.
+uncolored edge's free colors as a set and the edge in a bucket by their
+number, and treats exhaustion as a broken precondition rather than a
+legitimate outcome.
 """
 
 from __future__ import annotations
@@ -78,15 +79,22 @@ def list_edge_color(g: Graph, lists: Mapping[tuple, Iterable[int]],
     # free[e] is e's list less the colors of its colored neighbors; it stays
     # fixed once e is colored, since only uncolored edges are struck
     free = {e: set(lists[e]) for e in edges}
+    # bucket[s] holds the uncolored edges with s free colors, so a pick
+    # looks only at the fewest-free bucket
+    bucket: list[set[tuple]] = [set() for _ in range(
+        max(map(len, free.values()), default=0) + 1)]
+    for e in edges:
+        bucket[len(free[e])].add(e)
+
     assignment: dict[tuple, int] = {}
     # per edge on the search path: the colors it has yet to try and the
     # neighbors its current color was struck from
     stack: list[tuple[tuple, Iterator[int], list[tuple]]] = []
     while len(assignment) < len(edges):
         if not stack or stack[-1][0] in assignment:
-            # fail-first: fewest free colors, ties to the first edge
-            e = min((f for f in edges if f not in assignment),
-                    key=lambda f: len(free[f]))
+            # fail-first: fewest free colors, ties to the least edge, which
+            # is the first in g.edges() since that lists them sorted
+            e = min(next(b for b in bucket if b))
             stack.append((e, iter(sorted(free[e])), []))
         e, todo, struck = stack[-1]
         c = next(todo, None)
@@ -97,14 +105,20 @@ def list_edge_color(g: Graph, lists: Mapping[tuple, Iterable[int]],
             e, _, struck = stack[-1]
             c = assignment.pop(e)
             for f in struck:
+                bucket[len(free[f])].remove(f)
                 free[f].add(c)
+                bucket[len(free[f])].add(f)
             struck.clear()
+            bucket[len(free[e])].add(e)
             continue
         assignment[e] = c
+        bucket[len(free[e])].remove(e)
         for v in e:
             for w in g.neighbors(v):
                 f = edge_key(v, w)
                 if f not in assignment and c in free[f]:
+                    bucket[len(free[f])].remove(f)
                     free[f].remove(c)
+                    bucket[len(free[f])].add(f)
                     struck.append(f)
     return assignment

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
 
 from tlabel.exact import (
+    BudgetExceeded,
     bounds,
     chromatic_number,
     edge_chromatic_number,
@@ -156,6 +158,46 @@ def test_exact_reproduces_golden_atlas_results():
     assert h.hexdigest() == GOLDEN_ATLAS5
 
 
+# sha256 over (atlas index, d, value, nodes, level_nodes, serialized witness)
+# and then (atlas index, chromatic number, chromatic index) for every
+# connected atlas graph on six vertices with at most ten edges; they cover
+# the small-search benchmark's largest searches, of up to 14 elements
+GOLDEN_ATLAS6 = "880b411103a8404af82c27e428bc218bfb183f02cdcc8d508f5d07d1aa7f4072"
+
+
+def test_exact_reproduces_golden_six_vertex_atlas_results():
+    h = hashlib.sha256()
+    graphs = 0
+    for idx, G in enumerate(nx.graph_atlas_g()):
+        if G.number_of_nodes() != 6 or G.number_of_edges() > 10:
+            continue
+        if not nx.is_connected(G):
+            continue
+        g = Graph.from_edges(G.edges(), vertices=G.nodes())
+        for d in (1, 2):
+            res = lambda_exact(g, d=d)
+            h.update(repr((idx, d, res.value, res.nodes, res.level_nodes,
+                           serialize_labeling(res.witness))).encode())
+        h.update(repr((idx, chromatic_number(g),
+                       edge_chromatic_number(g))).encode())
+        graphs += 1
+    assert graphs == 94
+    assert h.hexdigest() == GOLDEN_ATLAS6
+
+
+def test_budget_boundary_is_exact():
+    g = generate("wheel", 7)
+    k = span_lower_bound(g, 2)
+    interval = ColorInterval(k, 2)
+    phi, nodes = find_labeling(g, interval)
+    # the level prunes: the search backtracks before it ends or refutes
+    assert nodes > g.n + g.m
+    with pytest.raises(BudgetExceeded) as info:
+        find_labeling(g, interval, budget=nodes - 1)
+    assert info.value.nodes == nodes
+    assert find_labeling(g, interval, budget=nodes) == (phi, nodes)
+
+
 def test_level_nodes_count_every_span_tried():
     c5 = generate("cycle", 5)
     one = lambda_exact(c5, d=1)
@@ -199,3 +241,18 @@ def test_chromatic_numbers_of_a_long_path():
     path = _make([(i, i + 1) for i in range(1999)])
     assert chromatic_number(path) == 2
     assert edge_chromatic_number(path) == 2
+
+
+def test_a_long_path_is_solved_in_linear_memory():
+    # one dive through all 3,999 elements with no backtracking: the search
+    # saves at most one domain per conflict, so its peak stays near 2 MB,
+    # where a copy of every domain at every depth would take over 100 MB
+    path = _make([(i, i + 1) for i in range(1999)])
+    tracemalloc.start()
+    try:
+        res = lambda_exact(path, d=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.value, res.nodes) == (4, path.n + path.m)
+    assert peak < 8 * 2**20
