@@ -35,7 +35,6 @@ from .labeling import (
     ColorInterval,
     PartialLabeling,
     Violation,
-    available,
     available_edge,
     available_vertex,
     validate,

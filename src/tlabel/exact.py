@@ -21,6 +21,24 @@ are tried in a static order with colors ascending; a smallest-domain-first
 order would find other first solutions and so change the witnesses that
 the labeler's base cases and their golden digests depend on.
 
+The search never tries a color that a symmetry of the problem makes
+redundant (Gent, Petrie and Puget, "Symmetry in Constraint Programming",
+2006).  The reflection c -> k - c maps labelings to labelings at every d,
+so the first element tries only the colors 0..k/2.  At d = 1 every
+constraint says "differ", so any permutation of the colors maps labelings
+to labelings, and element i tries only the colors up to one above the
+largest color placed before it (the first element tries color 0 alone).
+Neither rule changes a witness.  Forward checking prunes only prefixes
+that no labeling extends, so the search returns the lexicographically
+least labeling in its element order, and neither rule cuts that one: had
+it given the first element a color above k/2, its reflection would be
+smaller; had it given element i a color c more than one above every
+earlier color, swapping c with the unused color one above them would give
+a smaller labeling.  So values and witnesses are the same as without the
+rules, and at d >= 2 so are the nodes of a solvable level: the colors cut
+lie beyond the witness.  A refuted level is cheaper, and at d = 1 a
+solvable one may be too.
+
 This is meant for small instances (say up to a few dozen elements) and as a
 ground-truth oracle for the structural machinery, not for scale.
 """
@@ -94,7 +112,11 @@ def _search(same: list, band: list, k: int, d: int,
     ``same[i]`` lists the later items whose color must differ from item
     i's, ``band[i]`` the later items whose color must differ from it by at
     least d.  Returns (colors, nodes) with colors None when no coloring
-    exists; one node is spent per candidate color tried.  Raises
+    exists, and otherwise the lexicographically least coloring.  One node
+    is spent per candidate color tried; colors a symmetry rules out are
+    never tried: item 0 tries only 0..k/2 (the reflection c -> k - c), and
+    at d = 1, where colors are interchangeable, item i tries only colors up
+    to one above the largest placed at depths below i.  Raises
     BudgetExceeded past ``budget`` nodes.
 
     A placement that survives saves the domains it narrows in
@@ -113,10 +135,16 @@ def _search(same: list, band: list, k: int, d: int,
     bits = [0] * n       # the placed color of each item, as a one-bit mask
     rest = [0] * n       # colors not yet tried at each depth
     undo: list = [None] * n  # (item, domain before) per domain narrowed at each depth
+    interchangeable = d == 1
+    # at d = 1, the colors each depth may try: up to one above the largest
+    # placed before it (at d >= 2 every depth past 0 may try every color)
+    opened = [1] * n if interchangeable else None
     nodes = 0
     i = 0
     if n:
-        rest[0] = full
+        # the reflection c -> k - c leaves item 0 the colors 0..k/2, and
+        # interchangeable colors leave it color 0 alone
+        rest[0] = 1 if interchangeable else (1 << (k // 2 + 1)) - 1
     while i < n:
         r = rest[i]
         if not r:
@@ -165,7 +193,11 @@ def _search(same: list, band: list, k: int, d: int,
         bits[i] = low
         i += 1
         if i < n:
-            rest[i] = dom[i]
+            if interchangeable:
+                opened[i] = opened[i - 1] | low << 1
+                rest[i] = dom[i] & opened[i]
+            else:
+                rest[i] = dom[i]
     return [b.bit_length() - 1 for b in bits], nodes
 
 

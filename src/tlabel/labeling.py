@@ -268,10 +268,3 @@ def available_vertex(g: Graph, phi: Labeling, v: int,
         if c is not None:
             bad.update(range(c - r, c + r + 1))
     return frozenset(interval.colors()).difference(bad)
-
-
-def available(g: Graph, phi: Labeling, element: Element,
-              interval: ColorInterval) -> frozenset[int]:
-    if is_edge(element):
-        return available_edge(g, phi, element, interval)
-    return available_vertex(g, phi, element, interval)

@@ -4,13 +4,14 @@ A bipartite graph whose every edge uv carries a list of at least
 max{deg(u), deg(v)} allowed colors always admits a proper edge coloring
 choosing from the lists.  The searcher here exploits that guarantee: it
 backtracks fail-first, in one loop over an explicit stack that keeps each
-uncolored edge's free colors as a set and the edge in a bucket by their
-number, and treats exhaustion as a broken precondition rather than a
-legitimate outcome.
+uncolored edge's free colors as a set and picks the next edge from a heap
+keyed by their number, and treats exhaustion as a broken precondition
+rather than a legitimate outcome.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Iterator, Mapping
 
 from .graphs import Graph, GraphError, edge_key
@@ -79,12 +80,11 @@ def list_edge_color(g: Graph, lists: Mapping[tuple, Iterable[int]],
     # free[e] is e's list less the colors of its colored neighbors; it stays
     # fixed once e is colored, since only uncolored edges are struck
     free = {e: set(lists[e]) for e in edges}
-    # bucket[s] holds the uncolored edges with s free colors, so a pick
-    # looks only at the fewest-free bucket
-    bucket: list[set[tuple]] = [set() for _ in range(
-        max(map(len, free.values()), default=0) + 1)]
-    for e in edges:
-        bucket[len(free[e])].add(e)
+    # (free colors, edge) with lazy deletion: an entry is live while its
+    # edge is uncolored with that many free colors, and each change of
+    # either pushes a fresh one
+    heap = [(len(free[e]), e) for e in edges]
+    heapify(heap)
 
     assignment: dict[tuple, int] = {}
     # per edge on the search path: the colors it has yet to try and the
@@ -94,7 +94,14 @@ def list_edge_color(g: Graph, lists: Mapping[tuple, Iterable[int]],
         if not stack or stack[-1][0] in assignment:
             # fail-first: fewest free colors, ties to the least edge, which
             # is the first in g.edges() since that lists them sorted
-            e = min(next(b for b in bucket if b))
+            if len(heap) > 4 * len(edges):  # mostly dead entries: rebuild
+                heap = [(len(free[f]), f) for f in edges if f not in assignment]
+                heapify(heap)
+            while True:
+                s, e = heap[0]
+                if e not in assignment and len(free[e]) == s:
+                    break
+                heappop(heap)
             stack.append((e, iter(sorted(free[e])), []))
         e, todo, struck = stack[-1]
         c = next(todo, None)
@@ -105,20 +112,17 @@ def list_edge_color(g: Graph, lists: Mapping[tuple, Iterable[int]],
             e, _, struck = stack[-1]
             c = assignment.pop(e)
             for f in struck:
-                bucket[len(free[f])].remove(f)
                 free[f].add(c)
-                bucket[len(free[f])].add(f)
+                heappush(heap, (len(free[f]), f))
             struck.clear()
-            bucket[len(free[e])].add(e)
+            heappush(heap, (len(free[e]), e))
             continue
         assignment[e] = c
-        bucket[len(free[e])].remove(e)
         for v in e:
             for w in g.neighbors(v):
                 f = edge_key(v, w)
                 if f not in assignment and c in free[f]:
-                    bucket[len(free[f])].remove(f)
                     free[f].remove(c)
-                    bucket[len(free[f])].add(f)
+                    heappush(heap, (len(free[f]), f))
                     struck.append(f)
     return assignment

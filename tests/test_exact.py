@@ -137,9 +137,10 @@ def test_bounds_hold_on_families():
 
 
 # sha256 over (atlas index, d, value, nodes, serialized witness) for every
-# connected atlas graph on at most five vertices, recorded with the
-# recursive solver that rebuilt availability at every node
-GOLDEN_ATLAS5 = "6dbc495dc29408640faa1b141f2263d366c93daf27b36ea5e3e24b0e8e477ecd"
+# connected atlas graph on at most five vertices; values and witnesses are
+# those of the recursive solver that rebuilt availability at every node,
+# nodes those of the search that skips colors a symmetry rules out
+GOLDEN_ATLAS5 = "d8f6f59c9c8a2edf45db42dd0a404a49489512ee0399681317d3b50b22988a79"
 
 
 def test_exact_reproduces_golden_atlas_results():
@@ -161,8 +162,9 @@ def test_exact_reproduces_golden_atlas_results():
 # sha256 over (atlas index, d, value, nodes, level_nodes, serialized witness)
 # and then (atlas index, chromatic number, chromatic index) for every
 # connected atlas graph on six vertices with at most ten edges; they cover
-# the small-search benchmark's largest searches, of up to 14 elements
-GOLDEN_ATLAS6 = "880b411103a8404af82c27e428bc218bfb183f02cdcc8d508f5d07d1aa7f4072"
+# the small-search benchmark's largest searches, of up to 14 elements;
+# nodes are counted by the search that skips colors a symmetry rules out
+GOLDEN_ATLAS6 = "3f7bcf89c045632e189c45f9e07870ffd95dd21d0c352501821cd0aab361bf8d"
 
 
 def test_exact_reproduces_golden_six_vertex_atlas_results():
@@ -185,6 +187,36 @@ def test_exact_reproduces_golden_six_vertex_atlas_results():
     assert h.hexdigest() == GOLDEN_ATLAS6
 
 
+# sha256 over what symmetry breaking must leave alone, on the graphs of
+# GOLDEN_ATLAS5 and GOLDEN_ATLAS6: for d = 1, 2, 3 the (atlas index, d,
+# value, serialized witness), with the solved level's nodes for d >= 2, and
+# then (atlas index, chromatic number, chromatic index, bounds at d = 2);
+# recorded with the solver that tried every color of every item
+PINNED_ATLAS = "5223449d3857dcc7a97b32e7cff868b3e16d2395d5bf415bdb9c1c6bde48d149"
+
+
+def test_exact_values_and_witnesses_are_pinned():
+    h = hashlib.sha256()
+    graphs = 0
+    for idx, G in enumerate(nx.graph_atlas_g()):
+        small = 1 <= idx < 53
+        six = G.number_of_nodes() == 6 and G.number_of_edges() <= 10
+        if not (small or six) or not nx.is_connected(G):
+            continue
+        g = Graph.from_edges(G.edges(), vertices=G.nodes())
+        for d in (1, 2, 3):
+            res = lambda_exact(g, d=d)
+            row = (idx, d, res.value, serialize_labeling(res.witness))
+            if d >= 2:
+                row += (res.level_nodes[-1],)
+            h.update(repr(row).encode())
+        h.update(repr((idx, chromatic_number(g), edge_chromatic_number(g),
+                       bounds(g, 2))).encode())
+        graphs += 1
+    assert graphs == 125
+    assert h.hexdigest() == PINNED_ATLAS
+
+
 def test_budget_boundary_is_exact():
     g = generate("wheel", 7)
     k = span_lower_bound(g, 2)
@@ -196,6 +228,18 @@ def test_budget_boundary_is_exact():
         find_labeling(g, interval, budget=nodes - 1)
     assert info.value.nodes == nodes
     assert find_labeling(g, interval, budget=nodes) == (phi, nodes)
+
+
+def test_symmetry_cuts_a_refuted_level_by_hand():
+    # one edge uv, ordered uv, u, v.  At d = 2 and k = 2 the reflection
+    # c -> 2 - c leaves uv the colors 0 and 1: uv = 0 leaves u and v only
+    # color 2, and u = 2 empties v; uv = 1 bars 0..2 from u.  Three nodes,
+    # where trying uv = 2 as well took five
+    edge = _make([(0, 1)])
+    assert find_labeling(edge, ColorInterval(2, 2)) == (None, 3)
+    # at d = 1 and k = 1 every color is interchangeable, so uv tries only
+    # 0, then u = 1 empties v: two nodes, where trying uv = 1 took four
+    assert find_labeling(edge, ColorInterval(1, 1)) == (None, 2)
 
 
 def test_level_nodes_count_every_span_tried():

@@ -16,7 +16,6 @@ from tlabel.labeling import (
     VERTEX_ADJACENCY,
     ColorInterval,
     PartialLabeling,
-    available,
     available_edge,
     available_vertex,
     normalize_element,
@@ -136,11 +135,18 @@ def test_available_vertex_frozen_case():
     )
 
 
-def test_available_dispatches():
+def test_available_on_an_empty_labeling_is_every_color():
     g = _make_triangle()
     phi = PartialLabeling({})
-    assert available(g, phi, 0, ITV) == frozenset(range(15))
-    assert available(g, phi, (0, 1), ITV) == frozenset(range(15))
+    assert available_vertex(g, phi, 0, ITV) == frozenset(range(15))
+    assert available_edge(g, phi, (0, 1), ITV) == frozenset(range(15))
+    assert available_edge(g, phi, (1, 0), ITV) == frozenset(range(15))
+
+
+def _available(g, phi, el, itv):
+    if isinstance(el, tuple):
+        return available_edge(g, phi, el, itv)
+    return available_vertex(g, phi, el, itv)
 
 
 def _random_partial(rng: random.Random, g: Graph, itv: ColorInterval):
@@ -151,7 +157,7 @@ def _random_partial(rng: random.Random, g: Graph, itv: ColorInterval):
     for el in items:
         if rng.random() < 0.4:
             continue
-        avail = available(g, phi, el, itv)
+        avail = _available(g, phi, el, itv)
         if avail:
             phi = _with(phi, el, rng.choice(sorted(avail)))
     return phi
@@ -174,8 +180,8 @@ def test_availability_is_sound_and_complete():
             for el in list(g.vertices) + list(g.edges()):
                 if el in phi:
                     continue
-                offered = available(g, phi, el, itv)
-                assert available(g, plain, el, itv) == offered
+                offered = _available(g, phi, el, itv)
+                assert _available(g, plain, el, itv) == offered
                 for c in offered:
                     assert validate(g, _with(phi, el, c), itv) == []
                 for c in set(itv.colors()) - set(offered):

@@ -124,6 +124,36 @@ def test_long_path_colors_without_recursion():
     assert out == {(i, i + 1): i % 2 for i in range(n)}
 
 
+# sha256 of the colorings of K8,8 and K12,12 with two list patterns each, and
+# of the exhaustion of six free edges beside a star of three edges that all
+# have lists {0, 1}; recorded with the search that picked from buckets
+LONG_SEARCH_DIGEST = (
+    "3fbecb64cb397a72f86a4b2c32ed1d77b095991603e438acf20c25256dc80eb1"
+)
+
+
+def test_long_searches_keep_the_pick_order():
+    # these searches push several times more heap entries than they have
+    # edges (the six free edges come first and are undone 2**6 times before
+    # the star is refuted), so the heap is rebuilt from its live entries
+    # midway, and the picks must not change
+    h = hashlib.sha256()
+    for a in (8, 12):
+        g = Graph.from_edges((u, 20 + v) for u in range(a) for v in range(a))
+        for shift in (0, 1):
+            lists = {e: [(c + shift * e[0]) % (a + 1) for c in range(a)]
+                     for e in g.edges()}
+            out = list_edge_color(g, lists)
+            assert _is_proper(g, out)
+            h.update(repr(sorted(out.items())).encode())
+    star = Graph.from_edges([(2 * i, 2 * i + 1) for i in range(6)]
+                            + [(20, 21), (20, 22), (20, 23)])
+    with pytest.raises(ListColorError):
+        list_edge_color(star, {e: {0, 1} for e in star.edges()}, check=False)
+    h.update(b"exhausted")
+    assert h.hexdigest() == LONG_SEARCH_DIGEST
+
+
 # sha256 of each seeded instance's coloring, or the name of the error it
 # raised, with threshold-size lists, larger lists, and undersized lists under
 # check=False; recorded with the recursive search that the flat loop replaced
