@@ -209,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gap", type=int, default=2,
                    help="required vertex-edge separation (default 2)")
     p.add_argument("--budget", type=int, default=None,
-                   help="search node budget; exceeding it reports unknown")
+                   help="node budget of the whole search, over every span "
+                        "level and component; exceeding it reports unknown")
     p.add_argument("--witness", default=None,
                    help="write an optimal labeling to this path")
     p.set_defaults(func=_cmd_exact)

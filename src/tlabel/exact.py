@@ -274,12 +274,20 @@ def span_lower_bound(g: Graph, d: int) -> int:
     return lo
 
 
+def _left(budget: Optional[int], spent: int) -> Optional[int]:
+    """What is left of a budget (None for none) after spent nodes."""
+    return None if budget is None else budget - spent
+
+
 def _lambda_connected(g: Graph, d: int, budget: Optional[int]) -> SolveResult:
+    """lambda_exact on a connected graph: each span level gets what the
+    levels below it left of the budget."""
     levels: list = []
     for k in itertools.count(span_lower_bound(g, d)):
         interval = ColorInterval(k=k, d=d)
         try:
-            phi, spent = find_labeling(g, interval, budget)
+            phi, spent = find_labeling(g, interval,
+                                       _left(budget, sum(levels)))
         except BudgetExceeded as exc:
             levels.append(exc.nodes)
             return SolveResult("unknown", None, None, sum(levels), tuple(levels))
@@ -292,8 +300,11 @@ def lambda_exact(g: Graph, d: int = 2, budget: Optional[int] = None) -> SolveRes
     """The exact optimal span, searched upward from the lower bound.
 
     Components are solved independently; the optimum of a disconnected
-    graph is the maximum over its components.  A negative budget raises
-    ValueError.
+    graph is the maximum over its components.  The budget caps the nodes
+    of the whole search: each span level, and each component, gets only
+    what the levels and components before it left, and the result is
+    "unknown" as soon as one more node would exceed it.  A negative budget
+    raises ValueError.
     """
     _check_budget(budget)
     comps = g.components()
@@ -303,7 +314,8 @@ def lambda_exact(g: Graph, d: int = 2, budget: Optional[int] = None) -> SolveRes
     per_span: dict = {}
     for comp in comps:
         sub_g = g.induced(comp)
-        sub = _lambda_connected(sub_g, d, budget)
+        left = _left(budget, sum(per_span.values()))
+        sub = _lambda_connected(sub_g, d, left)
         for k, spent in enumerate(sub.level_nodes, span_lower_bound(sub_g, d)):
             per_span[k] = per_span.get(k, 0) + spent
         subs.append(sub)

@@ -253,25 +253,6 @@ class PlaneGraph(Graph):
             self._faces = trace_faces(self)
         return self._faces
 
-    # -- derived plane graphs (rotation order is preserved) ----------------
-
-    def delete_edge(self, u: int, v: int) -> "PlaneGraph":
-        return self.delete_edges([(u, v)])
-
-    def delete_edges(self, pairs: Iterable[tuple[int, int]]) -> "PlaneGraph":
-        gone = {edge_key(u, v) for u, v in pairs}
-        for u, v in gone:
-            if not self.has_edge(u, v):
-                raise GraphError("no edge (%d, %d) to delete" % (u, v))
-        adj = {x: set(ns) for x, ns in self._adj.items()}
-        rot = dict(self._rot)
-        for u, v in gone:
-            adj[u].discard(v)
-            adj[v].discard(u)
-            rot[u] = tuple(w for w in rot[u] if w != v)
-            rot[v] = tuple(w for w in rot[v] if w != u)
-        return PlaneGraph(adj, rot)
-
     def __repr__(self) -> str:
         return "PlaneGraph(n=%d, m=%d)" % (self.n, self.m)
 

@@ -12,8 +12,16 @@ All set operations here are pure functions of the graph, the labeling and
 the color interval.  :func:`validate` and the availability functions take
 either a :class:`PartialLabeling` or a plain dict whose keys are already
 normalized elements; they read the dict behind either one directly, so a
-color lookup is one dict probe with no normalization.  The labeler passes
-its working dict as it is and calls them afresh after every assignment;
+color lookup is one dict probe with no normalization.
+
+Availability is computed once, as an int over {0..k} whose bit c is set
+when color c is free (:func:`available_edge_mask`,
+:func:`available_vertex_mask`): a color bars its own bit and a band the
+2d - 1 bits around its color, clipped at both ends of the interval, in
+one place, ``_free_mask``.  :func:`available_edge` and
+:func:`available_vertex` return the same colors as a frozenset.  The
+labeler passes its working dict as it is, calls the mask functions afresh
+after every assignment and reads a least color and a count off the int;
 the exact solver does not use them and instead keeps its own bitmask
 domains, updated incrementally (see :mod:`tlabel.exact`).
 """
@@ -223,12 +231,35 @@ def validate(g: Graph, phi: Labeling, interval: ColorInterval) -> list[Violation
     return out
 
 
-def available_edge(g: Graph, phi: Labeling, e: tuple,
-                   interval: ColorInterval) -> frozenset[int]:
-    """Colors that can legally be placed on the (uncolored) edge e.
+def _free_mask(same: int, bands: int, interval: ColorInterval) -> int:
+    """The colors of the interval that neither mask bars, as an int whose
+    bit c is set when color c is free.
+
+    Bit c of ``same`` bars color c.  Bit c + d - 1 of ``bands`` bars the
+    2d - 1 colors closer than d to color c, so a band centered a little
+    below 0 still counts; bits outside {0..k} are cut off at both ends.
+    This is the one place the band rule is written.
+    """
+    d = interval.d
+    wide = bands
+    for shift in range(1, 2 * d - 1):
+        wide |= bands << shift
+    return ~(same | wide >> 2 * (d - 1)) & ((1 << (interval.k + 1)) - 1)
+
+
+def mask_colors(mask: int) -> list[int]:
+    """The colors whose bits are set in mask, ascending."""
+    return [c for c in range(mask.bit_length()) if mask >> c & 1]
+
+
+def available_edge_mask(g: Graph, phi: Labeling, e: tuple,
+                        interval: ColorInterval) -> int:
+    """The colors that can legally be placed on the (uncolored) edge e, as
+    a mask (see :func:`_free_mask`).
 
     phi is a PartialLabeling or a dict keyed by normalized elements; e may
-    be given in either orientation.
+    be given in either orientation.  Each colored edge at an end bars its
+    color, each colored end the colors closer than d to its own.
     """
     u, v = e
     if u > v:
@@ -237,34 +268,49 @@ def available_edge(g: Graph, phi: Labeling, e: tuple,
         raise GraphError("(%d, %d) is not an edge of the graph" % (u, v))
     get = _color_map(phi).get
     r = interval.d - 1
-    bad = set()
+    same = bands = 0
     for x in (u, v):
         for w in g.neighbors(x):
-            c = get((x, w) if x < w else (w, x))
-            if c is not None:
-                bad.add(c)
+            c = get((x, w) if x < w else (w, x), -1)
+            if c >= 0:
+                same |= 1 << c
         c = get(x)
-        if c is not None:
-            bad.update(range(c - r, c + r + 1))
-    return frozenset(interval.colors()).difference(bad)
+        if c is not None and c + r >= 0:
+            bands |= 1 << (c + r)
+    return _free_mask(same, bands, interval)
 
 
-def available_vertex(g: Graph, phi: Labeling, v: int,
-                     interval: ColorInterval) -> frozenset[int]:
-    """Colors that can legally be placed on the (uncolored) vertex v.
+def available_vertex_mask(g: Graph, phi: Labeling, v: int,
+                          interval: ColorInterval) -> int:
+    """The colors that can legally be placed on the (uncolored) vertex v,
+    as a mask (see :func:`_free_mask`).
 
-    phi is a PartialLabeling or a dict keyed by normalized elements.
+    phi is a PartialLabeling or a dict keyed by normalized elements.  Each
+    colored neighbor bars its color, each colored incident edge the colors
+    closer than d to its own.
     """
     if v not in g:
         raise GraphError("%r is not a vertex of the graph" % (v,))
     get = _color_map(phi).get
     r = interval.d - 1
-    bad = set()
+    same = bands = 0
     for w in g.neighbors(v):
-        c = get(w)
-        if c is not None:
-            bad.add(c)
+        c = get(w, -1)
+        if c >= 0:
+            same |= 1 << c
         c = get((v, w) if v < w else (w, v))
-        if c is not None:
-            bad.update(range(c - r, c + r + 1))
-    return frozenset(interval.colors()).difference(bad)
+        if c is not None and c + r >= 0:
+            bands |= 1 << (c + r)
+    return _free_mask(same, bands, interval)
+
+
+def available_edge(g: Graph, phi: Labeling, e: tuple,
+                   interval: ColorInterval) -> frozenset[int]:
+    """The colors of :func:`available_edge_mask`, as a set."""
+    return frozenset(mask_colors(available_edge_mask(g, phi, e, interval)))
+
+
+def available_vertex(g: Graph, phi: Labeling, v: int,
+                     interval: ColorInterval) -> frozenset[int]:
+    """The colors of :func:`available_vertex_mask`, as a set."""
+    return frozenset(mask_colors(available_vertex_mask(g, phi, v, interval)))

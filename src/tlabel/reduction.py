@@ -21,10 +21,11 @@ The labeler edits one ``_WorkGraph``, a :class:`~tlabel.graphs.BaseGraph`
 like the immutable graphs, so predicates, availability and validation read
 it through the same queries.  Each reduction's undo log maps the vertices
 it touched to their neighbor lists from before it, and undoing assigns
-those lists back.  The extenders share their coloring steps,
-which take normalized keys: ``_available`` tells edges from vertices,
-``_color_least`` gives one element its smallest free color, ``_fit_pair``
-tries colors on one element until a second still has one,
+those lists back.  The extenders share their coloring steps, which take
+normalized keys: ``_available`` tells edges from vertices and returns the
+free colors as an int mask, whose least color and count are two int
+operations, ``_color_least`` gives one element its smallest free color,
+``_fit_pair`` tries colors on one element until a second still has one,
 ``_refit_face_edges`` moves a third edge out of a pinned face pair's way,
 and ``_list_color`` colors a set of edges from their lists.
 """
@@ -45,7 +46,9 @@ from .labeling import (
     Element,
     PartialLabeling,
     available_edge,
-    available_vertex,
+    available_edge_mask,
+    available_vertex_mask,
+    mask_colors,
     validate,
     working_interval,
 )
@@ -166,14 +169,25 @@ class ExtensionTrace:
 # predicate alone decides what is an occurrence; each has one field tuple.
 
 
+def _sparse_sum(M: int) -> int:
+    """The largest end-degree sum of a sparse edge under bound M."""
+    return M - 2
+
+
+def _light_sum(M: int) -> int:
+    """The largest end-degree sum of a light edge under bound M."""
+    return M + 1
+
+
 def _sparse_edge(g: Graph, M: int, u: int, v: int) -> bool:
-    return u < v and g.has_edge(u, v) and g.degree(u) + g.degree(v) <= M - 2
+    return (u < v and g.has_edge(u, v)
+            and g.degree(u) + g.degree(v) <= _sparse_sum(M))
 
 
 def _light_end(g: Graph, M: int, u: int, v: int) -> Optional[int]:
     """The low end of a light edge uv, the first end light enough, or None
     when uv is not a light edge."""
-    if not g.has_edge(u, v) or g.degree(u) + g.degree(v) > M + 1:
+    if not g.has_edge(u, v) or g.degree(u) + g.degree(v) > _light_sum(M):
         return None
     cap = (M + 2) // 4
     if g.degree(u) <= cap:
@@ -195,7 +209,7 @@ def _edges_summing_at_most(g: Graph, total: int) -> list[tuple[int, int]]:
 
 def _light_candidates(g: Graph, M: int) -> Iterator[tuple]:
     cap = (M + 2) // 4
-    for u, v in _edges_summing_at_most(g, M + 1):
+    for u, v in _edges_summing_at_most(g, _light_sum(M)):
         for low in (u, v):
             if g.degree(low) <= cap:
                 yield u, v, low
@@ -594,12 +608,17 @@ def _erase(work: dict, rec: ReductionRecord, key: Element) -> Optional[int]:
     return work.pop(key, None)
 
 
-def _available(g: Graph, work: dict, key: Element,
-               itv: ColorInterval) -> frozenset[int]:
-    """The colors free for a normalized element."""
+def _available(g: Graph, work: dict, key: Element, itv: ColorInterval) -> int:
+    """The colors free for a normalized element, as a mask: bit c is set
+    when color c is free."""
     if isinstance(key, tuple):
-        return available_edge(g, work, key, itv)
-    return available_vertex(g, work, key, itv)
+        return available_edge_mask(g, work, key, itv)
+    return available_vertex_mask(g, work, key, itv)
+
+
+def _least(mask: int) -> int:
+    """The smallest color of a nonempty mask."""
+    return (mask & -mask).bit_length() - 1
 
 
 def _color_least(g: Graph, work: dict, itv: ColorInterval,
@@ -614,8 +633,8 @@ def _color_least(g: Graph, work: dict, itv: ColorInterval,
         if held is not None:
             work[key] = held
         return False
-    c = min(avail)
-    rec.add(action, key, c, len(avail), required)
+    c = _least(avail)
+    rec.add(action, key, c, avail.bit_count(), required)
     work[key] = c
     return True
 
@@ -633,7 +652,7 @@ def _assign_free(g: Graph, work: dict, itv: ColorInterval,
 def _assign_fixed(g: Graph, work: dict, itv: ColorInterval,
                   rec: ReductionRecord, key: Element, color: int) -> None:
     """Place a color carried over from the reduced graph, verifying it."""
-    legal = 1 if color in _available(g, work, key, itv) else 0
+    legal = _available(g, work, key, itv) >> color & 1
     rec.add("transfer", key, color, legal, 1)
     if not legal:
         raise ExtensionError(
@@ -658,8 +677,8 @@ def _fit_pair(g: Graph, work: dict, itv: ColorInterval, rec: ReductionRecord,
         avail = _available(g, work, second, itv)
         if avail:
             rec.add(action, first, c, len(cands), required[0])
-            least = min(avail)
-            rec.add(action, second, least, len(avail), required[1])
+            least = _least(avail)
+            rec.add(action, second, least, avail.bit_count(), required[1])
             work[second] = least
             return True
         del work[first]
@@ -706,7 +725,7 @@ def _separate_endpoints(g: Graph, work: dict, itv: ColorInterval,
             if ek not in work:
                 continue
             old = work.pop(ek)
-            cands = sorted(available_edge(g, work, ek, itv) - {old})
+            cands = mask_colors(_available(g, work, ek, itv) & ~(1 << old))
             if _fit_pair(g, work, itv, rec, "recolor", ek, cands, a, (0, 0)):
                 return
             work[ek] = old
@@ -743,11 +762,11 @@ def _extend_deg4_low_neighbor(g: Graph, work: dict, cfg: ReducibleConfig,
     other = b if a == u else a
     M = itv.k - 2
     _erase(work, rec, u)
-    slack = available_vertex(g, work, u, itv)
-    rec.add("check", u, None, len(slack), max(2, M - 10))
+    rec.add("check", u, None, _available(g, work, u, itv).bit_count(),
+            max(2, M - 10))
     required = max(3, M - 2 - g.degree(other))
     key = edge_key(u, other)
-    cands = sorted(available_edge(g, work, key, itv))
+    cands = mask_colors(_available(g, work, key, itv))
     # some candidate leaves the center colorable because its band cannot
     # cover two spare colors three different ways
     if not _fit_pair(g, work, itv, rec, "assign", key, cands, u, (required, 1)):
@@ -784,16 +803,17 @@ def _extend_twin_low_neighbor(g: Graph, work: dict, cfg: ReducibleConfig,
     _erase(work, rec, v1)
     _erase(work, rec, v2)
     e1, e2 = edge_key(v, v1), edge_key(v, v2)
-    avail1 = available_edge(g, work, e1, itv)
-    if len(avail1) == 1 and avail1 == available_edge(g, work, e2, itv):
+    avail1 = _available(g, work, e1, itv)
+    if avail1.bit_count() == 1 and avail1 == _available(g, work, e2, itv):
         # both edges are pinned to the same color, so trade the apex
         # edge colors: the hub frees one color the second edge can take
         ka, kb = edge_key(u, v), edge_key(u, v1)
         ca, cb = work.pop(ka), work.pop(kb)
         _assign_fixed(g, work, itv, rec, ka, cb)
         _assign_fixed(g, work, itv, rec, kb, ca)
-        avail1 = available_edge(g, work, e1, itv)
-    if not _fit_pair(g, work, itv, rec, "assign", e1, sorted(avail1), e2, (1, 1)):
+        avail1 = _available(g, work, e1, itv)
+    if not _fit_pair(g, work, itv, rec, "assign", e1, mask_colors(avail1), e2,
+                     (1, 1)):
         rec.add("assign", e1, None, 0, 1)
         raise ExtensionError("hub edges cannot take distinct colors")
     _assign_free(g, work, itv, rec, v1, max(1, M + 3 - 4 * g.degree(v1)))
@@ -803,7 +823,7 @@ def _extend_twin_low_neighbor(g: Graph, work: dict, cfg: ReducibleConfig,
 def _fit_face_edges(g: Graph, work: dict, itv: ColorInterval,
                     rec: ReductionRecord, e12: tuple, e13: tuple) -> bool:
     """Color the two face edges at the low corner, e12 first."""
-    cands = sorted(available_edge(g, work, e12, itv))
+    cands = mask_colors(_available(g, work, e12, itv))
     return _fit_pair(g, work, itv, rec, "assign", e12, cands, e13, (1, 1))
 
 
@@ -815,7 +835,7 @@ def _refit_face_edges(g: Graph, work: dict, itv: ColorInterval,
     otherwise.  With count_held the step's measured slack counts the
     edge's held color among its choices."""
     held = work.pop(moved)
-    cands = sorted(available_edge(g, work, moved, itv))
+    cands = mask_colors(_available(g, work, moved, itv))
     others = [r for r in cands if r != held]
     for r in others:
         work[moved] = r
@@ -840,11 +860,9 @@ def _extend_face(g: Graph, work: dict, cfg: ReducibleConfig,
         raise ExtensionError(
             "low corner %d of a tight face cannot be recolored" % v1
         )
-    rec.add("check", e12, None,
-            len(available_edge(g, work, e12, itv)),
+    rec.add("check", e12, None, _available(g, work, e12, itv).bit_count(),
             max(0, M - g.degree(v1) - g.degree(v2)))
-    rec.add("check", e13, None,
-            len(available_edge(g, work, e13, itv)),
+    rec.add("check", e13, None, _available(g, work, e13, itv).bit_count(),
             max(0, M - g.degree(v1) - g.degree(v3)))
     if _fit_face_edges(g, work, itv, rec, e12, e13):
         return
@@ -903,12 +921,12 @@ class _Kind:
 
 _CATALOGUE = {
     SPARSE_EDGE: _Kind(
-        lambda g, M: _edges_summing_at_most(g, M - 2), _sparse_edge,
+        lambda g, M: _edges_summing_at_most(g, _sparse_sum(M)), _sparse_edge,
         lambda u, v: {"edge": (u, v)}, lambda d: d["edge"],
         _cut_edge, _extend_sparse_edge, code="C2",
         cite=lambda g, M, u, v: (
             "edge degree sum %d is at most %d"
-            % (g.degree(u) + g.degree(v), M - 2),
+            % (g.degree(u) + g.degree(v), _sparse_sum(M)),
             ((u, v),)),
     ),
     LIGHT_EDGE: _Kind(
@@ -1020,13 +1038,17 @@ class _EdgeQueue:
     The predicate must stay true on an edge for as long as the edge
     exists, so an entry goes stale only when its edge is deleted and is
     dropped when it reaches the front.  Each key is queued at most once.
+    No edge whose end degrees sum past ``bound`` meets the predicate, so
+    the queue starts from g's edges within it and is offered no other.
     """
 
-    __slots__ = ("holds", "heap", "queued")
+    __slots__ = ("holds", "bound", "heap", "queued")
 
-    def __init__(self, holds, keys):
+    def __init__(self, holds, bound: int, g: Graph):
         self.holds = holds
-        self.heap = sorted(k for k in keys if holds(k))
+        self.bound = bound
+        # g.edges() is sorted, so the list is already a heap
+        self.heap = [k for k in _edges_summing_at_most(g, bound) if holds(k)]
         self.queued = set(self.heap)
 
     def offer(self, key: tuple) -> None:
@@ -1148,10 +1170,14 @@ def _label(g: Graph, M: int,
     Sparse and light edges wait in two queues ordered by edge key: no
     reduction raises a degree, so an edge that qualifies keeps qualifying
     until it is deleted, and only the edges at vertices a reduction touched
-    are offered again.  The other kinds are scanned for only when both
-    queues are empty.  Whenever the component of a touched vertex has at
-    most BASE_ELEMENT_LIMIT elements, it is detached as a base case; so is
-    every such component of g at the start, as an event with no
+    are offered again.  Each kind bounds its edges' end-degree sum
+    (``_sparse_sum``, ``_light_sum``), so the forward loop reads each
+    touched vertex's degree and each of its edges' degree sums once and
+    offers an edge only to the queues whose bound the sum meets; the
+    queue's predicate still decides.  The other kinds are scanned for only
+    when both queues are empty.  Whenever the component of a touched vertex
+    has at most BASE_ELEMENT_LIMIT elements, it is detached as a base case;
+    so is every such component of g at the start, as an event with no
     configuration whose log saved exactly that component.  The backward
     loop then undoes the events in reverse: a base case is rebuilt from its
     log's vertices and labeled by exact search, a reduction is extended
@@ -1167,25 +1193,33 @@ def _label(g: Graph, M: int,
     trace = ExtensionTrace(M)
 
     w = _WorkGraph(g)
-    sparse = _EdgeQueue(lambda e: _sparse_edge(w, M, *e), g.edges())
+    adj = w._adj
+    sparse = _EdgeQueue(lambda e: _sparse_edge(w, M, *e), _sparse_sum(M), g)
     light = _EdgeQueue(
-        lambda e: _light_end(w, M, *e) is not None, g.edges())
+        lambda e: _light_end(w, M, *e) is not None, _light_sum(M), g)
     events: list[tuple] = []  # (configuration or None, undo log)
     for comp in g.components():
         _detach_small(w, min(comp), events)
 
-    while w._adj:
+    while adj:
         cfg = _next_config(w, M, sparse, light)
         log = _reduce(w, cfg)
         events.append((cfg, log))
         touched = sorted(log)
         for v in touched:
-            if v in w._adj and _detach_small(w, v, events):
+            if v in adj and _detach_small(w, v, events):
                 trace.splits += 1
         for v in touched:
-            for x in w._adj.get(v, ()):
-                sparse.offer(edge_key(v, x))
-                light.offer(edge_key(v, x))
+            nbrs = adj.get(v, ())
+            dv = len(nbrs)
+            for x in nbrs:
+                total = dv + len(adj[x])
+                # a sparse edge's bound lies below a light edge's
+                if total <= light.bound:
+                    key = (v, x) if v < x else (x, v)
+                    light.offer(key)
+                    if total <= sparse.bound:
+                        sparse.offer(key)
 
     work: dict = {}
     for cfg, log in reversed(events):

@@ -258,6 +258,28 @@ def test_level_nodes_count_every_span_tried():
     assert not cut.solved and cut.level_nodes == (11,) and cut.nodes == 11
 
 
+def test_budget_caps_the_whole_search():
+    # K4 at d = 2 refutes span 5 in 1,260 nodes and solves span 6 in 72
+    k4 = _make([(u, v) for u in range(4) for v in range(u + 1, 4)])
+    full = lambda_exact(k4, d=2)
+    assert full.value == 6 and full.level_nodes == (1260, 72)
+    assert lambda_exact(k4, d=2, budget=1332).level_nodes == (1260, 72)
+    # span 6 gets the 40 nodes span 5 left, and breaks them on its 41st
+    cut = lambda_exact(k4, d=2, budget=1300)
+    assert not cut.solved and cut.level_nodes == (1260, 41)
+    assert cut.nodes == 1301
+
+    # two disjoint K4s: the second gets what the first left
+    two = _make([(u + s, v + s) for s in (0, 4)
+                 for u in range(4) for v in range(u + 1, 4)])
+    assert lambda_exact(two, d=2).nodes == 2664
+    assert lambda_exact(two, d=2, budget=2664).solved
+    for budget in (1332, 2000, 2663):
+        cut = lambda_exact(two, d=2, budget=budget)
+        assert not cut.solved and cut.nodes == budget + 1
+        assert sum(cut.level_nodes) == cut.nodes
+
+
 def test_level_nodes_add_components_by_span():
     # K2, a triangle and an isolated vertex: lower bounds 2, 2 and 0 at d=1
     g = _make([(0, 1), (2, 3), (3, 4), (2, 4)], vertices=range(6))

@@ -16,7 +16,7 @@ from tlabel.families import (
     star,
     wheel,
 )
-from tlabel.graphs import GraphError
+from tlabel.graphs import GraphError, PlaneGraph
 from tlabel.io import parse_graph, serialize_graph
 
 GOLDEN_NS = (3, 4, 5, 8, 20, 60, 150, 400)
@@ -66,6 +66,13 @@ def test_random_planar_never_drops_every_edge():
         random_planar(10, 0, None, drop=1.0)
 
 
+def _without_edge(g: PlaneGraph, u: int, v: int) -> PlaneGraph:
+    """A copy of g without the edge uv, every rotation otherwise kept."""
+    rot = {x: [w for w in g.rotation(x) if {x, w} != {u, v}]
+           for x in g.vertices}
+    return PlaneGraph({x: set(order) for x, order in rot.items()}, rot)
+
+
 def _thin_by_copying(n: int, seed: int, cap: int, drop: float):
     # the definition random_planar implements: delete each drawn edge from
     # a copy of the graph unless the copy comes out disconnected
@@ -76,7 +83,7 @@ def _thin_by_copying(n: int, seed: int, cap: int, drop: float):
     for u, v in order:
         if rng.random() >= drop:
             continue
-        trimmed = g.delete_edge(u, v)
+        trimmed = _without_edge(g, u, v)
         if trimmed.is_connected():
             g = trimmed
     return g

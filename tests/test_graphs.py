@@ -149,17 +149,6 @@ def test_euler_formula_across_families():
         assert sum(face.degree for face in g.faces()) == 2 * g.m
 
 
-def test_delete_edges_keeps_rotation_order():
-    g = generate("wheel", 8)
-    h = g.delete_edges([(1, 2)])
-    assert isinstance(h, PlaneGraph)
-    assert not h.has_edge(1, 2)
-    kept = [w for w in g.rotation(1) if w != 2]
-    assert list(h.rotation(1)) == kept
-    # untouched vertices keep their rotation verbatim
-    assert h.rotation(5) == g.rotation(5)
-
-
 def test_induced():
     g = generate("wheel", 6)
     sub = g.induced(frozenset({0, 1, 2}))

@@ -17,7 +17,10 @@ from tlabel.labeling import (
     ColorInterval,
     PartialLabeling,
     available_edge,
+    available_edge_mask,
     available_vertex,
+    available_vertex_mask,
+    mask_colors,
     normalize_element,
     validate,
     working_interval,
@@ -186,6 +189,86 @@ def test_availability_is_sound_and_complete():
                     assert validate(g, _with(phi, el, c), itv) == []
                 for c in set(itv.colors()) - set(offered):
                     assert validate(g, _with(phi, el, c), itv)
+
+
+def _color_band(c: int, itv: ColorInterval) -> set:
+    """The colors of the interval closer than d to c."""
+    return {b for b in itv.colors() if abs(b - c) < itv.d}
+
+
+def _reference_free(g: Graph, phi: PartialLabeling, el,
+                    itv: ColorInterval) -> set:
+    """The colors the definition leaves el, read through phi.color."""
+    free = set(itv.colors())
+    if isinstance(el, tuple):
+        u, v = el
+        for x in (u, v):
+            for w in g.neighbors(x):
+                if {x, w} != {u, v}:
+                    free.discard(phi.color((x, w)))
+            if phi.color(x) is not None:
+                free -= _color_band(phi.color(x), itv)
+    else:
+        for w in g.neighbors(el):
+            free.discard(phi.color(w))
+            if phi.color((el, w)) is not None:
+                free -= _color_band(phi.color((el, w)), itv)
+    return free
+
+
+def test_availability_masks_match_the_definition():
+    # the labelings need not be valid; a third of the colors sit at 0 or k,
+    # so bands are clipped at both ends, and k = 3 at d = 3 is narrower
+    # than one band
+    rng = random.Random(31)
+    checked = 0
+    for d in (1, 2, 3):
+        for _ in range(12):
+            g = generate("random_planar", rng.randint(5, 14),
+                         seed=rng.randint(0, 500))
+            for k in (3, max(12, g.max_degree) + 2):
+                itv = ColorInterval(k, d)
+                phi = PartialLabeling({
+                    el: rng.choice((0, k, rng.randrange(k + 1)))
+                    for el in list(g.vertices) + list(g.edges())
+                    if rng.random() < 0.6
+                })
+                for el in list(g.vertices) + list(g.edges()):
+                    if el in phi:
+                        continue
+                    want = _reference_free(g, phi, el, itv)
+                    if isinstance(el, tuple):
+                        masks = [available_edge_mask(g, phi, e, itv)
+                                 for e in (el, el[::-1])]
+                        masks.append(available_edge_mask(
+                            g, phi.as_dict(), el, itv))
+                        assert available_edge(g, phi, el[::-1], itv) == want
+                    else:
+                        masks = [available_vertex_mask(g, p, el, itv)
+                                 for p in (phi, phi.as_dict())]
+                        assert available_vertex(g, phi, el, itv) == want
+                    for mask in masks:
+                        assert set(mask_colors(mask)) == want
+                        assert 0 <= mask < 1 << (k + 1)
+                    checked += 1
+    assert checked > 500
+
+
+def test_availability_rejects_unknown_elements():
+    g = _make_triangle()
+    phi = PartialLabeling({0: 0})
+    g4 = Graph.from_edges([(0, 1), (2, 3)])
+    calls = [
+        lambda: available_vertex_mask(g, phi, 9, ITV),
+        lambda: available_vertex(g, phi, 9, ITV),
+        lambda: available_edge_mask(g, phi, (0, 9), ITV),
+        lambda: available_edge(g, phi, (9, 0), ITV),
+        lambda: available_edge_mask(g4, phi, (1, 2), ITV),
+        lambda: available_edge(g4, phi, (2, 1), ITV),
+    ]
+    for call in calls:
+        with pytest.raises(GraphError):
+            call()
 
 
 def test_validate_rejects_foreign_elements():

@@ -1029,25 +1029,62 @@ def test_local_triangle_faces_match_face_tracing():
             f for f in traced if any(c in fives for c in f)]
 
 
-def test_queued_choice_matches_a_full_scan(monkeypatch):
-    # at every step the queues must pick what a scan of the whole working
-    # graph in kind and edge order would pick
+def _scan_checked_choices(monkeypatch) -> list:
+    """Make the labeler check each choice of its queues against a scan of
+    the whole working graph in kind and edge order, an irreducible graph
+    included; return the list the kinds chosen are appended to."""
     queued = reduction._next_config
-    calls = []
+    chosen = []
 
     def checked(w, M, sparse, light):
-        cfg = queued(w, M, sparse, light)
-        assert cfg == find_configuration(w, M)
-        calls.append(cfg.kind)
+        scanned = reduction._first_config(w, M, KIND_ORDER)
+        try:
+            cfg = queued(w, M, sparse, light)
+        except IrreducibleError:
+            assert scanned is None
+            raise
+        assert cfg == scanned
+        chosen.append(cfg.kind)
         return cfg
 
     monkeypatch.setattr(reduction, "_next_config", checked)
+    return chosen
+
+
+def test_queued_choice_matches_a_full_scan(monkeypatch):
+    # at every step the queues must pick what a scan of the whole working
+    # graph in kind and edge order would pick
+    chosen = _scan_checked_choices(monkeypatch)
     for g, M in ((generate("stacked_triangulation", 80, 4, 12), 12),
                  (generate("random_planar", 60, 5, 14), 14),
                  (disjoint_union(generate("wheel", 13), generate("wheel", 9)),
                   13)):
         label_planar(g, M)
-    assert {SPARSE_EDGE, LIGHT_EDGE} <= set(calls)
+    assert {SPARSE_EDGE, LIGHT_EDGE} <= set(chosen)
+
+
+def test_queues_miss_no_edge_on_the_acceptance_corpus(monkeypatch):
+    # an edge is offered to a queue only when its degree sum meets the
+    # queue's bound, so a queue that missed an edge would pick later than
+    # the scan on some event
+    chosen = _scan_checked_choices(monkeypatch)
+    bounds = set()
+    for _, g, bound in acceptance_corpus():
+        label_planar(g, bound)
+        bounds.add(bound)
+    assert {12, 14, 16} <= bounds
+    assert {SPARSE_EDGE, LIGHT_EDGE} <= set(chosen)
+
+
+@pytest.mark.parametrize("M", (10, 11))
+def test_queues_miss_no_edge_below_12(monkeypatch, M):
+    chosen = _scan_checked_choices(monkeypatch)
+    for family in ("stacked_triangulation", "random_planar"):
+        for n, seed in ((40, 0), (120, 1), (300, 2)):
+            reduction._label(generate(family, n, seed, M), M)
+    for family in ("wheel", "star"):
+        reduction._label(generate(family, M), M)
+    assert {SPARSE_EDGE, LIGHT_EDGE} <= set(chosen)
 
 
 def _prefer_rare_kinds(monkeypatch) -> None:
