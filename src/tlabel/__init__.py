@@ -11,7 +11,6 @@ audits graphs against the structural inventory behind the span guarantee.
 from .graphs import (
     DisconnectedError,
     EmbeddingError,
-    Face,
     Graph,
     GraphError,
     PlaneGraph,
@@ -82,7 +81,6 @@ from .reduction import (
     TraceStep,
     config_holds,
     find_configuration,
-    find_k_alternator,
     label_planar,
     reduce_config,
 )

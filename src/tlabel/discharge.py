@@ -100,7 +100,7 @@ def _initial_units(g: PlaneGraph, deg: dict) -> tuple[dict, list]:
     """Degree-minus-four charges in units: a dict over the vertices in
     deg's order, and a list over the faces."""
     return ({v: (d - 4) * UNIT for v, d in deg.items()},
-            [(face.degree - 4) * UNIT for face in g.faces()])
+            [(len(face) - 4) * UNIT for face in g.faces()])
 
 
 def _ledger(vertex_units: dict, face_units: list) -> ChargeLedger:
@@ -131,9 +131,9 @@ def classify_faces(g: PlaneGraph) -> tuple[str, ...]:
     out = []
     special = list(SPECIAL_FACE_DEGREES)
     for face in g.faces():
-        if face.degree != 3 or len(set(face.boundary)) != 3:
+        if len(face) != 3 or len(set(face)) != 3:
             out.append("big")
-        elif sorted(map(g.degree, face.boundary)) == special:
+        elif sorted(map(g.degree, face)) == special:
             out.append("special")
         else:
             out.append("normal")
@@ -255,7 +255,7 @@ def apply_rules(g: PlaneGraph, M: int) -> ChargeLedger:
         if kind == "big":
             continue
         pays = _SPECIAL_CORNER_UNITS if kind == "special" else _CORNER_UNITS
-        for v in face.boundary:
+        for v in face:
             amount = pays[capped[v]]
             vertex_units[v] -= amount
             face_units[idx] += amount

@@ -268,7 +268,7 @@ def span_lower_bound(g: Graph, d: int) -> int:
         return 0
     delta = g.max_degree
     lo = delta + d - 1
-    regular = g.min_degree == delta
+    regular = min(map(g.degree, g.vertices)) == delta
     if d >= delta or (regular and d >= 2):
         lo = max(lo, delta + d)
     return lo

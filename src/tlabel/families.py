@@ -181,8 +181,7 @@ def random_planar(n: int, seed: int = 0, max_degree: Optional[int] = None,
     order = list(g.edges())
     rng.shuffle(order)
     face_of: dict[tuple[int, int], int] = {}
-    for i, face in enumerate(g.faces()):
-        walk = face.boundary
+    for i, walk in enumerate(g.faces()):
         for j in range(len(walk)):
             face_of[walk[j - 1], walk[j]] = i
     parent = list(range(len(g.faces())))

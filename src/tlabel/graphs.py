@@ -4,7 +4,10 @@ A plane embedding is carried as a rotation system: the cyclic order of the
 neighbors around each vertex.  Faces are not input; they are derived by
 tracing dart orbits and validated against Euler's formula, component by
 component, so a rotation system that does not describe a plane embedding
-is always caught at trace time rather than silently accepted.
+is always caught at trace time rather than silently accepted.  A face is
+its boundary walk, a plain tuple of vertices.  A connected plane graph
+keeps its trace, so the labeler's planarity gate and the auditor share one
+trace of the same graph object.
 
 The read queries live once, in :class:`BaseGraph`; the immutable graphs
 here and the labeler's mutable working graph all answer through it.
@@ -12,7 +15,6 @@ here and the labeler's mutable working graph all answer through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
@@ -152,10 +154,6 @@ class Graph(BaseGraph):
     def max_degree(self) -> int:
         return max((len(ns) for ns in self._adj.values()), default=0)
 
-    @property
-    def min_degree(self) -> int:
-        return min((len(ns) for ns in self._adj.values()), default=0)
-
     # -- connectivity ------------------------------------------------------
 
     def components(self) -> list[frozenset[int]]:
@@ -187,26 +185,6 @@ class Graph(BaseGraph):
 
     def __repr__(self) -> str:
         return "Graph(n=%d, m=%d)" % (self.n, self.m)
-
-
-@dataclass(frozen=True)
-class Face:
-    """A face boundary walk, one entry per dart on the boundary.
-
-    The walk lists the tail of every dart in traversal order, so its length
-    equals the face degree.  A cut edge contributes both of its darts to the
-    same face and is therefore counted twice, e.g. the single face of the
-    path a-b-c has boundary (a, b, c, b) and degree 4.
-    """
-
-    boundary: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.boundary)
-
-    def __repr__(self) -> str:
-        return "Face%r" % (self.boundary,)
 
 
 class PlaneGraph(Graph):
@@ -244,11 +222,7 @@ class PlaneGraph(Graph):
         self._rot = rot
         self._faces = None
 
-    @classmethod
-    def from_edges_rotation(cls, edges, rotation, vertices=()) -> "PlaneGraph":
-        return cls(_edge_adjacency(edges, vertices), rotation)
-
-    def faces(self) -> tuple[Face, ...]:
+    def faces(self) -> tuple[tuple[int, ...], ...]:
         if self._faces is None:
             self._faces = trace_faces(self)
         return self._faces
@@ -267,14 +241,19 @@ class PlaneGraph(Graph):
         return hash((super().__hash__(), tuple(sorted(self._rot.items()))))
 
 
-def trace_faces(g: PlaneGraph) -> tuple[Face, ...]:
+def trace_faces(g: PlaneGraph) -> tuple[tuple[int, ...], ...]:
     """Partition the darts of ``g`` into face boundary walks.
+
+    A face is the tuple of the tails of its darts in traversal order, one
+    entry per dart, so its length is the face degree.  A cut edge puts both
+    of its darts on the same face and is therefore counted twice, e.g. the
+    single face of the path a-b-c is (a, b, c, b), of degree 4.
 
     The dart (u, v) is followed on its face by (v, w), w the neighbor after
     u in the rotation at v.  One map sends each dart (u, v) to that w, and a
     walk pops the darts it visits; walks start in sorted dart order, so the
-    faces come in the order of their least darts, after one face with an
-    empty walk for each isolated vertex.  Every component is traced.  Each
+    faces come in the order of their least darts, after one empty face
+    ``()`` for each isolated vertex.  Every component is traced.  Each
     component has V - E + F <= 2, with equality exactly when its rotations
     are plane, so g is plane exactly when the sum is 2 per component;
     otherwise, and for the empty graph, EmbeddingError is raised.  Only
@@ -287,7 +266,7 @@ def trace_faces(g: PlaneGraph) -> tuple[Face, ...]:
     for v, order in g._rot.items():
         nxt.update(zip(zip(order, repeat(v)), order[1:] + order[:1]))
 
-    faces: list[Face] = [Face(()) for c in comps if len(c) == 1]
+    faces: list[tuple[int, ...]] = [() for c in comps if len(c) == 1]
     for u in sorted(g._rot):  # walks start in sorted dart order
         for v in sorted(g._rot[u]):
             w = nxt.pop((u, v), None)
@@ -298,7 +277,7 @@ def trace_faces(g: PlaneGraph) -> tuple[Face, ...]:
             while a != u or b != v:  # until back at the dart (u, v)
                 walk.append(a)
                 a, b = b, nxt.pop((a, b))
-            faces.append(Face(tuple(walk)))
+            faces.append(tuple(walk))
 
     euler = g.n - g.m + len(faces)
     plane = 2 * max(len(comps), 1)  # the empty graph is not plane

@@ -30,7 +30,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Union
 
-from .graphs import Graph, PlaneGraph, edge_key
+from .graphs import Graph, PlaneGraph, _edge_adjacency, edge_key
 from .labeling import PartialLabeling
 
 
@@ -93,7 +93,7 @@ def parse_graph(text: str) -> Union[Graph, PlaneGraph]:
         return Graph.from_edges(edges, vertices=range(n))
     for v in range(n):  # a vertex of degree zero may omit its rotation line
         rotations.setdefault(v, [])
-    return PlaneGraph.from_edges_rotation(edges, rotations, vertices=range(n))
+    return PlaneGraph(_edge_adjacency(edges, range(n)), rotations)
 
 
 def serialize_graph(g: Graph) -> str:

@@ -412,8 +412,14 @@ def _alternator(g: Graph, M: int, k: int, low_side: tuple,
 
 
 def _peel(g: Graph, M: int, k: int) -> Optional[tuple]:
-    """The alternator fields for budget k, peeled as
-    :func:`find_k_alternator` describes, or None when nothing survives."""
+    """The alternator fields (k, low side, high side, cross edges) for one
+    fixed list budget k, or None when nothing survives.
+
+    The low side holds independent vertices of degree at most k whose every
+    neighbor survives on the high side; a high vertex survives only while
+    it keeps at least deg(y) + k - M low neighbors.  Peeling runs to a
+    fixed point, so membership is order-independent.
+    """
     low: set[int] = set()
     for x in g.vertices:
         if g.degree(x) <= k and not (g.neighbors(x) & low):
@@ -443,20 +449,6 @@ def _alternator_candidates(g: Graph, M: int) -> Iterator[tuple]:
 
 def _alternator_data(k: int, low: tuple, high: tuple, cross: tuple) -> dict:
     return {"k": k, "low_side": low, "high_side": high, "edges": cross}
-
-
-def find_k_alternator(g: Graph, M: int, k: int) -> Optional[ReducibleConfig]:
-    """A bipartite peeling structure for one fixed list budget k.
-
-    The low side holds independent vertices of degree at most k whose every
-    neighbor survives on the high side; a high vertex survives only while
-    it keeps at least deg(y) + k - M low neighbors.  Peeling runs to a
-    fixed point, so membership is order-independent.
-    """
-    fields = _peel(g, M, k)
-    if fields is None:
-        return None
-    return ReducibleConfig(ALTERNATOR, _alternator_data(*fields))
 
 
 def _has_rotation(g: BaseGraph) -> bool:
@@ -1140,22 +1132,18 @@ def label_planar(g: PlaneGraph, M: Optional[int] = None,
     M defaults to max(12, max degree).  The graph need not be connected.
     This is the theorem's gate: g must be a plane graph, and M at least 12
     and at least its maximum degree (GraphError, ValueError otherwise).
-    The labeling, and deep_check, are the engine's, ``_label``.
-
-    A rotation system that is not plane is bad input too, but it is looked
-    for only when the engine fails: then g's faces are traced, which raises
-    EmbeddingError for such a system, connected or not, and otherwise the
-    engine's IrreducibleError or ExtensionError is raised unchanged.
+    Planarity is checked before labeling, by tracing g's faces, which
+    raises EmbeddingError for a rotation system that is not plane,
+    connected or not.  A connected g keeps its trace, so labeling or
+    auditing the same graph object again does not trace it twice.  The
+    labeling, and deep_check, are the engine's, ``_label``.
     """
     if not isinstance(g, PlaneGraph):
         raise GraphError("a plane graph with a rotation system is required")
     M = degree_bound(M, g.max_degree)
-    try:
-        return _label(g, M, deep_check)
-    except (IrreducibleError, ExtensionError):
-        with suppress(DisconnectedError):  # plane, only not connected
-            g.faces()
-        raise
+    with suppress(DisconnectedError):  # plane, only not connected
+        g.faces()
+    return _label(g, M, deep_check)
 
 
 def _label(g: Graph, M: int,

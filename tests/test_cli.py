@@ -186,13 +186,20 @@ def _k7_beside_a_vertex():
     return with_isolated_vertex(toroidal_k7())
 
 
+def _k33_beside_a_vertex():
+    return with_isolated_vertex(one_face_k33())
+
+
 @pytest.mark.parametrize("make, command", [
     (toroidal_k7, ["label", "--bound", "12"]),
     (toroidal_k7, ["audit"]),
+    (one_face_k33, ["label", "--bound", "12"]),
     (one_face_k33, ["audit"]),
     (_k7_beside_a_vertex, ["label", "--bound", "12"]),
     (_k7_beside_a_vertex, ["audit"]),
-], ids=["label-k7", "audit-k7", "audit-k33", "label-k7+k1", "audit-k7+k1"])
+    (_k33_beside_a_vertex, ["label", "--bound", "12"]),
+], ids=["label-k7", "audit-k7", "label-k33", "audit-k33", "label-k7+k1",
+        "audit-k7+k1", "label-k33+k1"])
 def test_nonplane_rotation_system_is_bad_input(tmp_path, capsys, make,
                                                command):
     graph = tmp_path / "g.gr"

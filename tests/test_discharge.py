@@ -320,7 +320,7 @@ def test_scan_twins_on_a_triangle_that_is_not_a_face():
     # the twin extension trades colors along the triangle's edges only, so
     # the scan reports twins whose apex triangle separates the plane
     g = separated_twin_instance()
-    assert not [f for f in g.faces() if set(f.boundary) == {0, 1, 2}]
+    assert not [f for f in g.faces() if set(f) == {0, 1, 2}]
     hits = [v for v in scan_structure(g, 12) if v.code == "C6d"]
     assert [v.elements for v in hits] == [(0, 1, 3, 2)]
 

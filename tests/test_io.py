@@ -171,7 +171,7 @@ def _outcome(build) -> str:
     out = serialize_graph(g)
     if isinstance(g, PlaneGraph):
         try:
-            out += repr([f.boundary for f in trace_faces(g)])
+            out += repr(list(trace_faces(g)))
         except GraphError as exc:
             out += _error(exc)
     return out

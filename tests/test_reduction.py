@@ -57,7 +57,6 @@ from tlabel.reduction import (
     _triangle_faces,
     config_holds,
     find_configuration,
-    find_k_alternator,
     label_planar,
     reduce_config,
 )
@@ -80,6 +79,13 @@ def _make_star(leaves: int) -> Graph:
 def _find(g: Graph, kind: str, M: int = 12):
     """The first occurrence of one kind, as the labeler's scan finds it."""
     return reduction._first_config(g, M, (kind,))
+
+
+def _alternator(g: Graph) -> ReducibleConfig:
+    """The alternator that peeling leaves at bound 12 and budget 3."""
+    fields = reduction._peel(g, 12, 3)
+    assert fields is not None
+    return ReducibleConfig(ALTERNATOR, reduction._alternator_data(*fields))
 
 
 def _run_extension(g: Graph, cfg: ReducibleConfig, work: dict) -> ReductionRecord:
@@ -202,7 +208,7 @@ def test_face_567_finder():
 
 def test_alternator_admission():
     star = Graph.from_edges([(0, 1), (0, 2), (0, 3)])
-    cfg = find_k_alternator(star, 12, 3)
+    cfg = _alternator(star)
     assert cfg.kind == ALTERNATOR
     assert cfg["k"] == 3
     assert cfg["low_side"] == (0,)
@@ -223,7 +229,7 @@ def test_alternator_peels_starved_high_vertex():
             edges.append((pad, leaf))
             leaves.append(leaf)
     g = Graph.from_edges(edges)
-    cfg = find_k_alternator(g, 12, 3)
+    cfg = _alternator(g)
     assert cfg is not None
     assert 0 not in cfg["low_side"]
     assert set(cfg["low_side"]) == set(leaves)
@@ -231,7 +237,7 @@ def test_alternator_peels_starved_high_vertex():
 
 
 def test_alternator_none_without_low_vertices():
-    assert find_k_alternator(_make_k7(), 12, 3) is None
+    assert reduction._peel(_make_k7(), 12, 3) is None
 
 
 def test_find_configuration_priority():
@@ -267,7 +273,7 @@ def test_config_holds_rejects_mismatches():
         Graph.from_edges(itertools.combinations(range(4), 2)), 12, twin
     )
     star = Graph.from_edges([(0, 1), (0, 2), (0, 3)])
-    good = find_k_alternator(star, 12, 3)
+    good = _alternator(star)
     bad = ReducibleConfig(
         ALTERNATOR,
         {**dict(good.data), "low_side": (0, 1)},
@@ -294,7 +300,7 @@ def test_config_holds_requires_the_data_the_finder_builds():
         g, 12, ReducibleConfig(LIGHT_EDGE, {"low": 0, "edge": (0, 1)}))
     # the alternator's edges are its cross edges, which its extension colors
     claw = Graph.from_edges([(0, 1), (0, 2), (0, 3)])
-    alt = find_k_alternator(claw, 12, 3)
+    alt = _alternator(claw)
     short = {**dict(alt.data), "edges": alt["edges"][:-1]}
     assert not config_holds(claw, 12, ReducibleConfig(ALTERNATOR, short))
     # face kinds need rotations; an unknown kind never holds
@@ -343,7 +349,7 @@ def test_reduce_shapes():
     assert child.has_edge(1, 2)
 
     star = Graph.from_edges([(0, 1), (0, 2), (0, 3)])
-    child = reduce_config(star, find_k_alternator(star, 12, 3))
+    child = reduce_config(star, _alternator(star))
     assert (child.n, child.m) == (3, 0)
 
 
@@ -538,7 +544,7 @@ def test_alternator_roundtrip():
     g = Graph.from_edges(
         [(10, 0), (10, 1), (10, 2), (11, 0), (11, 1), (11, 2), (0, 1), (1, 2)]
     )
-    cfg = find_k_alternator(g, 12, 3)
+    cfg = _alternator(g)
     assert set(cfg["low_side"]) == {0, 2}
     rec = _roundtrip(g, cfg)
     actions = [s.action for s in rec.steps]
@@ -550,7 +556,7 @@ def test_alternator_with_1200_cross_edges_extends():
     # 100 disjoint 12-leaf stars: one list coloring of 1,200 cross edges
     g = Graph.from_edges(
         (13 * s, 13 * s + i) for s in range(100) for i in range(1, 13))
-    cfg = find_k_alternator(g, 12, 3)
+    cfg = _alternator(g)
     assert len(cfg["edges"]) == 1200
     rec = _roundtrip(g, cfg)
     assert [s.action for s in rec.steps].count("list") == 1200
@@ -824,23 +830,45 @@ def test_engine_reports_the_irreducible_residue_below_12():
     assert validate(t, lab, ITV) == []
 
 
-def test_label_planar_blames_a_nonplane_rotation_system_on_failure(
+def test_label_planar_rejects_a_nonplane_rotation_system_before_labeling(
         monkeypatch):
-    # K7 on the torus has no reducible structure at 12; tracing its faces
-    # after the engine fails shows the input is not plane
+    # K7 on the torus has no reducible structure at 12
     with pytest.raises(EmbeddingError):
         label_planar(toroidal_k7(), 12)
-    # a labeling that succeeds traces no face, even on non-plane input
+    # every edge of K3,3 is sparse, so the engine would label it; the gate
+    # rejects its one-face rotation system before the engine runs
+    ran = []
+    monkeypatch.setattr(reduction, "_label", lambda *args: ran.append(args))
+    with pytest.raises(EmbeddingError, match="not planar"):
+        label_planar(one_face_k33(), 12)
+    assert ran == []
+
+
+def test_label_planar_traces_a_graph_once(monkeypatch):
+    # the gate reads the trace that PlaneGraph.faces() keeps, so labeling
+    # one graph object twice, or auditing it after labeling, traces it once
     traced = []
-    monkeypatch.setattr("tlabel.graphs.trace_faces", traced.append)
-    k33 = one_face_k33()
-    lab, _ = label_planar(k33, 12)
-    assert traced == [] and validate(k33, lab, ITV) == []
+
+    def counting(g):
+        traced.append(g)
+        return trace_faces(g)
+
+    monkeypatch.setattr("tlabel.graphs.trace_faces", counting)
+    g = generate("stacked_triangulation", 60, 1, 12)
+    first, _ = label_planar(g, 12)
+    second, _ = label_planar(g, 12)
+    discharge.audit(g, 12)
+    assert traced == [g] and first == second
+    # a plane graph that is not connected passes the gate and labels as it
+    # did before the gate
+    wheels = disjoint_union(generate("wheel", 13), generate("wheel", 9))
+    assert _digest(wheels, 13) == WHEELS_13_9_DIGEST
+    assert traced == [g, wheels]
 
 
 def test_label_planar_blames_a_nonplane_component_beside_others():
-    # the engine finds nothing to reduce in K7 at 12, and tracing the faces
-    # of the whole graph blames the rotation system, not the lone vertex
+    # tracing the faces of the whole graph blames the rotation system, not
+    # the lone vertex
     with pytest.raises(EmbeddingError, match="not planar"):
         label_planar(with_isolated_vertex(toroidal_k7()), 12)
 
@@ -931,8 +959,8 @@ def _undo_cases():
         (twin, _find(twin, TWIN_LOW_NEIGHBOR)),
         (tri, _find(tri, FACE_566)),
         (mate, _find(mate, FACE_567)),
-        (claw, find_k_alternator(claw, 12, 3)),
-        (plane_claw, find_k_alternator(plane_claw, 12, 3)),
+        (claw, _alternator(claw)),
+        (plane_claw, _alternator(plane_claw)),
     ]
 
 
@@ -1019,8 +1047,8 @@ def test_validate_reads_the_current_working_graph():
 def test_local_triangle_faces_match_face_tracing():
     for g in face_sample():
         traced = [
-            f.boundary for f in trace_faces(g)
-            if f.degree == 3 and len(set(f.boundary)) == 3
+            f for f in trace_faces(g)
+            if len(f) == 3 and len(set(f)) == 3
         ]
         assert _triangle_faces(g, g.vertices) == traced
         assert _triangle_faces(_WorkGraph(g), g.vertices) == traced
