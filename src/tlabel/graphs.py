@@ -5,9 +5,10 @@ neighbors around each vertex.  Faces are not input; they are derived by
 tracing dart orbits and validated against Euler's formula, component by
 component, so a rotation system that does not describe a plane embedding
 is always caught at trace time rather than silently accepted.  A face is
-its boundary walk, a plain tuple of vertices.  A connected plane graph
-keeps its trace, so the labeler's planarity gate and the auditor share one
-trace of the same graph object.
+its boundary walk, a plain tuple of vertices.  A plane graph keeps its
+trace, or that the trace found it disconnected, and the components the
+trace searched for, so the labeler's planarity gate, the labeler and the
+auditor share one trace and one component search of a graph object.
 
 The read queries live once, in :class:`BaseGraph`; the immutable graphs
 here and the labeler's mutable working graph all answer through it.
@@ -197,7 +198,7 @@ class PlaneGraph(Graph):
     first time :meth:`faces` is asked for.
     """
 
-    __slots__ = ("_faces",)
+    __slots__ = ("_faces", "_comps")
 
     def __init__(self, adjacency, rotation: Mapping[int, Sequence[int]]):
         super().__init__(adjacency)
@@ -221,10 +222,26 @@ class PlaneGraph(Graph):
                     raise GraphError("rotation for unknown vertex %r" % (v,))
         self._rot = rot
         self._faces = None
+        self._comps = None
+
+    def components(self) -> list[frozenset[int]]:
+        """:meth:`Graph.components`, searched once per graph and kept, so
+        the face trace's search also serves the labeler."""
+        if self._comps is None:
+            self._comps = tuple(super().components())
+        return list(self._comps)
 
     def faces(self) -> tuple[tuple[int, ...], ...]:
+        """The faces of :func:`trace_faces`, traced once per graph.  A
+        plane graph with several components raises DisconnectedError on
+        every call, from its one trace."""
         if self._faces is None:
-            self._faces = trace_faces(self)
+            try:
+                self._faces = trace_faces(self)
+            except DisconnectedError:
+                self._faces = ()  # plane; a traced plane graph has a face
+        if not self._faces:
+            raise DisconnectedError(self._comps)
         return self._faces
 
     def __repr__(self) -> str:

@@ -84,7 +84,13 @@ def _in_order(elements: Collection[Element]) -> list[Element]:
 
 
 class PartialLabeling:
-    """An immutable element -> color mapping, possibly covering nothing."""
+    """An immutable element -> color mapping, possibly covering nothing.
+
+    The constructor copies its assignment and normalizes its keys.
+    ``_adopt`` instead takes a dict as it is, uncopied: the labeler hands
+    over its working dict this way, whose keys are already normalized and
+    whose colors are ints, and keeps no reference to it.
+    """
 
     __slots__ = ("_map",)
 
@@ -94,6 +100,14 @@ class PartialLabeling:
             (el[1], el[0]) if isinstance(el, tuple) and el[0] > el[1] else el: int(c)
             for el, c in (assignment or {}).items()
         }
+
+    @classmethod
+    def _adopt(cls, assignment: dict) -> "PartialLabeling":
+        """A labeling whose map is assignment itself, which must be keyed
+        by normalized elements, hold int colors and not change again."""
+        out = cls.__new__(cls)
+        out._map = assignment
+        return out
 
     def color(self, element: Element) -> Optional[int]:
         return self._map.get(normalize_element(element))

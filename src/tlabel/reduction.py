@@ -63,10 +63,14 @@ FACE_566 = "face_566"
 FACE_567 = "face_567"
 ALTERNATOR = "alternator"
 
-# A connected graph this small has maximum degree at most 5, so separate
-# vertex and edge colorings spread d-1 apart fit inside any working
-# interval with M >= 12; the exact searcher is then guaranteed to succeed.
+# A connected graph of at most this many vertices and edges is a base case.
 BASE_ELEMENT_LIMIT = 12
+
+# A vertex of degree d lies in a component of at least d + 1 vertices and
+# d edges, so no base case has a vertex of higher degree than this, 5.
+# Separate vertex and edge colorings spread d-1 apart then fit inside any
+# working interval with M >= 12, so the exact searcher is sure to succeed.
+_BASE_MAX_DEGREE = (BASE_ELEMENT_LIMIT - 1) // 2
 
 
 class IrreducibleError(RuntimeError):
@@ -201,10 +205,12 @@ def _light_edge(g: Graph, M: int, u: int, v: int, low: int) -> bool:
     return u < v and low == _light_end(g, M, u, v)
 
 
-def _edges_summing_at_most(g: Graph, total: int) -> list[tuple[int, int]]:
-    """The edges of g, in order, whose end degrees sum to at most total."""
-    deg = {v: g.degree(v) for v in g.vertices}
-    return [(u, v) for u, v in g.edges() if deg[u] + deg[v] <= total]
+def _edges_summing_at_most(g: BaseGraph, total: int) -> list[tuple[int, int]]:
+    """The edges of g, in order, whose end degrees sum to at most total;
+    one pass over the adjacency, and only those edges are sorted."""
+    adj = g._adj
+    return sorted([(u, v) for u, ns in adj.items() if len(ns) < total
+                   for v in ns if u < v and len(ns) + len(adj[v]) <= total])
 
 
 def _light_candidates(g: Graph, M: int) -> Iterator[tuple]:
@@ -1031,16 +1037,17 @@ class _EdgeQueue:
     exists, so an entry goes stale only when its edge is deleted and is
     dropped when it reaches the front.  Each key is queued at most once.
     No edge whose end degrees sum past ``bound`` meets the predicate, so
-    the queue starts from g's edges within it and is offered no other.
+    the queue starts from the sorted ``edges`` that meet it, a list that
+    must hold every edge within the bound, and is offered no other.
     """
 
     __slots__ = ("holds", "bound", "heap", "queued")
 
-    def __init__(self, holds, bound: int, g: Graph):
+    def __init__(self, holds, bound: int, edges: list[tuple[int, int]]):
         self.holds = holds
         self.bound = bound
-        # g.edges() is sorted, so the list is already a heap
-        self.heap = [k for k in _edges_summing_at_most(g, bound) if holds(k)]
+        # edges is sorted, so the list is already a heap
+        self.heap = [k for k in edges if holds(k)]
         self.queued = set(self.heap)
 
     def offer(self, key: tuple) -> None:
@@ -1059,17 +1066,23 @@ class _EdgeQueue:
 
 def _small_component(w: _WorkGraph, start: int) -> Optional[set[int]]:
     """The component of start when it has at most BASE_ELEMENT_LIMIT
-    vertices and edges, found by a search that gives up past the limit."""
+    vertices and edges, found by a search that gives up past the limit,
+    or at once on a vertex of degree above ``_BASE_MAX_DEGREE``."""
+    adj = w._adj
+    if len(adj[start]) > _BASE_MAX_DEGREE:
+        return None
     seen = {start}
     stack = [start]
     budget = 2 * BASE_ELEMENT_LIMIT  # each vertex costs 2, each edge 1 per end
     while stack:
-        v = stack.pop()
-        budget -= 2 + len(w._adj[v])
+        nbrs = adj[stack.pop()]
+        budget -= 2 + len(nbrs)
         if budget < 0:
             return None
-        for x in w._adj[v]:
+        for x in nbrs:
             if x not in seen:
+                if len(adj[x]) > _BASE_MAX_DEGREE:
+                    return None
                 seen.add(x)
                 stack.append(x)
     return seen
@@ -1085,6 +1098,40 @@ def _detach_small(w: _WorkGraph, start: int, events: list) -> bool:
         w.detach(v, log)
     events.append((None, log))
     return True
+
+
+def _base_labeling(w: _WorkGraph, comp, itv: ColorInterval,
+                   memo: dict) -> dict:
+    """find_labeling's witness on the component comp of w, as a dict.
+
+    An isolated vertex gets 0, its witness.  Any other component is looked
+    up in memo, which maps its order-preserving relabeling (the sorted ids
+    to 0..n-1, and its sorted relabeled edges) to the witness's (element,
+    color) pairs on the relabeled graph, in the witness's order.  The
+    search orders elements by degrees and id order alone, so a component
+    with the same relabeling gets the same witness, mapped back; memo must
+    hold witnesses in itv only.
+    """
+    ids = sorted(comp)
+    if len(ids) == 1:
+        return {ids[0]: 0}
+    adj = w._adj
+    index = {v: i for i, v in enumerate(ids)}
+    key = (len(ids), tuple(sorted(
+        [(index[u], index[x]) for u in ids for x in adj[u] if u < x])))
+    pairs = memo.get(key)
+    if pairs is None:
+        phi, _ = find_labeling(w.induced(ids), itv)
+        if phi is None:
+            raise ExtensionError(
+                "a base graph with %d elements has no labeling in a "
+                "%d-color interval" % (len(ids) + len(key[1]), itv.size))
+        pairs = memo[key] = tuple(
+            ((index[el[0]], index[el[1]]) if isinstance(el, tuple)
+             else index[el], c)
+            for el, c in phi.as_dict().items())
+    return {((ids[el[0]], ids[el[1]]) if isinstance(el, tuple) else ids[el]): c
+            for el, c in pairs}
 
 
 def _require_valid(g: Graph, work: dict, itv: ColorInterval,
@@ -1134,9 +1181,11 @@ def label_planar(g: PlaneGraph, M: Optional[int] = None,
     and at least its maximum degree (GraphError, ValueError otherwise).
     Planarity is checked before labeling, by tracing g's faces, which
     raises EmbeddingError for a rotation system that is not plane,
-    connected or not.  A connected g keeps its trace, so labeling or
-    auditing the same graph object again does not trace it twice.  The
-    labeling, and deep_check, are the engine's, ``_label``.
+    connected or not.  g keeps its trace, or that the trace found it
+    disconnected, and the components the trace searched for, which the
+    engine reads; so a fresh graph costs one trace and one component
+    search, and labeling or auditing the same graph object again costs
+    neither.  The labeling, and deep_check, are the engine's, ``_label``.
     """
     if not isinstance(g, PlaneGraph):
         raise GraphError("a plane graph with a rotation system is required")
@@ -1159,17 +1208,25 @@ def _label(g: Graph, M: int,
     reduction raises a degree, so an edge that qualifies keeps qualifying
     until it is deleted, and only the edges at vertices a reduction touched
     are offered again.  Each kind bounds its edges' end-degree sum
-    (``_sparse_sum``, ``_light_sum``), so the forward loop reads each
+    (``_sparse_sum``, ``_light_sum``); both queues start from one scan of
+    g's edges within the larger bound, and the forward loop reads each
     touched vertex's degree and each of its edges' degree sums once and
     offers an edge only to the queues whose bound the sum meets; the
     queue's predicate still decides.  The other kinds are scanned for only
     when both queues are empty.  Whenever the component of a touched vertex
     has at most BASE_ELEMENT_LIMIT elements, it is detached as a base case;
-    so is every such component of g at the start, as an event with no
-    configuration whose log saved exactly that component.  The backward
-    loop then undoes the events in reverse: a base case is rebuilt from its
-    log's vertices and labeled by exact search, a reduction is extended
-    across on the restored graph.
+    so is every such component of g at the start (g's components, which a
+    plane graph keeps from its face trace), as an event with no
+    configuration whose log saved exactly that component.  The search for
+    a small component stops at the first vertex whose degree no base case
+    can hold (``_BASE_MAX_DEGREE``), so most searches end at once.  The
+    backward loop then pops the events in reverse, so each log is freed
+    once undone: a base case is rebuilt from its log's vertices and given
+    exact search's witness, through a memo of witnesses by shape local to
+    this call (``_base_labeling``), a reduction is extended across on the
+    restored graph.  The working graph is then freed, and the working dict
+    becomes the result uncopied, once validation has found every key an
+    element of g and the count of keys shows that it covers g.
 
     The trace counts the base cases in ``base_cases``; ``splits`` counts
     those among them that a reduction cut loose, which excludes the small
@@ -1182,9 +1239,12 @@ def _label(g: Graph, M: int,
 
     w = _WorkGraph(g)
     adj = w._adj
-    sparse = _EdgeQueue(lambda e: _sparse_edge(w, M, *e), _sparse_sum(M), g)
+    # a sparse edge's bound lies below a light edge's, so one scan serves both
+    near = _edges_summing_at_most(g, _light_sum(M))
+    sparse = _EdgeQueue(lambda e: _sparse_edge(w, M, *e), _sparse_sum(M), near)
     light = _EdgeQueue(
-        lambda e: _light_end(w, M, *e) is not None, _light_sum(M), g)
+        lambda e: _light_end(w, M, *e) is not None, _light_sum(M), near)
+    del near
     events: list[tuple] = []  # (configuration or None, undo log)
     for comp in g.components():
         _detach_small(w, min(comp), events)
@@ -1210,17 +1270,12 @@ def _label(g: Graph, M: int,
                         sparse.offer(key)
 
     work: dict = {}
-    for cfg, log in reversed(events):
+    memo: dict = {}  # base-case witnesses by shape, see _base_labeling
+    while events:
+        cfg, log = events.pop()
         w.undo(log)
         if cfg is None:
-            base = w.induced(log)
-            phi, _ = find_labeling(base, itv)
-            if phi is None:
-                raise ExtensionError(
-                    "a base graph with %d elements has no labeling in a "
-                    "%d-color interval" % (base.n + base.m, itv.size)
-                )
-            work.update(phi.as_dict())
+            work.update(_base_labeling(w, log, itv, memo))
             trace.base_cases += 1
         else:
             rec = ReductionRecord(cfg.kind, dict(cfg.data))
@@ -1229,8 +1284,11 @@ def _label(g: Graph, M: int,
         if deep_check:
             _require_valid(w, work, itv, "intermediate")
 
-    out = PartialLabeling(work)
-    if not out.is_total(g):
-        raise ExtensionError("extension finished without covering the graph")
+    # free the working graph before the final validation, the run's peak;
+    # validation rejects a key that is not an element of g, so counting
+    # the keys is the totality check
+    del w, adj, sparse, light
     _require_valid(g, work, itv, "final")
-    return out, trace
+    if len(work) != g.n + g.m:
+        raise ExtensionError("extension finished without covering the graph")
+    return PartialLabeling._adopt(work), trace

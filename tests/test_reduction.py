@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -29,6 +31,7 @@ from tlabel import discharge, reduction
 from tlabel.exact import find_labeling
 from tlabel.families import generate
 from tlabel.graphs import (
+    DisconnectedError,
     EmbeddingError,
     Graph,
     GraphError,
@@ -39,6 +42,7 @@ from tlabel.io import serialize_labeling
 from tlabel.labeling import PartialLabeling, validate, working_interval
 from tlabel.reduction import (
     ALTERNATOR,
+    BASE_ELEMENT_LIMIT,
     DEG4_LOW_NEIGHBOR,
     FACE_566,
     FACE_567,
@@ -846,7 +850,8 @@ def test_label_planar_rejects_a_nonplane_rotation_system_before_labeling(
 
 def test_label_planar_traces_a_graph_once(monkeypatch):
     # the gate reads the trace that PlaneGraph.faces() keeps, so labeling
-    # one graph object twice, or auditing it after labeling, traces it once
+    # one graph object twice, or auditing it after labeling, traces it once;
+    # a plane graph that is not connected keeps that outcome too
     traced = []
 
     def counting(g):
@@ -863,7 +868,35 @@ def test_label_planar_traces_a_graph_once(monkeypatch):
     # did before the gate
     wheels = disjoint_union(generate("wheel", 13), generate("wheel", 9))
     assert _digest(wheels, 13) == WHEELS_13_9_DIGEST
+    assert _digest(wheels, 13) == WHEELS_13_9_DIGEST
+    for _ in range(2):
+        with pytest.raises(DisconnectedError) as info:
+            wheels.faces()
+        assert info.value.components == tuple(wheels.components())
     assert traced == [g, wheels]
+
+
+def test_label_planar_searches_for_components_once(monkeypatch):
+    # the gate's face trace finds the components and the graph keeps them,
+    # so the labeler, a second labeling and an audit search no more
+    searched = []
+    components = Graph.components
+
+    def counting(self):
+        searched.append(self)
+        return components(self)
+
+    g = generate("stacked_triangulation", 200, 1, 12)
+    wheels = with_isolated_vertex(generate("wheel", 13))
+    monkeypatch.setattr(Graph, "components", counting)
+    label_planar(g, 12)
+    assert searched == [g]
+    label_planar(g, 12)
+    discharge.audit(g, 12)
+    lab, trace = label_planar(wheels, 13)
+    assert searched == [g, wheels]
+    assert validate(wheels, lab, working_interval(13)) == []
+    assert trace.base_cases == trace.splits + 1
 
 
 def test_label_planar_blames_a_nonplane_component_beside_others():
@@ -985,38 +1018,90 @@ def _state(w: _WorkGraph) -> tuple:
     return {v: set(ns) for v, ns in w._adj.items()}, rot
 
 
-def test_undo_restores_every_state_of_a_chain_of_events():
-    # reduce to empty, rare kinds first, detaching a small component when
-    # nothing is found; undoing in reverse must pass back through every
-    # state the forward pass saw, rotation slots included
+@functools.lru_cache(maxsize=None)
+def _chain_corpus() -> tuple:
+    return ((generate("stacked_triangulation", 200, 0, 12), 12),
+            (generate("stacked_triangulation", 300, 0, 10), 10),
+            (generate("random_planar", 200, 0, 14), 14),
+            (generate("random_planar", 300, 0, 9), 9),
+            (geodesic_sphere(), 12))
+
+
+def _chain_of_events(g: Graph, M: int, visit=None) -> tuple:
+    """Reduce a working copy of g to empty, rare kinds first, detaching a
+    small component when nothing is found; visit(w) sees every working
+    graph before its event.  Returns (w, events)."""
     order = reduction._RARE_KINDS + (SPARSE_EDGE, LIGHT_EDGE)
+    w = _WorkGraph(g)
+    events: list = []
+    while w._adj:
+        if visit is not None:
+            visit(w)
+        cfg = reduction._first_config(w, M, order)
+        if cfg is not None:
+            events.append((cfg, _reduce(w, cfg)))
+        else:
+            assert any(reduction._detach_small(w, v, events)
+                       for v in sorted(w._adj)), (g, M)
+    return w, events
+
+
+def test_undo_restores_every_state_of_a_chain_of_events():
+    # undoing in reverse must pass back through every state the forward
+    # pass saw, rotation slots included
     fired = set()
     splices = bases = 0
-    for g, M in ((generate("stacked_triangulation", 200, 0, 12), 12),
-                 (generate("stacked_triangulation", 300, 0, 10), 10),
-                 (generate("random_planar", 200, 0, 14), 14),
-                 (generate("random_planar", 300, 0, 9), 9),
-                 (geodesic_sphere(), 12)):
-        w = _WorkGraph(g)
-        states, events = [], []
-        while w._adj:
-            before = _state(w)
-            cfg = reduction._first_config(w, M, order)
-            if cfg is not None:
-                events.append((cfg, _reduce(w, cfg)))
+    for g, M in _chain_corpus():
+        states: list = []
+        w, events = _chain_of_events(g, M, lambda w: states.append(_state(w)))
+        for cfg, _ in events:
+            if cfg is None:
+                bases += 1
+            else:
                 fired.add(cfg.kind)
                 splices += cfg.kind == TWO_DEG2 and cfg["case"] == 3
-            else:
-                assert any(reduction._detach_small(w, v, events)
-                           for v in sorted(w._adj)), (g, M)
-                bases += 1
-            states.append(before)
         for before, (_, log) in zip(reversed(states), reversed(events)):
             w.undo(log)
             assert _state(w) == before
         assert _state(w) == _state(_WorkGraph(g))
     assert fired == set(KIND_ORDER)
     assert splices >= 5 and bases >= 1
+
+
+def _plainly_small(w: _WorkGraph) -> dict:
+    """Each vertex's component if it has at most BASE_ELEMENT_LIMIT
+    vertices and edges, else None, by a search that counts them all."""
+    out: dict = {}
+    for start in w._adj:
+        if start in out:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            for x in w._adj[stack.pop()]:
+                if x not in comp:
+                    comp.add(x)
+                    stack.append(x)
+        edges = sum(len(w._adj[v]) for v in comp) // 2
+        small = comp if len(comp) + edges <= BASE_ELEMENT_LIMIT else None
+        out.update(dict.fromkeys(comp, small))
+    return out
+
+
+def test_small_component_degree_test_is_exact():
+    # the search gives up at a vertex of degree 6 or more, which no base
+    # case can hold; it must still find every small component there is
+    small = 0
+
+    def check(w):
+        nonlocal small
+        for v, comp in _plainly_small(w).items():
+            assert reduction._small_component(w, v) == comp, v
+            small += comp is not None
+
+    for g, M in _chain_corpus():
+        _chain_of_events(g, M, check)
+    assert small > 0
+    assert reduction._BASE_MAX_DEGREE == 5
 
 
 def test_induced_reads_the_current_working_graph():
@@ -1207,6 +1292,67 @@ def test_label_planar_counts_detached_components():
     # the triangle is small from the start; every other base case was cut
     # loose by a reduction
     assert trace.base_cases == trace.splits + 1
+
+
+# label_planar's base cases and splits over the acceptance corpus at bounds
+# 12 and 16, recorded with find_labeling run on every base case
+CORPUS_BASES_AND_SPLITS = {12: (5455, 5455), 16: (11834, 11834)}
+
+
+def test_base_cases_take_find_labelings_witness(monkeypatch):
+    # the memo hands out, mapped back to the component's ids and in the
+    # same order, exactly the witness the exact search gives the component
+    base_labeling = reduction._base_labeling
+    searched = []
+    memos: list = []
+
+    def checked(w, comp, itv, memo):
+        shapes, searches = len(memo), len(searched)
+        got = base_labeling(w, comp, itv, memo)
+        # a search only for a shape new to the memo, which then keeps it
+        assert len(searched) - searches == len(memo) - shapes
+        phi, _ = find_labeling(w.induced(comp), itv)
+        assert list(got.items()) == list(phi.as_dict().items())
+        if len(comp) == 1:
+            assert got == dict.fromkeys(comp, 0)
+        if not any(m is memo for m in memos):
+            memos.append(memo)
+        return got
+
+    def counting(g, itv):
+        searched.append(g.n)
+        return find_labeling(g, itv)
+
+    monkeypatch.setattr(reduction, "_base_labeling", checked)
+    monkeypatch.setattr(reduction, "find_labeling", counting)
+    runs = 0
+    for M, (bases, splits) in CORPUS_BASES_AND_SPLITS.items():
+        totals = [0, 0]
+        for _, g, _ in acceptance_corpus():
+            if g.max_degree <= M:
+                _, trace = label_planar(g, M)
+                totals[0] += trace.base_cases
+                totals[1] += trace.splits
+                runs += trace.base_cases > 0
+        assert totals == [bases, splits], M
+    # a fresh memo per call; an isolated vertex is never searched
+    assert len(memos) == runs
+    assert 1 not in searched
+    assert 0 < len(searched) < sum(b for b, _ in
+                                   CORPUS_BASES_AND_SPLITS.values()) // 5
+
+
+def test_label_planar_peak_memory_is_linear_and_small():
+    # the events are dropped as the backward loop undoes them, and the
+    # working dict becomes the result without a copy
+    g = generate("random_planar", 3200, 1, 14)
+    tracemalloc.start()
+    try:
+        label_planar(g, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / g.n < 3200, "%.0f bytes per vertex" % (peak / g.n)
 
 
 def test_label_planar_scales_to_1600_vertices():
