@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .graphs import DisconnectedError, Graph, GraphError, PlaneGraph
 from .reduction import _CATALOGUE, degree_bound
@@ -28,8 +28,7 @@ class AuditError(RuntimeError):
     """The charge rules cannot be applied to this graph."""
 
 
-@dataclass(frozen=True)
-class StructureViolation:
+class StructureViolation(NamedTuple):
     """One local pattern that contradicts minimality."""
 
     code: str
@@ -124,20 +123,32 @@ def initial_charges(g: PlaneGraph) -> ChargeLedger:
 
 
 SPECIAL_FACE_DEGREES = (5, 6, 7)
+_SPECIAL_DEGREE_SET = frozenset(SPECIAL_FACE_DEGREES)
+
+
+def _face_kinds(faces, deg: dict) -> list[str]:
+    """Each face's kind by the corner degrees in deg: "big" unless it is a
+    triangle on three distinct corners, then "special" when the set of
+    its corner degrees is {5, 6, 7}, which for three corners means one of
+    each, and "normal" otherwise."""
+    out = []
+    for face in faces:
+        if len(face) != 3:
+            out.append("big")
+            continue
+        a, b, c = face
+        if a == b or b == c or a == c:
+            out.append("big")
+        elif {deg[a], deg[b], deg[c]} == _SPECIAL_DEGREE_SET:
+            out.append("special")
+        else:
+            out.append("normal")
+    return out
 
 
 def classify_faces(g: PlaneGraph) -> tuple[str, ...]:
     """Label each face "special", "normal" (other triangles), or "big"."""
-    out = []
-    special = list(SPECIAL_FACE_DEGREES)
-    for face in g.faces():
-        if len(face) != 3 or len(set(face)) != 3:
-            out.append("big")
-        elif sorted(map(g.degree, face)) == special:
-            out.append("special")
-        else:
-            out.append("normal")
-    return tuple(out)
+    return tuple(_face_kinds(g.faces(), _degrees(g)))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +262,8 @@ def apply_rules(g: PlaneGraph, M: int) -> ChargeLedger:
                     vertex_units[v] += _HEAVY_UNITS
 
     capped = {v: min(d, 8) for v, d in deg.items()}
-    for idx, (face, kind) in enumerate(zip(g.faces(), classify_faces(g))):
+    faces = g.faces()
+    for idx, (face, kind) in enumerate(zip(faces, _face_kinds(faces, deg))):
         if kind == "big":
             continue
         pays = _SPECIAL_CORNER_UNITS if kind == "special" else _CORNER_UNITS

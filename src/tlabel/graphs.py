@@ -11,7 +11,9 @@ trace searched for, so the labeler's planarity gate, the labeler and the
 auditor share one trace and one component search of a graph object.
 
 The read queries live once, in :class:`BaseGraph`; the immutable graphs
-here and the labeler's mutable working graph all answer through it.
+here and the labeler's mutable working graph all answer through it.  The
+constructors check what they are given; neighbor sets that are sound by
+construction, such as the loader's, are adopted without a second check.
 """
 
 from __future__ import annotations
@@ -45,8 +47,9 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
 
 def _edge_adjacency(edges: Iterable[tuple[int, int]],
                     vertices: Iterable[int]) -> dict[int, set[int]]:
-    """The neighbor sets of an edge list, which may not repeat an edge or
-    hold a self-loop."""
+    """The neighbor sets of an edge list of int pairs, which may not
+    repeat an edge or hold a self-loop; the sets are symmetric, so
+    :meth:`Graph._adopt` may take them unchecked."""
     adj: dict[int, set[int]] = {v: set() for v in map(int, vertices)}
     for u, v in edges:
         try:
@@ -109,7 +112,7 @@ class BaseGraph:
         """The subgraph on the vertices in keep, without an embedding;
         built from keep alone, so it costs O(|keep|) and not O(n)."""
         keep = set(keep)
-        return Graph({v: self.neighbors(v) & keep for v in keep})
+        return Graph._adopt({v: self.neighbors(v) & keep for v in keep})
 
 
 class Graph(BaseGraph):
@@ -123,6 +126,7 @@ class Graph(BaseGraph):
     __slots__ = ()
 
     def __init__(self, adjacency: Mapping[int, Iterable[int]]):
+        """Check adjacency: int ids, no self-loop, symmetric."""
         adj: dict[int, frozenset[int]] = {}
         for v, nbrs in adjacency.items():
             ns = frozenset(map(int, nbrs))
@@ -138,8 +142,21 @@ class Graph(BaseGraph):
         self._rot = None
 
     @classmethod
+    def _adopt(cls, adjacency: Mapping[int, Iterable[int]]) -> "Graph":
+        """A graph over adjacency as it is, trusted to hold what the
+        constructor checks (int ids, no self-loop, symmetric) and not
+        checked again.  Each neighbor set is frozen from an iterator, as
+        the constructor freezes it, so it iterates in the same order;
+        ``frozenset`` of a set may lay its table out otherwise."""
+        g = cls.__new__(cls)
+        g._adj = {v: frozenset(iter(ns)) for v, ns in adjacency.items()}
+        g._rot = None
+        return g
+
+    @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]], vertices: Iterable[int] = ()) -> "Graph":
-        return cls(_edge_adjacency(edges, vertices))
+        pairs = ((int(u), int(v)) for u, v in edges)
+        return cls._adopt(_edge_adjacency(pairs, vertices))
 
     # -- basic queries ----------------------------------------------------
 
@@ -192,37 +209,29 @@ class PlaneGraph(Graph):
     """A graph together with a rotation system describing its embedding.
 
     The rotation at a vertex is the cyclic sequence of its neighbors.  The
-    constructor checks only that each rotation lists exactly the incident
-    edges, so building one traces nothing; whether the rotations are plane
-    is decided by :func:`trace_faces`, for every component at once, the
-    first time :meth:`faces` is asked for.
+    constructors check only that each rotation lists exactly the incident
+    edges (:func:`_rotation_tuples`), so building one traces nothing;
+    whether the rotations are plane is decided by :func:`trace_faces`, for
+    every component at once, the first time :meth:`faces` is asked for.
     """
 
     __slots__ = ("_faces", "_comps")
 
     def __init__(self, adjacency, rotation: Mapping[int, Sequence[int]]):
         super().__init__(adjacency)
-        rot: dict[int, tuple[int, ...]] = {}
-        for v, ns in self._adj.items():
-            try:
-                order = tuple(map(int, rotation[v]))
-            except KeyError:
-                raise GraphError("vertex %d has no rotation" % v) from None
-            if len(order) != len(ns) or ns != set(order):  # name the rule broken
-                listed = set(order)
-                if len(listed) != len(order):
-                    raise GraphError("rotation at %d repeats a neighbor" % v)
-                if listed - ns:
-                    raise GraphError("rotation at %d lists non-edges %s" % (v, sorted(listed - ns)))
-                raise GraphError("rotation at %d misses neighbors %s" % (v, sorted(ns - listed)))
-            rot[v] = order
-        if len(rotation) != len(rot):
-            for v in rotation:
-                if int(v) not in self._adj:
-                    raise GraphError("rotation for unknown vertex %r" % (v,))
-        self._rot = rot
+        self._rot = _rotation_tuples(self._adj, rotation, _int_tuple)
         self._faces = None
         self._comps = None
+
+    @classmethod
+    def _adopt(cls, adjacency, rotation: Mapping[int, Sequence[int]]) -> "PlaneGraph":
+        """:meth:`Graph._adopt` with rotations of int entries, which are
+        checked against the adjacency as the constructor checks them."""
+        g = super()._adopt(adjacency)
+        g._rot = _rotation_tuples(g._adj, rotation)
+        g._faces = None
+        g._comps = None
+        return g
 
     def components(self) -> list[frozenset[int]]:
         """:meth:`Graph.components`, searched once per graph and kept, so
@@ -256,6 +265,38 @@ class PlaneGraph(Graph):
 
     def __hash__(self):
         return hash((super().__hash__(), tuple(sorted(self._rot.items()))))
+
+
+def _int_tuple(order: Iterable) -> tuple[int, ...]:
+    return tuple(map(int, order))
+
+
+def _rotation_tuples(adj: Mapping[int, frozenset[int]],
+                     rotation: Mapping[int, Iterable[int]],
+                     as_tuple=tuple) -> dict[int, tuple[int, ...]]:
+    """Each vertex's rotation made a tuple by as_tuple, in adj's order,
+    checked to list exactly the vertex's neighbors; no rotation may name
+    a vertex adj does not have.  The one rotation check of both PlaneGraph
+    constructors; an error names the first rule broken."""
+    rot: dict[int, tuple[int, ...]] = {}
+    for v, ns in adj.items():
+        try:
+            order = as_tuple(rotation[v])
+        except KeyError:
+            raise GraphError("vertex %d has no rotation" % v) from None
+        if len(order) != len(ns) or ns != set(order):  # name the rule broken
+            listed = set(order)
+            if len(listed) != len(order):
+                raise GraphError("rotation at %d repeats a neighbor" % v)
+            if listed - ns:
+                raise GraphError("rotation at %d lists non-edges %s" % (v, sorted(listed - ns)))
+            raise GraphError("rotation at %d misses neighbors %s" % (v, sorted(ns - listed)))
+        rot[v] = order
+    if len(rotation) != len(rot):
+        for v in rotation:
+            if int(v) not in adj:
+                raise GraphError("rotation for unknown vertex %r" % (v,))
+    return rot
 
 
 def trace_faces(g: PlaneGraph) -> tuple[tuple[int, ...], ...]:

@@ -10,12 +10,15 @@ Graph files::
 Lines starting with ``c`` are comments.  Vertex labels may be any
 non-negative integers: when all are below n they are the ids (an absent id
 is an isolated vertex), and otherwise the n labels map to 0..n-1 in
-ascending order.  Loading splits each line once; the constructors check
-each edge and rotation entry once per rule.  The serializer writes dense
-ids with edges and rotations sorted, so serialize(parse(serialize(g))) is
-byte-identical.  A file that breaks the grammar raises :class:`FormatError`;
-a graph error, such as a duplicate edge or a rotation that misses an edge,
-raises the constructor's ``GraphError`` as it is.  No face is traced.
+ascending order.  Loading splits each line once and checks each rule
+once: the grammar and the labels here, self-loops and repeated edges as
+the neighbor sets are built, and each rotation against its vertex's
+neighbors.  The graph adopts those sets without checking them again.
+The serializer writes dense ids with edges and rotations sorted, so
+serialize(parse(serialize(g))) is byte-identical.  A file that breaks the
+grammar raises :class:`FormatError`; a graph error, such as a duplicate
+edge or a rotation that misses an edge, raises the ``GraphError`` that
+the graph constructors raise, with the same message.  No face is traced.
 
 Labeling files::
 
@@ -89,11 +92,12 @@ def parse_graph(text: str) -> Union[Graph, PlaneGraph]:
         rotations = {remap[v]: [remap[w] for w in order]
                      for v, order in rotations.items()}
 
+    adj = _edge_adjacency(edges, range(n))  # ids are ints and below n
     if not rotations:
-        return Graph.from_edges(edges, vertices=range(n))
+        return Graph._adopt(adj)
     for v in range(n):  # a vertex of degree zero may omit its rotation line
         rotations.setdefault(v, [])
-    return PlaneGraph(_edge_adjacency(edges, range(n)), rotations)
+    return PlaneGraph._adopt(adj, rotations)
 
 
 def serialize_graph(g: Graph) -> str:

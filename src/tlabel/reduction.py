@@ -36,7 +36,7 @@ import heapq
 import itertools
 from contextlib import suppress
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
 from .exact import find_labeling
 from .graphs import (BaseGraph, DisconnectedError, Graph, GraphError,
@@ -100,8 +100,7 @@ class ReducibleConfig:
         return self.data[key]
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One extension action with its measured and guaranteed slack."""
 
     action: str  # "assign", "transfer", "recolor", "erase", "check", "list"
@@ -336,7 +335,7 @@ def _traced_face(g, a: int, b: int, c: int) -> tuple[int, int, int]:
 
 def _triangle_faces(g, corners) -> list[tuple[int, int, int]]:
     """The faces bounded by three distinct vertices, at least one of them
-    in corners, read off the rotations.
+    in corners, read off the consecutive pairs of each corner's rotation.
 
     Each face starts at its least corner and the faces come in the order
     :func:`~tlabel.graphs.trace_faces` lists them, without tracing any other
@@ -344,9 +343,12 @@ def _triangle_faces(g, corners) -> list[tuple[int, int, int]]:
     """
     found = set()
     for a in corners:
-        for b in g.rotation(a):
-            c = _successor(g, b, a)
-            if _is_triangle_face(g, a, b, c):
+        order = g.rotation(a)
+        # c just before b at a is s_a(c) = b, the third condition of
+        # _is_triangle_face, so two successor lookups settle the rest
+        for c, b in zip(order[-1:] + order[:-1], order):
+            if (c != b and _successor(g, b, a) == c
+                    and _successor(g, c, b) == a):
                 found.add(min((a, b, c), (b, c, a), (c, a, b)))
     return sorted(found)
 

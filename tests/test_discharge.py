@@ -33,6 +33,7 @@ from tlabel.discharge import (
     SPECIAL_FIVE_PAYMENT,
     UNIT,
     AuditError,
+    StructureViolation,
     apply_rules,
     assign_masters,
     audit,
@@ -41,7 +42,13 @@ from tlabel.discharge import (
     scan_structure,
 )
 from tlabel.families import generate
-from tlabel.graphs import EmbeddingError, Graph, GraphError, PlaneGraph
+from tlabel.graphs import (
+    DisconnectedError,
+    EmbeddingError,
+    Graph,
+    GraphError,
+    PlaneGraph,
+)
 from tlabel.reduction import (
     DEG4_LOW_NEIGHBOR,
     FACE_566,
@@ -122,6 +129,48 @@ def test_classify_faces():
         {0: {1}, 1: {0, 2}, 2: {1}}, {0: (1,), 1: (0, 2), 2: (1,)}
     )
     assert classify_faces(path) == ("big",)
+
+
+def _sorted_degree_kinds(g: PlaneGraph) -> tuple:
+    """classify_faces as it was written before it compared degree sets."""
+    out = []
+    for face in g.faces():
+        if len(face) != 3 or len(set(face)) != 3:
+            out.append("big")
+        elif sorted(map(g.degree, face)) == [5, 6, 7]:
+            out.append("special")
+        else:
+            out.append("normal")
+    return tuple(out)
+
+
+def test_face_kinds_match_the_sorted_degree_rule():
+    # the set of three distinct corners' degrees is {5, 6, 7} exactly when
+    # they are one of each; repeated degrees make a normal triangle
+    assert classify_faces(leaf_triangle(5, 6, 6)) == ("normal", "big")
+    assert classify_faces(leaf_triangle(5, 5, 7)) == ("normal", "big")
+    assert classify_faces(leaf_triangle(7, 5, 6)) == ("special", "big")
+    kinds = set()
+    for g in digest_graphs() + tuple(
+            leaf_triangle(*d) for d in itertools.product((5, 6, 7), repeat=3)):
+        try:
+            expected = _sorted_degree_kinds(g)
+        except DisconnectedError:
+            continue
+        assert classify_faces(g) == expected
+        kinds.update(expected)
+    assert kinds == {"special", "normal", "big"}
+
+
+def test_structure_violation_is_an_immutable_record():
+    v = StructureViolation("C2", "sparse edge", ((0, 1),))
+    assert StructureViolation._fields == ("code", "note", "elements")
+    assert repr(v) == (
+        "StructureViolation(code='C2', note='sparse edge', elements=((0, 1),))")
+    with pytest.raises(AttributeError):
+        v.code = "C3"
+    assert v.to_dict() == {"code": "C2", "note": "sparse edge",
+                           "elements": [[0, 1]]}
 
 
 # ---------------------------------------------------------------------------

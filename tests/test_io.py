@@ -5,13 +5,20 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from itertools import chain
 
 import pytest
 
 from corpus import digest_graphs
 from gadgets import toroidal_k7, with_isolated_vertex
 from tlabel.families import generate
-from tlabel.graphs import Graph, GraphError, PlaneGraph, trace_faces
+from tlabel.graphs import (
+    Graph,
+    GraphError,
+    PlaneGraph,
+    _edge_adjacency,
+    trace_faces,
+)
 from tlabel.io import (
     FormatError,
     parse_graph,
@@ -214,3 +221,62 @@ def test_loading_reproduces_golden_digest():
     outcomes += [_outcome(build) for build in CONSTRUCTOR_ERRORS]
     text = json.dumps(outcomes)
     assert hashlib.sha256(text.encode()).hexdigest() == LOAD_DIGEST
+
+
+def _checked_load(text: str) -> Graph:
+    """The graph of a well-formed text built through the checked
+    constructors, from the neighbor sets of :func:`_edge_adjacency` fed
+    in file order, as the loader built it before it adopted those sets."""
+    lines = [t for t in map(str.split, text.splitlines()) if t and t[0][0] != "c"]
+    n = next(int(t[2]) for t in lines if t[0] == "p")
+    edges = [(int(t[1]), int(t[2])) for t in lines if t[0] == "e"]
+    rot = {int(t[1]): [int(w) for w in t[2:]] for t in lines if t[0] == "r"}
+    labels = set(chain(*edges, rot, *rot.values()))
+    if max(labels, default=-1) >= n:
+        remap = {lab: i for i, lab in enumerate(sorted(labels))}
+        edges = [(remap[u], remap[v]) for u, v in edges]
+        rot = {remap[v]: [remap[w] for w in order] for v, order in rot.items()}
+    adj = _edge_adjacency(edges, range(n))
+    if not rot:
+        return Graph(adj)
+    return PlaneGraph(adj, {v: rot.get(v, []) for v in range(n)})
+
+
+def _assert_adopted_as_checked(text: str) -> None:
+    g, ref = parse_graph(text), _checked_load(text)
+    assert type(g) is type(ref) and g == ref and hash(g) == hash(ref)
+    for v in ref.vertices:
+        # frozen as the checked constructor froze them, so iteration
+        # order, which the labeler may read, is the same too
+        assert type(g.neighbors(v)) is frozenset
+        assert list(g.neighbors(v)) == list(ref.neighbors(v)), v
+        if isinstance(ref, PlaneGraph):
+            assert type(g.rotation(v)) is tuple
+            assert g.rotation(v) == ref.rotation(v)
+
+
+def test_loaded_graphs_equal_the_checked_constructors():
+    # the loader adopts its neighbor sets unchecked; dense ids, the
+    # 3 id + 1 label map, and files without rotations must all give the
+    # graph the checked constructors give
+    rng = random.Random(22)
+    for g in digest_graphs():
+        text = serialize_graph(g)
+        plain = "".join(line for line in text.splitlines(keepends=True)
+                        if not line.startswith("r"))
+        for t in (text, _relabeled(text, rng), plain, _relabeled(plain, rng)):
+            _assert_adopted_as_checked(t)
+
+
+def test_adopting_constructors_normalize_as_the_checked_one():
+    g = Graph.from_edges([(0.0, 1), (1, 2.0)], vertices=[3.0])
+    assert g == Graph({0: [1], 1: [0, 2], 2: [1], 3: []})
+    assert all(type(v) is int for v in g.vertices)
+    assert all(type(w) is int for v in g.vertices for w in g.neighbors(v))
+    assert all(type(g.neighbors(v)) is frozenset for v in g.vertices)
+    with pytest.raises(GraphError, match="self-loop"):
+        Graph.from_edges([(1, 1.0)])
+    wheel = generate("wheel", 9)
+    sub = wheel.induced(range(5))
+    assert sub == Graph({v: wheel.neighbors(v) & set(range(5)) for v in range(5)})
+    assert all(type(sub.neighbors(v)) is frozenset for v in sub.vertices)

@@ -55,6 +55,7 @@ from tlabel.reduction import (
     IrreducibleError,
     ReducibleConfig,
     ReductionRecord,
+    TraceStep,
     _WorkGraph,
     _assign_fixed,
     _reduce,
@@ -1140,6 +1141,50 @@ def test_local_triangle_faces_match_face_tracing():
         fives = [v for v in g.vertices if g.degree(v) == 5]
         assert _triangle_faces(g, fives) == [
             f for f in traced if any(c in fives for c in f)]
+
+
+def test_trace_step_is_an_immutable_record():
+    step = TraceStep("assign", (0, 1), 3, 5, 2)
+    assert TraceStep._fields == (
+        "action", "element", "color", "measured", "required")
+    assert repr(step) == ("TraceStep(action='assign', element=(0, 1), "
+                          "color=3, measured=5, required=2)")
+    with pytest.raises(AttributeError):
+        step.color = 4
+    assert step.ok and not TraceStep("check", 0, None, 1, 2).ok
+
+
+def _four_successor_triangle_faces(g, corners) -> list:
+    """_triangle_faces as it was written before it read rotation pairs:
+    c = s_b(a) for each b at a, then all three successor conditions."""
+    def succ(v, u):
+        order = g.rotation(v)
+        return order[(order.index(u) + 1) % len(order)]
+
+    found = set()
+    for a in corners:
+        for b in g.rotation(a):
+            c = succ(b, a)
+            if succ(b, a) == c and succ(c, b) == a and succ(a, c) == b:
+                found.add(min((a, b, c), (b, c, a), (c, a, b)))
+    return sorted(found)
+
+
+def test_rotation_pair_triangle_faces_match_the_four_successor_form():
+    # working graphs partway through reduction have corners of degree 1
+    # and 2, where a rotation pair repeats a vertex or wraps around
+    low = set()
+
+    def check(w):
+        verts = w.vertices
+        low.update(w.degree(v) for v in verts if w.degree(v) <= 2)
+        assert _triangle_faces(w, verts) == _four_successor_triangle_faces(w, verts)
+        fives = [v for v in verts if w.degree(v) == 5]
+        assert _triangle_faces(w, fives) == _four_successor_triangle_faces(w, fives)
+
+    for g, M in _chain_corpus():
+        _chain_of_events(g, M, check)
+    assert {1, 2} <= low
 
 
 def _scan_checked_choices(monkeypatch) -> list:
