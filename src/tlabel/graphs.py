@@ -19,7 +19,7 @@ construction, such as the loader's, are adopted without a second check.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 
 class GraphError(ValueError):
@@ -66,10 +66,15 @@ def _edge_adjacency(edges: Iterable[tuple[int, int]],
 
 
 class BaseGraph:
-    """The read queries over ``_adj``, each vertex's neighbor set, and
-    ``_rot``, each vertex's rotation or None without an embedding.  The
-    subclasses build the two maps; the queries never copy them, so a
-    mutable subclass answers for its current state."""
+    """The read queries over ``_adj``, each vertex's neighbors, and
+    ``_rot``, each vertex's rotation or None without an embedding.
+
+    On :class:`Graph` a vertex's neighbors are a frozenset and its
+    rotation a tuple; the labeler's working graph keeps one list per
+    vertex, its rotation when it has one, so there ``_rot`` is ``_adj``
+    itself or None.  The queries never copy the maps, so a mutable
+    subclass answers for its current state, and code that must serve
+    both reads :meth:`neighbors` as an iterable."""
 
     __slots__ = ("_adj", "_rot")
 
@@ -80,7 +85,7 @@ class BaseGraph:
     def __contains__(self, v: int) -> bool:
         return v in self._adj
 
-    def neighbors(self, v: int) -> AbstractSet[int]:
+    def neighbors(self, v: int) -> Collection[int]:
         try:
             return self._adj[v]
         except KeyError:
@@ -112,7 +117,8 @@ class BaseGraph:
         """The subgraph on the vertices in keep, without an embedding;
         built from keep alone, so it costs O(|keep|) and not O(n)."""
         keep = set(keep)
-        return Graph._adopt({v: self.neighbors(v) & keep for v in keep})
+        return Graph._adopt({v: keep.intersection(self.neighbors(v))
+                             for v in keep})
 
 
 class Graph(BaseGraph):

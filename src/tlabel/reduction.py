@@ -19,9 +19,10 @@ each condition is written once.
 
 The labeler edits one ``_WorkGraph``, a :class:`~tlabel.graphs.BaseGraph`
 like the immutable graphs, so predicates, availability and validation read
-it through the same queries.  Each reduction's undo log maps the vertices
-it touched to their neighbor lists from before it, and undoing assigns
-those lists back.  The extenders share their coloring steps, which take
+it through the same queries.  It keeps one neighbor list per vertex, the
+rotation on a plane graph.  Each reduction's undo log maps the vertices
+it touched to their lists from before it, and undoing assigns those lists
+back.  The extenders share their coloring steps, which take
 normalized keys: ``_available`` tells edges from vertices and returns the
 free colors as an int mask, whose least color and count are two int
 operations, ``_color_least`` gives one element its smallest free color,
@@ -170,6 +171,9 @@ class ExtensionTrace:
 # tuples in scan order.  An enumerator prunes only what the predicate rejects,
 # by degrees, degree sums, 2-neighbors or triangle-face membership, so the
 # predicate alone decides what is an occurrence; each has one field tuple.
+# Predicates and enumerators treat neighbors() as an iterable, a list on
+# the working graph and a frozenset on Graph, and a face kind finds no
+# face on a graph without rotations.
 
 
 def _sparse_sum(M: int) -> int:
@@ -240,8 +244,8 @@ def _two_deg2(g: Graph, M: int, hub: int, x: int, y: int,
         x < y
         and g.degree(x) == 2
         and g.degree(y) == 2
-        and g.neighbors(x) == {hub, x_other}
-        and g.neighbors(y) == {hub, y_other}
+        and set(g.neighbors(x)) == {hub, x_other}
+        and set(g.neighbors(y)) == {hub, y_other}
         and x_other != y
         and (x_other == y_other
              or not (g.has_edge(hub, x_other) or g.has_edge(hub, y_other)))
@@ -256,8 +260,8 @@ def _two_deg2_candidates(g: Graph, M: int) -> Iterator[tuple]:
                 twos.setdefault(v, []).append(x)
     for v in sorted(twos):
         for x, y in itertools.combinations(twos[v], 2):
-            (xp,) = g.neighbors(x) - {v}
-            (yp,) = g.neighbors(y) - {v}
+            (xp,) = set(g.neighbors(x)) - {v}
+            (yp,) = set(g.neighbors(y)) - {v}
             yield v, x, y, xp, yp
 
 
@@ -296,6 +300,10 @@ def _twin_candidates(g: Graph, M: int) -> Iterator[tuple]:
                 yield v, v1, v2, u
 
 
+def _has_rotation(g: BaseGraph) -> bool:
+    return g._rot is not None
+
+
 def _successor(g, v: int, u: int) -> int:
     """The neighbor that follows u in the rotation at v."""
     order = g.rotation(v)
@@ -303,49 +311,42 @@ def _successor(g, v: int, u: int) -> int:
     return order[i] if i < len(order) else order[0]
 
 
-def _is_triangle_face(g, a: int, b: int, c: int) -> bool:
-    """Whether the walk a -> b -> c -> a bounds a face.
+def _face_of(g, a: int, b: int, c: int) -> Optional[tuple[int, int, int]]:
+    """The triangle face on the corners a, b, c as face tracing lists it,
+    from its least corner, or None when they bound no face or g has no
+    rotations.
 
-    Face tracing follows the dart (a, b) with (b, s_b(a)), so the walk is a
-    face exactly when s_b(a) = c, s_c(b) = a and s_a(c) = b.
+    Face tracing follows the dart (a, b) with (b, s_b(a)), so the walk
+    a -> b -> c -> a is a face exactly when s_b(a) = c, s_c(b) = a and
+    s_a(c) = b; the orientation a, b, c is tried before a, c, b.  Three
+    pairwise adjacent vertices are distinct, as no graph has a self-loop.
     """
-    return (
-        _successor(g, b, a) == c
-        and _successor(g, c, b) == a
-        and _successor(g, a, c) == b
-    )
-
-
-def _on_face(g, a: int, b: int, c: int) -> bool:
-    """Whether three distinct, pairwise adjacent vertices bound a face in
-    either orientation."""
-    return (
-        len({a, b, c}) == 3
-        and g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)
-        and (_is_triangle_face(g, a, b, c) or _is_triangle_face(g, a, c, b))
-    )
-
-
-def _traced_face(g, a: int, b: int, c: int) -> tuple[int, int, int]:
-    """The face on corners a, b, c as face tracing lists it."""
-    if not _is_triangle_face(g, a, b, c):
-        b, c = c, b
-    return min((a, b, c), (b, c, a), (c, a, b))
+    if not (_has_rotation(g) and g.has_edge(a, b) and g.has_edge(b, c)
+            and g.has_edge(a, c)):
+        return None
+    for b, c in ((b, c), (c, b)):
+        if (_successor(g, b, a) == c and _successor(g, c, b) == a
+                and _successor(g, a, c) == b):
+            return min((a, b, c), (b, c, a), (c, a, b))
+    return None
 
 
 def _triangle_faces(g, corners) -> list[tuple[int, int, int]]:
     """The faces bounded by three distinct vertices, at least one of them
-    in corners, read off the consecutive pairs of each corner's rotation.
+    in corners, read off the consecutive pairs of each corner's rotation;
+    none on a graph without rotations.
 
     Each face starts at its least corner and the faces come in the order
     :func:`~tlabel.graphs.trace_faces` lists them, without tracing any other
     face or requiring a connected graph.
     """
+    if not _has_rotation(g):
+        return []
     found = set()
     for a in corners:
         order = g.rotation(a)
         # c just before b at a is s_a(c) = b, the third condition of
-        # _is_triangle_face, so two successor lookups settle the rest
+        # _face_of, so two successor lookups settle the rest
         for c, b in zip(order[-1:] + order[:-1], order):
             if (c != b and _successor(g, b, a) == c
                     and _successor(g, c, b) == a):
@@ -365,7 +366,7 @@ def _face_566(g, M: int, v1: int, v2: int, v3: int) -> bool:
         g.degree(v1) == 5
         and v2 < v3 and d2 <= 6 and d3 <= 6
         and (d2 != 5 or v1 < v2) and (d3 != 5 or v1 < v3)
-        and _on_face(g, v1, v2, v3)
+        and _face_of(g, v1, v2, v3) is not None
     )
 
 
@@ -382,7 +383,7 @@ def _face_567(g, M: int, v1: int, v2: int, v3: int, outside: int) -> bool:
     neighbor of degree 6 that the 5-corner has off the face."""
     return (
         (g.degree(v1), g.degree(v2), g.degree(v3)) == (5, 6, 7)
-        and _on_face(g, v1, v2, v3)
+        and _face_of(g, v1, v2, v3) is not None
         and outside == min(
             (w for w in g.neighbors(v1)
              if w not in (v2, v3) and g.degree(w) == 6),
@@ -409,10 +410,11 @@ def _alternator(g: Graph, M: int, k: int, low_side: tuple,
     return (
         3 <= k <= (M + 2) // 4
         and bool(low)
-        and not (low & high)
-        and all(g.degree(x) <= k and g.neighbors(x) <= high for x in low)
+        and low.isdisjoint(high)
+        and all(g.degree(x) <= k and high.issuperset(g.neighbors(x))
+                for x in low)
         and high == set().union(*(g.neighbors(x) for x in low))
-        and all(len(g.neighbors(y) & low) >= g.degree(y) + k - M
+        and all(len(low.intersection(g.neighbors(y))) >= g.degree(y) + k - M
                 for y in high)
         and edges == tuple(
             sorted(edge_key(x, w) for x in low for w in g.neighbors(x)))
@@ -430,13 +432,13 @@ def _peel(g: Graph, M: int, k: int) -> Optional[tuple]:
     """
     low: set[int] = set()
     for x in g.vertices:
-        if g.degree(x) <= k and not (g.neighbors(x) & low):
+        if g.degree(x) <= k and low.isdisjoint(g.neighbors(x)):
             low.add(x)
     while low:
         high = frozenset().union(*(g.neighbors(x) for x in low))
         bad = [
             y for y in sorted(high)
-            if len(g.neighbors(y) & low) < g.degree(y) + k - M
+            if len(low.intersection(g.neighbors(y))) < g.degree(y) + k - M
         ]
         if not bad:
             cross = tuple(
@@ -444,7 +446,7 @@ def _peel(g: Graph, M: int, k: int) -> Optional[tuple]:
             )
             return k, tuple(sorted(low)), tuple(sorted(high)), cross
         for y in bad:
-            low -= g.neighbors(y)
+            low.difference_update(g.neighbors(y))
     return None
 
 
@@ -459,10 +461,6 @@ def _alternator_data(k: int, low: tuple, high: tuple, cross: tuple) -> dict:
     return {"k": k, "low_side": low, "high_side": high, "edges": cross}
 
 
-def _has_rotation(g: BaseGraph) -> bool:
-    return g._rot is not None
-
-
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -470,23 +468,23 @@ def _has_rotation(g: BaseGraph) -> bool:
 class _WorkGraph(BaseGraph):
     """A mutable copy of a graph that reductions edit in place.
 
-    Adjacency is a dict of sets and rotations a dict of lists (None for a
-    graph without an embedding); the queries are :class:`BaseGraph`'s.
-    Every edit first saves, in the event's undo log, the neighbor list each
-    vertex it changes had before the event: its rotation when the graph
-    has one.  The log's keys are thus the vertices the event touched, and
-    :meth:`undo` puts their lists back, rotation slots included.  Undo
-    builds new neighbor sets, so none may be held across it.
+    ``_adj`` maps each vertex to one list of its neighbors: its rotation
+    when the graph has one, so ``_rot`` is ``_adj`` itself, and None
+    otherwise.  The queries are :class:`BaseGraph`'s, so ``has_edge``
+    scans one list of at most M entries.  Every edit first saves, in the
+    event's undo log, the list of each vertex it changes as it was before
+    the event.  The log's keys are thus the vertices the event touched, and
+    :meth:`undo` puts the saved lists themselves back, rotation slots
+    included, so no neighbor list may be held across it.
     """
 
     __slots__ = ()
 
     def __init__(self, g: Graph):
-        self._adj = {v: set(g.neighbors(v)) for v in g.vertices}
-        self._rot = (
-            {v: list(g.rotation(v)) for v in self._adj}
-            if _has_rotation(g) else None
-        )
+        plane = _has_rotation(g)
+        self._adj = {v: list(g.rotation(v) if plane else g.neighbors(v))
+                     for v in g.vertices}
+        self._rot = self._adj if plane else None
 
     def freeze(self) -> Graph:
         if self._rot is None:
@@ -498,7 +496,7 @@ class _WorkGraph(BaseGraph):
     def _save(self, v: int, log: dict) -> None:
         """Keep v's neighbors from before the event, once per event."""
         if v not in log:
-            log[v] = list(self._adj[v] if self._rot is None else self._rot[v])
+            log[v] = list(self._adj[v])
 
     def cut(self, u: int, v: int, log: dict) -> None:
         """Delete the edge uv."""
@@ -508,23 +506,16 @@ class _WorkGraph(BaseGraph):
         self._save(v, log)
         self._adj[u].remove(v)
         self._adj[v].remove(u)
-        if self._rot is not None:
-            self._rot[u].remove(v)
-            self._rot[v].remove(u)
 
     def splice(self, at: int, old: int, new: int, log: dict) -> None:
         """Put the neighbor new in old's place at one vertex only."""
         self._save(at, log)
-        self._adj[at].remove(old)
-        self._adj[at].add(new)
-        order = self._rot[at]
+        order = self._adj[at]
         order[order.index(old)] = new
 
     def detach(self, x: int, log: dict) -> None:
         """Remove x, whose neighbors must no longer list it."""
-        nbrs = self._adj.pop(x)
-        order = list(nbrs) if self._rot is None else self._rot.pop(x)
-        log.setdefault(x, order)
+        log.setdefault(x, self._adj.pop(x))
 
     def drop(self, x: int, log: dict) -> None:
         """Delete x with its edges."""
@@ -536,11 +527,8 @@ class _WorkGraph(BaseGraph):
 
     def undo(self, log: dict) -> None:
         """Give every vertex the log saved its neighbors back.  The saved
-        rotations become the graph's own, so a log is undone only once."""
-        for v, order in log.items():
-            self._adj[v] = set(order)
-            if self._rot is not None:
-                self._rot[v] = order
+        lists become the graph's own, so a log is undone only once."""
+        self._adj.update(log)
 
 
 def _cut_edge(w: _WorkGraph, cfg: ReducibleConfig, log: dict) -> None:
@@ -906,14 +894,11 @@ class _Kind:
     fields: Callable  # ReducibleConfig.data -> fields
     reduce: Callable  # (work graph, config, undo log) -> None
     extend: Callable  # (g, work, config, interval, record) -> None
-    plane: bool = False  # whether the predicate reads the rotation system
     code: Optional[str] = None  # what the audit reports an occurrence as
     cite: Optional[Callable] = None  # (g, M, *fields) -> (note, elements)
 
     def occurrences(self, g, M: int) -> Iterator[tuple]:
         """The field tuples of every occurrence in g, in scan order."""
-        if self.plane and not _has_rotation(g):
-            return
         for fields in self.candidates(g, M):
             if self.holds(g, M, *fields):
                 yield fields
@@ -967,20 +952,20 @@ _CATALOGUE = {
     FACE_566: _Kind(
         _face_566_candidates, _face_566,
         lambda v1, v2, v3: {"corners": (v1, v2, v3)}, lambda d: d["corners"],
-        _reduce_face, _extend_face, plane=True, code="C6b",
+        _reduce_face, _extend_face, code="C6b",
         cite=lambda g, M, *corners: (
             "triangle face with degrees %s"
             % sorted(g.degree(c) for c in corners),
-            (_traced_face(g, *corners),)),
+            (_face_of(g, *corners),)),
     ),
     FACE_567: _Kind(
         _face_567_candidates, _face_567,
         lambda v1, v2, v3, w: {"corners": (v1, v2, v3), "outside": w},
         lambda d: (*d["corners"], d["outside"]),
-        _reduce_face, _extend_face, plane=True, code="C6e",
+        _reduce_face, _extend_face, code="C6e",
         cite=lambda g, M, v1, v2, v3, w: (
             "special triangle whose 5-corner has an outside 6-neighbor",
-            (_traced_face(g, v1, v2, v3), w)),
+            (_face_of(g, v1, v2, v3), w)),
     ),
     # the audit has no code for an alternator
     ALTERNATOR: _Kind(
@@ -1018,7 +1003,7 @@ def config_holds(g: Graph, M: int, cfg: ReducibleConfig) -> bool:
     The data must be exactly what the finder would build from its fields.
     """
     entry = _CATALOGUE.get(cfg.kind)
-    if entry is None or (entry.plane and not _has_rotation(g)):
+    if entry is None:
         return False
     try:
         fields = entry.fields(cfg.data)

@@ -1007,11 +1007,15 @@ def test_undo_restores_adjacency_and_rotation_slots():
         assert w.freeze() == reduce_config(g, cfg)
         assert w.freeze() != g
         w.undo(log)
-        assert w._adj == {v: set(g.neighbors(v)) for v in g.vertices}
+        # the lists themselves, in order: rotation slots on a plane graph
+        assert w._adj == _WorkGraph(g)._adj
         if isinstance(g, PlaneGraph):
-            assert w._rot == {v: list(g.rotation(v)) for v in g.vertices}
+            assert w._rot is w._adj
+            assert w._adj == {v: list(g.rotation(v)) for v in g.vertices}
         else:
             assert w._rot is None
+            assert {v: set(ns) for v, ns in w._adj.items()} == {
+                v: g.neighbors(v) for v in g.vertices}
 
 
 def _state(w: _WorkGraph) -> tuple:
@@ -1067,6 +1071,55 @@ def test_undo_restores_every_state_of_a_chain_of_events():
         assert _state(w) == _state(_WorkGraph(g))
     assert fired == set(KIND_ORDER)
     assert splices >= 5 and bases >= 1
+
+
+def _answers_as_frozen(w: _WorkGraph, M: int) -> int:
+    """Assert that w answers every query, and every kind's scan, as its
+    frozen copy does; the catalogue reads neighbors() as an iterable, a
+    list on w and a frozenset on the copy.  Returns the non-edges asked."""
+    f = w.freeze()
+    verts = f.vertices
+    assert w.vertices == verts
+    non_edges = 0
+    for i, v in enumerate(verts):
+        ns = w.neighbors(v)
+        assert set(ns) == f.neighbors(v)
+        assert w.degree(v) == f.degree(v) == len(ns)
+        for x in (*ns, verts[i - 1], verts[(i + 1) % len(verts)]):
+            assert w.has_edge(v, x) == f.has_edge(v, x) == (x in f.neighbors(v))
+            non_edges += x not in f.neighbors(v)
+        if isinstance(f, PlaneGraph):
+            assert list(w.rotation(v)) == list(f.rotation(v))
+    for comp in (*f.components(), verts[::2]):
+        assert w.induced(comp) == f.induced(comp)
+    for kind, entry in reduction._CATALOGUE.items():
+        assert list(entry.occurrences(w, M)) == list(entry.occurrences(f, M)), kind
+    return non_edges
+
+
+def test_work_graph_answers_as_its_frozen_copy():
+    # every 4th state of each chain, and each hand-built case after its
+    # reduction and after its undo, plane and plain
+    asked = 0
+    for g, M in _chain_corpus():
+        states = itertools.count()
+
+        def check(w):
+            nonlocal asked
+            if next(states) % 4 == 0:
+                asked += _answers_as_frozen(w, M)
+
+        _chain_of_events(g, M, check)
+    plain = 0
+    for g, cfg in _undo_cases():
+        w = _WorkGraph(g)
+        log = _reduce(w, cfg)
+        if w._adj:
+            asked += _answers_as_frozen(w, 12)
+        w.undo(log)
+        asked += _answers_as_frozen(w, 12)
+        plain += w._rot is None
+    assert asked > 0 and plain >= 3
 
 
 def _plainly_small(w: _WorkGraph) -> dict:
