@@ -22,13 +22,16 @@ like the immutable graphs, so predicates, availability and validation read
 it through the same queries.  It keeps one neighbor list per vertex, the
 rotation on a plane graph.  Each reduction's undo log maps the vertices
 it touched to their lists from before it, and undoing assigns those lists
-back.  The extenders share their coloring steps, which take
-normalized keys: ``_available`` tells edges from vertices and returns the
-free colors as an int mask, whose least color and count are two int
-operations, ``_color_least`` gives one element its smallest free color,
-``_fit_pair`` tries colors on one element until a second still has one,
-``_refit_face_edges`` moves a third edge out of a pinned face pair's way,
-and ``_list_color`` colors a set of edges from their lists.
+back.  Each extender reads the restored graph, the working labeling, the
+interval, the bound M and the record from one ``_Extension``, whose
+methods are the coloring steps the extenders share and take normalized
+keys: ``available`` tells edges from vertices and returns the free colors
+as an int mask, whose least color and count are two int operations,
+``color_least`` gives one element its smallest free color, ``fit_pair``
+tries colors on one element until a second still has one, ``list_color``
+colors a set of edges from their lists, and ``fail`` records an
+assignment that found no color and raises.  ``_refit_face_edges`` moves
+a third edge out of a pinned face pair's way.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ import heapq
 import itertools
 from contextlib import suppress
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, NamedTuple, Optional
+from typing import (Callable, Iterator, Mapping, NamedTuple, NoReturn,
+                    Optional)
 
 from .exact import find_labeling
 from .graphs import (BaseGraph, DisconnectedError, Graph, GraphError,
@@ -120,7 +124,7 @@ class ReductionRecord:
     """The steps taken to extend a labeling across one structure."""
 
     kind: str
-    detail: dict
+    detail: Mapping[str, object]
     steps: list = field(default_factory=list)
 
     def add(self, action: str, element: Element, color: Optional[int],
@@ -590,109 +594,123 @@ def reduce_config(g: Graph, cfg: ReducibleConfig) -> Graph:
 # extensions
 
 
-def _erase(work: dict, rec: ReductionRecord, key: Element) -> Optional[int]:
-    """Uncolor an element, recording the step; return the color it held."""
-    rec.add("erase", key, None, 0, 0)
-    return work.pop(key, None)
-
-
-def _available(g: Graph, work: dict, key: Element, itv: ColorInterval) -> int:
-    """The colors free for a normalized element, as a mask: bit c is set
-    when color c is free."""
-    if isinstance(key, tuple):
-        return available_edge_mask(g, work, key, itv)
-    return available_vertex_mask(g, work, key, itv)
-
-
 def _least(mask: int) -> int:
     """The smallest color of a nonempty mask."""
     return (mask & -mask).bit_length() - 1
 
 
-def _color_least(g: Graph, work: dict, itv: ColorInterval,
-                 rec: ReductionRecord, action: str, key: Element,
-                 required: int) -> bool:
-    """Give an element its smallest legal color, with any color it holds
-    lifted, and record the step; when it has none, leave it as it was and
-    record nothing."""
-    held = work.pop(key, None)
-    avail = _available(g, work, key, itv)
-    if not avail:
+class _Extension:
+    """One extension across one reduction: the restored graph g, the
+    working labeling, the interval with its bound M, and the record the
+    steps go to."""
+
+    __slots__ = ("g", "work", "itv", "M", "rec")
+
+    def __init__(self, g: Graph, work: dict, itv: ColorInterval,
+                 rec: ReductionRecord):
+        self.g = g
+        self.work = work
+        self.itv = itv
+        self.M = itv.k - 2
+        self.rec = rec
+
+    def available(self, key: Element) -> int:
+        """The colors free for an element, as a mask: bit c is set when
+        color c is free."""
+        if isinstance(key, tuple):
+            return available_edge_mask(self.g, self.work, key, self.itv)
+        return available_vertex_mask(self.g, self.work, key, self.itv)
+
+    def erase(self, key: Element) -> Optional[int]:
+        """Uncolor an element, recording the step; return the color it held."""
+        self.rec.add("erase", key, None, 0, 0)
+        return self.work.pop(key, None)
+
+    def check(self, key: Element, required: int) -> None:
+        """Record how many colors the element has free, changing nothing."""
+        self.rec.add("check", key, None, self.available(key).bit_count(),
+                     required)
+
+    def fail(self, key: Element, required: int, message: str) -> NoReturn:
+        """Record that the element could not be assigned, and raise."""
+        self.rec.add("assign", key, None, 0, required)
+        raise ExtensionError(message)
+
+    def color_least(self, action: str, key: Element, required: int) -> bool:
+        """Give an element its smallest legal color, with any color it holds
+        lifted, and record the step; when it has none, leave it as it was
+        and record nothing."""
+        work = self.work
+        held = work.pop(key, None)
+        avail = self.available(key)
+        if not avail:
+            if held is not None:
+                work[key] = held
+            return False
+        c = _least(avail)
+        self.rec.add(action, key, c, avail.bit_count(), required)
+        work[key] = c
+        return True
+
+    def assign_free(self, key: Element, required: int) -> None:
+        """Give the element its smallest legal color, recording the slack."""
+        if not self.color_least("assign", key, required):
+            self.fail(key, required,
+                      "no color available for %r in a %s extension"
+                      % (key, self.rec.kind))
+
+    def assign_fixed(self, key: Element, color: int) -> None:
+        """Place a color carried over from the reduced graph, verifying it."""
+        legal = self.available(key) >> color & 1
+        self.rec.add("transfer", key, color, legal, 1)
+        if not legal:
+            raise ExtensionError(
+                "carried color %d is illegal on %r in a %s extension"
+                % (color, key, self.rec.kind)
+            )
+        self.work[key] = color
+
+    def fit_pair(self, action: str, first: Element, cands: list,
+                 second: Element, required: tuple[int, int]) -> bool:
+        """Give first the first candidate that leaves second a legal color
+        and second its smallest, recording both.
+
+        Second's own color, if any, is lifted while it is tried.  On failure
+        first is left uncolored and second as it was.
+        """
+        work, rec = self.work, self.rec
+        held = work.pop(second, None)
+        for c in cands:
+            work[first] = c
+            avail = self.available(second)
+            if avail:
+                rec.add(action, first, c, len(cands), required[0])
+                least = _least(avail)
+                rec.add(action, second, least, avail.bit_count(), required[1])
+                work[second] = least
+                return True
+            del work[first]
         if held is not None:
-            work[key] = held
+            work[second] = held
         return False
-    c = _least(avail)
-    rec.add(action, key, c, avail.bit_count(), required)
-    work[key] = c
-    return True
+
+    def list_color(self, edges: list, need: Callable) -> None:
+        """Color the edges together, as a list edge coloring from their free
+        colors of the graph they form, and record each with the slack
+        need(edge, that graph) guarantees."""
+        work = self.work
+        lists = {e: available_edge(self.g, work, e, self.itv) for e in edges}
+        helper = Graph.from_edges(edges)
+        try:
+            colored = list_edge_color(helper, lists)
+        except (ListSizeError, ListColorError) as exc:
+            raise ExtensionError(str(exc)) from exc
+        for e in edges:
+            self.rec.add("list", e, colored[e], len(lists[e]), need(e, helper))
+            work[e] = colored[e]
 
 
-def _assign_free(g: Graph, work: dict, itv: ColorInterval,
-                 rec: ReductionRecord, key: Element, required: int) -> None:
-    """Give the element its smallest legal color, recording the slack."""
-    if not _color_least(g, work, itv, rec, "assign", key, required):
-        rec.add("assign", key, None, 0, required)
-        raise ExtensionError(
-            "no color available for %r in a %s extension" % (key, rec.kind)
-        )
-
-
-def _assign_fixed(g: Graph, work: dict, itv: ColorInterval,
-                  rec: ReductionRecord, key: Element, color: int) -> None:
-    """Place a color carried over from the reduced graph, verifying it."""
-    legal = _available(g, work, key, itv) >> color & 1
-    rec.add("transfer", key, color, legal, 1)
-    if not legal:
-        raise ExtensionError(
-            "carried color %d is illegal on %r in a %s extension"
-            % (color, key, rec.kind)
-        )
-    work[key] = color
-
-
-def _fit_pair(g: Graph, work: dict, itv: ColorInterval, rec: ReductionRecord,
-              action: str, first: Element, cands: list, second: Element,
-              required: tuple[int, int]) -> bool:
-    """Give first the first candidate that leaves second a legal color and
-    second its smallest, recording both.
-
-    Second's own color, if any, is lifted while it is tried.  On failure
-    first is left uncolored and second as it was.
-    """
-    held = work.pop(second, None)
-    for c in cands:
-        work[first] = c
-        avail = _available(g, work, second, itv)
-        if avail:
-            rec.add(action, first, c, len(cands), required[0])
-            least = _least(avail)
-            rec.add(action, second, least, avail.bit_count(), required[1])
-            work[second] = least
-            return True
-        del work[first]
-    if held is not None:
-        work[second] = held
-    return False
-
-
-def _list_color(g: Graph, work: dict, itv: ColorInterval,
-                rec: ReductionRecord, edges: list, need: Callable) -> None:
-    """Color the edges together, as a list edge coloring from their free
-    colors of the graph they form, and record each with the slack
-    need(edge, that graph) guarantees."""
-    lists = {e: available_edge(g, work, e, itv) for e in edges}
-    helper = Graph.from_edges(edges)
-    try:
-        colored = list_edge_color(helper, lists)
-    except (ListSizeError, ListColorError) as exc:
-        raise ExtensionError(str(exc)) from exc
-    for e in edges:
-        rec.add("list", e, colored[e], len(lists[e]), need(e, helper))
-        work[e] = colored[e]
-
-
-def _separate_endpoints(g: Graph, work: dict, itv: ColorInterval,
-                        rec: ReductionRecord, u: int, v: int) -> None:
+def _separate_endpoints(ext: _Extension, u: int, v: int) -> None:
     """Recolor one endpoint of a restored edge so the two ends differ.
 
     The ends were not adjacent in the reduced graph, so they may share a
@@ -700,11 +718,10 @@ def _separate_endpoints(g: Graph, work: dict, itv: ColorInterval,
     other end is a neighbor again, so availability rules it out directly.
     The low end has few incident bands, which keeps a color free.
     """
-    M = itv.k - 2
+    g, work, M = ext.g, ext.work, ext.M
     first, second = sorted((u, v), key=lambda t: (g.degree(t), t))
     for a in (first, second):
-        if _color_least(g, work, itv, rec, "recolor", a,
-                        max(0, M + 6 - 4 * g.degree(a))):
+        if ext.color_least("recolor", a, max(0, M + 6 - 4 * g.degree(a))):
             return
     # move one incident edge color aside to free a band for the endpoint
     for a in (first, second):
@@ -713,8 +730,8 @@ def _separate_endpoints(g: Graph, work: dict, itv: ColorInterval,
             if ek not in work:
                 continue
             old = work.pop(ek)
-            cands = mask_colors(_available(g, work, ek, itv) & ~(1 << old))
-            if _fit_pair(g, work, itv, rec, "recolor", ek, cands, a, (0, 0)):
+            cands = mask_colors(ext.available(ek) & ~(1 << old))
+            if ext.fit_pair("recolor", ek, cands, a, (0, 0)):
                 return
             work[ek] = old
     raise ExtensionError(
@@ -722,162 +739,143 @@ def _separate_endpoints(g: Graph, work: dict, itv: ColorInterval,
     )
 
 
-def _extend_sparse_edge(g: Graph, work: dict, cfg: ReducibleConfig,
-                        itv: ColorInterval, rec: ReductionRecord) -> None:
+def _extend_sparse_edge(ext: _Extension, cfg: ReducibleConfig) -> None:
     u, v = cfg["edge"]
-    M = itv.k - 2
-    if work[u] == work[v]:
-        _separate_endpoints(g, work, itv, rec, u, v)
+    g, M = ext.g, ext.M
+    if ext.work[u] == ext.work[v]:
+        _separate_endpoints(ext, u, v)
     required = max(1, M - 1 - g.degree(u) - g.degree(v))
-    _assign_free(g, work, itv, rec, (u, v), required)
+    ext.assign_free((u, v), required)
 
 
-def _extend_light_edge(g: Graph, work: dict, cfg: ReducibleConfig,
-                       itv: ColorInterval, rec: ReductionRecord) -> None:
+def _extend_light_edge(ext: _Extension, cfg: ReducibleConfig) -> None:
     u = cfg["low"]
     a, b = cfg["edge"]
-    M = itv.k - 2
-    _erase(work, rec, u)
-    _assign_free(g, work, itv, rec, (a, b),
-                 max(1, M + 2 - g.degree(a) - g.degree(b)))
-    _assign_free(g, work, itv, rec, u, max(1, M + 3 - 4 * g.degree(u)))
+    g, M = ext.g, ext.M
+    ext.erase(u)
+    ext.assign_free((a, b), max(1, M + 2 - g.degree(a) - g.degree(b)))
+    ext.assign_free(u, max(1, M + 3 - 4 * g.degree(u)))
 
 
-def _extend_deg4_low_neighbor(g: Graph, work: dict, cfg: ReducibleConfig,
-                              itv: ColorInterval, rec: ReductionRecord) -> None:
+def _extend_deg4_low_neighbor(ext: _Extension, cfg: ReducibleConfig) -> None:
     u = cfg["center"]
     a, b = cfg["edge"]
     other = b if a == u else a
-    M = itv.k - 2
-    _erase(work, rec, u)
-    rec.add("check", u, None, _available(g, work, u, itv).bit_count(),
-            max(2, M - 10))
+    g, M = ext.g, ext.M
+    ext.erase(u)
+    ext.check(u, max(2, M - 10))
     required = max(3, M - 2 - g.degree(other))
     key = edge_key(u, other)
-    cands = mask_colors(_available(g, work, key, itv))
+    cands = mask_colors(ext.available(key))
     # some candidate leaves the center colorable because its band cannot
     # cover two spare colors three different ways
-    if not _fit_pair(g, work, itv, rec, "assign", key, cands, u, (required, 1)):
-        rec.add("assign", key, None, 0, required)
-        raise ExtensionError("no edge candidate leaves the center colorable")
+    if not ext.fit_pair("assign", key, cands, u, (required, 1)):
+        ext.fail(key, required, "no edge candidate leaves the center colorable")
 
 
-def _extend_two_deg2(g: Graph, work: dict, cfg: ReducibleConfig,
-                     itv: ColorInterval, rec: ReductionRecord) -> None:
+def _extend_two_deg2(ext: _Extension, cfg: ReducibleConfig) -> None:
     v, x, y = cfg["hub"], cfg["x"], cfg["y"]
     xp, yp = cfg["x_other"], cfg["y_other"]
-    M = itv.k - 2
+    g, M = ext.g, ext.M
     if cfg["case"] == 1:
         ring = [edge_key(*e) for e in ((v, x), (x, xp), (xp, y), (y, v))]
-        _list_color(g, work, itv, rec, ring, lambda e, _: max(
+        ext.list_color(ring, lambda e, _: max(
             2, M + 2 - g.degree(v if v in e else xp)))
     else:
-        carried_x = _erase(work, rec, edge_key(v, xp))
-        carried_y = _erase(work, rec, edge_key(v, yp))
-        _assign_fixed(g, work, itv, rec, edge_key(x, xp), carried_x)
-        _assign_fixed(g, work, itv, rec, edge_key(v, y), carried_x)
-        _assign_fixed(g, work, itv, rec, edge_key(y, yp), carried_y)
-        _assign_fixed(g, work, itv, rec, edge_key(v, x), carried_y)
-    _assign_free(g, work, itv, rec, x, max(1, M - 5))
-    _assign_free(g, work, itv, rec, y, max(1, M - 5))
+        carried_x = ext.erase(edge_key(v, xp))
+        carried_y = ext.erase(edge_key(v, yp))
+        ext.assign_fixed(edge_key(x, xp), carried_x)
+        ext.assign_fixed(edge_key(v, y), carried_x)
+        ext.assign_fixed(edge_key(y, yp), carried_y)
+        ext.assign_fixed(edge_key(v, x), carried_y)
+    ext.assign_free(x, max(1, M - 5))
+    ext.assign_free(y, max(1, M - 5))
 
 
-def _extend_twin_low_neighbor(g: Graph, work: dict, cfg: ReducibleConfig,
-                              itv: ColorInterval, rec: ReductionRecord) -> None:
+def _extend_twin_low_neighbor(ext: _Extension, cfg: ReducibleConfig) -> None:
     v = cfg["hub"]
     v1, v2 = cfg["twins"]
     u = cfg["apex"]
-    M = itv.k - 2
-    _erase(work, rec, v1)
-    _erase(work, rec, v2)
+    g, M, work = ext.g, ext.M, ext.work
+    ext.erase(v1)
+    ext.erase(v2)
     e1, e2 = edge_key(v, v1), edge_key(v, v2)
-    avail1 = _available(g, work, e1, itv)
-    if avail1.bit_count() == 1 and avail1 == _available(g, work, e2, itv):
+    avail1 = ext.available(e1)
+    if avail1.bit_count() == 1 and avail1 == ext.available(e2):
         # both edges are pinned to the same color, so trade the apex
         # edge colors: the hub frees one color the second edge can take
         ka, kb = edge_key(u, v), edge_key(u, v1)
         ca, cb = work.pop(ka), work.pop(kb)
-        _assign_fixed(g, work, itv, rec, ka, cb)
-        _assign_fixed(g, work, itv, rec, kb, ca)
-        avail1 = _available(g, work, e1, itv)
-    if not _fit_pair(g, work, itv, rec, "assign", e1, mask_colors(avail1), e2,
-                     (1, 1)):
-        rec.add("assign", e1, None, 0, 1)
-        raise ExtensionError("hub edges cannot take distinct colors")
-    _assign_free(g, work, itv, rec, v1, max(1, M + 3 - 4 * g.degree(v1)))
-    _assign_free(g, work, itv, rec, v2, max(1, M + 3 - 4 * g.degree(v2)))
+        ext.assign_fixed(ka, cb)
+        ext.assign_fixed(kb, ca)
+        avail1 = ext.available(e1)
+    if not ext.fit_pair("assign", e1, mask_colors(avail1), e2, (1, 1)):
+        ext.fail(e1, 1, "hub edges cannot take distinct colors")
+    ext.assign_free(v1, max(1, M + 3 - 4 * g.degree(v1)))
+    ext.assign_free(v2, max(1, M + 3 - 4 * g.degree(v2)))
 
 
-def _fit_face_edges(g: Graph, work: dict, itv: ColorInterval,
-                    rec: ReductionRecord, e12: tuple, e13: tuple) -> bool:
+def _fit_face_edges(ext: _Extension, e12: tuple, e13: tuple) -> bool:
     """Color the two face edges at the low corner, e12 first."""
-    cands = mask_colors(_available(g, work, e12, itv))
-    return _fit_pair(g, work, itv, rec, "assign", e12, cands, e13, (1, 1))
+    cands = mask_colors(ext.available(e12))
+    return ext.fit_pair("assign", e12, cands, e13, (1, 1))
 
 
-def _refit_face_edges(g: Graph, work: dict, itv: ColorInterval,
-                      rec: ReductionRecord, e12: tuple, e13: tuple,
-                      moved: tuple, count_held: bool) -> bool:
+def _refit_face_edges(ext: _Extension, e12: tuple, e13: tuple, moved: tuple,
+                      count_held: bool) -> bool:
     """Try each other color on the edge moved and fit the face edges after
     it, recording the move only when they fit; the edge keeps its color
     otherwise.  With count_held the step's measured slack counts the
     edge's held color among its choices."""
+    work, rec = ext.work, ext.rec
     held = work.pop(moved)
-    cands = mask_colors(_available(g, work, moved, itv))
+    cands = mask_colors(ext.available(moved))
     others = [r for r in cands if r != held]
     for r in others:
         work[moved] = r
         rec.add("recolor", moved, r, len(cands if count_held else others), 1)
-        if _fit_face_edges(g, work, itv, rec, e12, e13):
+        if _fit_face_edges(ext, e12, e13):
             return True
         rec.steps.pop()
     work[moved] = held
     return False
 
 
-def _extend_face(g: Graph, work: dict, cfg: ReducibleConfig,
-                 itv: ColorInterval, rec: ReductionRecord) -> None:
+def _extend_face(ext: _Extension, cfg: ReducibleConfig) -> None:
     v1, v2, v3 = cfg["corners"]
-    M = itv.k - 2
+    g, M, work = ext.g, ext.M, ext.work
     e12, e13 = edge_key(v1, v2), edge_key(v1, v3)
     # the low corner lost both face edges in the reduced graph, so it may
     # collide with a mate it is about to rejoin; two missing bands leave it
     # at least M - 11 fresh colors
-    if work[v1] in (work[v2], work[v3]) and not _color_least(
-            g, work, itv, rec, "recolor", v1, max(1, M + 9 - 4 * g.degree(v1))):
+    if work[v1] in (work[v2], work[v3]) and not ext.color_least(
+            "recolor", v1, max(1, M + 9 - 4 * g.degree(v1))):
         raise ExtensionError(
             "low corner %d of a tight face cannot be recolored" % v1
         )
-    rec.add("check", e12, None, _available(g, work, e12, itv).bit_count(),
-            max(0, M - g.degree(v1) - g.degree(v2)))
-    rec.add("check", e13, None, _available(g, work, e13, itv).bit_count(),
-            max(0, M - g.degree(v1) - g.degree(v3)))
-    if _fit_face_edges(g, work, itv, rec, e12, e13):
+    ext.check(e12, max(0, M - g.degree(v1) - g.degree(v2)))
+    ext.check(e13, max(0, M - g.degree(v1) - g.degree(v3)))
+    if _fit_face_edges(ext, e12, e13):
         return
     # freeing a color seen by both endpoints of the third side unsticks
     # the pinned pair
-    if _refit_face_edges(g, work, itv, rec, e12, e13,
-                         edge_key(v2, v3), count_held=True):
+    if _refit_face_edges(ext, e12, e13, edge_key(v2, v3), count_held=True):
         return
     # moving the outside edge at the low corner releases its old color
     # for the third-side two-step
     if cfg.kind == FACE_567 and _refit_face_edges(
-            g, work, itv, rec, e12, e13,
-            edge_key(v1, cfg["outside"]), count_held=False):
+            ext, e12, e13, edge_key(v1, cfg["outside"]), count_held=False):
         return
-    rec.add("assign", e12, None, 0, 1)
-    raise ExtensionError("face edges cannot be recolored consistently")
+    ext.fail(e12, 1, "face edges cannot be recolored consistently")
 
 
-def _extend_alternator(g: Graph, work: dict, cfg: ReducibleConfig,
-                       itv: ColorInterval, rec: ReductionRecord) -> None:
-    M = itv.k - 2
+def _extend_alternator(ext: _Extension, cfg: ReducibleConfig) -> None:
+    g, M = ext.g, ext.M
     low = cfg["low_side"]
     cross = [edge_key(*e) for e in cfg["edges"]]
-    _list_color(g, work, itv, rec, cross,
-                lambda e, h: max(h.degree(e[0]), h.degree(e[1])))
+    ext.list_color(cross, lambda e, h: max(h.degree(e[0]), h.degree(e[1])))
     for x in sorted(low):
-        _assign_free(g, work, itv, rec, x, max(1, M + 3 - 4 * g.degree(x)))
+        ext.assign_free(x, max(1, M + 3 - 4 * g.degree(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -893,7 +891,7 @@ class _Kind:
     data: Callable  # (*fields) -> ReducibleConfig.data
     fields: Callable  # ReducibleConfig.data -> fields
     reduce: Callable  # (work graph, config, undo log) -> None
-    extend: Callable  # (g, work, config, interval, record) -> None
+    extend: Callable  # (extension, config) -> None
     code: Optional[str] = None  # what the audit reports an occurrence as
     cite: Optional[Callable] = None  # (g, M, *fields) -> (note, elements)
 
@@ -1265,8 +1263,8 @@ def _label(g: Graph, M: int,
             work.update(_base_labeling(w, log, itv, memo))
             trace.base_cases += 1
         else:
-            rec = ReductionRecord(cfg.kind, dict(cfg.data))
-            _CATALOGUE[cfg.kind].extend(w, work, cfg, itv, rec)
+            rec = ReductionRecord(cfg.kind, cfg.data)
+            _CATALOGUE[cfg.kind].extend(_Extension(w, work, itv, rec), cfg)
             trace.records.append(rec)
         if deep_check:
             _require_valid(w, work, itv, "intermediate")
