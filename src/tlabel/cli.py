@@ -120,7 +120,7 @@ def _cmd_verify(args) -> int:
         span = max(phi.max_color() or 0, 0)  # largest color used, at least 0
     interval = ColorInterval(k=span, d=args.gap)
     violations = validate(g, phi, interval)
-    complete = phi.is_total(g)
+    complete = len(phi) == g.n + g.m  # parse_labeling keeps only g's elements
     _emit_json(
         {
             "gap": args.gap,

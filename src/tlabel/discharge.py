@@ -176,8 +176,9 @@ def assign_masters(g: Graph, k: int,
     saturated neighborhood blocking the unmatched client, a Hall-style
     certificate that no assignment exists.
     """
+    adj = g._adj
     if clients is None:
-        clients = [v for v in sorted(g.vertices) if g.degree(v) <= k]
+        clients = sorted(v for v, ns in adj.items() if len(ns) <= k)
     else:
         clients = sorted(clients)
     cap = k - 1
@@ -195,10 +196,10 @@ def assign_masters(g: Graph, k: int,
             rivals = frame[3]
             if rivals:
                 x = rivals.pop()
-                stack.append([x, iter(sorted(g.neighbors(x))), None, None])
+                stack.append([x, iter(sorted(adj[x])), None, None])
                 continue
             for m in frame[1]:
-                if g.degree(m) > k and m not in visited:
+                if len(adj[m]) > k and m not in visited:
                     break
             else:
                 stack.pop()
@@ -278,6 +279,23 @@ def apply_rules(g: PlaneGraph, M: int) -> ChargeLedger:
 # structural scan
 
 
+# the catalogue's kinds with an audit code, in code order, split where C4
+# falls between them
+_SCAN_KINDS = sorted((k for k in _CATALOGUE.values() if k.code is not None),
+                     key=lambda k: k.code)
+_KINDS_BEFORE_C4 = tuple(k for k in _SCAN_KINDS if k.code < "C4")
+_KINDS_AFTER_C4 = tuple(k for k in _SCAN_KINDS if k.code > "C4")
+
+
+def _scan_kinds(g: Graph, M: int, kinds, found: list) -> None:
+    """Append one violation per occurrence of each kind, in order."""
+    for kind in kinds:
+        code, cite = kind.code, kind.cite
+        for fields in kind.occurrences(g, M):
+            note, elements = cite(g, M, *fields)
+            found.append(StructureViolation(code, note, elements))
+
+
 def scan_structure(g: Graph, M: int) -> tuple[StructureViolation, ...]:
     """Every local pattern that rules the graph out as a counterexample.
 
@@ -288,7 +306,8 @@ def scan_structure(g: Graph, M: int) -> tuple[StructureViolation, ...]:
     2-neighbors, C6d twinned low neighbors on a triangle, C6e special
     triangle faces with an outside mate.  The face codes need rotations
     but not a connected graph.  Violations come ordered by code, and in
-    scan order within a code.
+    scan order within a code: the codes are produced in that order, so
+    nothing is sorted afterwards.
     """
     found: list[StructureViolation] = []
 
@@ -299,6 +318,7 @@ def scan_structure(g: Graph, M: int) -> tuple[StructureViolation, ...]:
             "C1", "disconnected: component sizes %s" % sizes, ()
         ))
 
+    _scan_kinds(g, M, _KINDS_BEFORE_C4, found)
     for k in (2, 3):
         outcome = assign_masters(g, k)
         if outcome.status != "ok":
@@ -308,15 +328,9 @@ def scan_structure(g: Graph, M: int) -> tuple[StructureViolation, ...]:
                 % (k, outcome.unmatched),
                 tuple(sorted(outcome.violator)),
             ))
+    _scan_kinds(g, M, _KINDS_AFTER_C4, found)
 
-    for kind in _CATALOGUE.values():
-        if kind.code is None:
-            continue
-        for fields in kind.occurrences(g, M):
-            note, elements = kind.cite(g, M, *fields)
-            found.append(StructureViolation(kind.code, note, elements))
-
-    return tuple(sorted(found, key=lambda v: v.code))
+    return tuple(found)
 
 
 # ---------------------------------------------------------------------------

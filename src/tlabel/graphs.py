@@ -18,7 +18,6 @@ construction, such as the loader's, are adopted without a second check.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Collection, Iterable, Mapping, Sequence
 
 
@@ -314,9 +313,10 @@ def trace_faces(g: PlaneGraph) -> tuple[tuple[int, ...], ...]:
     single face of the path a-b-c is (a, b, c, b), of degree 4.
 
     The dart (u, v) is followed on its face by (v, w), w the neighbor after
-    u in the rotation at v.  One map sends each dart (u, v) to that w, and a
-    walk pops the darts it visits; walks start in sorted dart order, so the
-    faces come in the order of their least darts, after one empty face
+    u in the rotation at v.  Each vertex v has one successor map, from u to
+    that w, and a walk pops each dart it visits from its head's map, so no
+    dart is built as a key; walks start in sorted dart order, so the faces
+    come in the order of their least darts, after one empty face
     ``()`` for each isolated vertex.  Every component is traced.  Each
     component has V - E + F <= 2, with equality exactly when its rotations
     are plane, so g is plane exactly when the sum is 2 per component;
@@ -326,21 +326,22 @@ def trace_faces(g: PlaneGraph) -> tuple[tuple[int, ...], ...]:
     """
     comps = g.components()
 
-    nxt: dict[tuple[int, int], int] = {}  # dart (u, v) -> w
-    for v, order in g._rot.items():
-        nxt.update(zip(zip(order, repeat(v)), order[1:] + order[:1]))
+    rot = g._rot
+    # succ[v][u] = w for the dart (u, v)
+    succ = {v: dict(zip(order, order[1:] + order[:1]))
+            for v, order in rot.items()}
 
     faces: list[tuple[int, ...]] = [() for c in comps if len(c) == 1]
-    for u in sorted(g._rot):  # walks start in sorted dart order
-        for v in sorted(g._rot[u]):
-            w = nxt.pop((u, v), None)
+    for u in sorted(rot):  # walks start in sorted dart order
+        for v in sorted(rot[u]):
+            w = succ[v].pop(u, None)
             if w is None:  # the dart lies on a face already traced
                 continue
             walk = [u]
             a, b = v, w
             while a != u or b != v:  # until back at the dart (u, v)
                 walk.append(a)
-                a, b = b, nxt.pop((a, b))
+                a, b = b, succ[b].pop(a)
             faces.append(tuple(walk))
 
     euler = g.n - g.m + len(faces)

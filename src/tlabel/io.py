@@ -115,7 +115,11 @@ def serialize_graph(g: Graph) -> str:
 
 
 def parse_labeling(text: str, g: Graph) -> PartialLabeling:
-    """Parse a labeling file against a graph; unknown elements are errors."""
+    """Parse a labeling file against a graph; unknown elements are errors.
+
+    Every key is an element of g, named once and normalized, so the result
+    adopts the parsed dict, and it covers g exactly when it has g.n + g.m
+    elements."""
     out: dict = {}
     for lineno, toks in _tokens(text):
         kind = toks[0]
@@ -140,7 +144,7 @@ def parse_labeling(text: str, g: Graph) -> PartialLabeling:
             out[e] = c
         else:
             raise FormatError("line %d: unknown record %r" % (lineno, kind))
-    return PartialLabeling(out)
+    return PartialLabeling._adopt(out)
 
 
 def serialize_labeling(phi: PartialLabeling) -> str:

@@ -124,7 +124,6 @@ class ReductionRecord:
     """The steps taken to extend a labeling across one structure."""
 
     kind: str
-    detail: Mapping[str, object]
     steps: list = field(default_factory=list)
 
     def add(self, action: str, element: Element, color: Optional[int],
@@ -175,9 +174,14 @@ class ExtensionTrace:
 # tuples in scan order.  An enumerator prunes only what the predicate rejects,
 # by degrees, degree sums, 2-neighbors or triangle-face membership, so the
 # predicate alone decides what is an occurrence; each has one field tuple.
-# Predicates and enumerators treat neighbors() as an iterable, a list on
-# the working graph and a frozenset on Graph, and a face kind finds no
-# face on a graph without rotations.
+# Light edges are read from their low ends, and the face kinds test a
+# 5-corner's rotation pair only when the pair's degrees can pass.
+# Predicates, enumerators and cites bind adj = g._adj once per call and
+# read a degree as len(adj[v]), a list on the working graph and a frozenset
+# on Graph, so a vertex g lacks raises KeyError, which config_holds reads as
+# no occurrence; the edge predicates, which the queues call on keys whose
+# ends may be gone, test the edge first.  A face kind finds no face on a
+# graph without rotations.
 
 
 def _sparse_sum(M: int) -> int:
@@ -191,19 +195,25 @@ def _light_sum(M: int) -> int:
 
 
 def _sparse_edge(g: Graph, M: int, u: int, v: int) -> bool:
-    return (u < v and g.has_edge(u, v)
-            and g.degree(u) + g.degree(v) <= _sparse_sum(M))
+    if not (u < v and g.has_edge(u, v)):  # a queued key may be stale
+        return False
+    adj = g._adj
+    return len(adj[u]) + len(adj[v]) <= _sparse_sum(M)
 
 
 def _light_end(g: Graph, M: int, u: int, v: int) -> Optional[int]:
     """The low end of a light edge uv, the first end light enough, or None
     when uv is not a light edge."""
-    if not g.has_edge(u, v) or g.degree(u) + g.degree(v) > _light_sum(M):
+    if not g.has_edge(u, v):  # a queued key may be stale
+        return None
+    adj = g._adj
+    du, dv = len(adj[u]), len(adj[v])
+    if du + dv > _light_sum(M):
         return None
     cap = (M + 2) // 4
-    if g.degree(u) <= cap:
+    if du <= cap:
         return u
-    if g.degree(v) <= cap:
+    if dv <= cap:
         return v
     return None
 
@@ -220,36 +230,41 @@ def _edges_summing_at_most(g: BaseGraph, total: int) -> list[tuple[int, int]]:
                    for v in ns if u < v and len(ns) + len(adj[v]) <= total])
 
 
-def _light_candidates(g: Graph, M: int) -> Iterator[tuple]:
-    cap = (M + 2) // 4
-    for u, v in _edges_summing_at_most(g, _light_sum(M)):
-        for low in (u, v):
-            if g.degree(low) <= cap:
-                yield u, v, low
+def _light_candidates(g: Graph, M: int) -> list[tuple]:
+    """(u, v, low) for each edge uv, u < v, within the light sum and each
+    end low of degree at most (M + 2) // 4, read from the low ends and
+    sorted: by edge, u before v as the low end."""
+    adj = g._adj
+    cap, total = (M + 2) // 4, _light_sum(M)
+    return sorted([(low, v, low) if low < v else (v, low, low)
+                   for low, ns in adj.items() if len(ns) <= cap
+                   for v in ns if len(ns) + len(adj[v]) <= total])
 
 
 def _deg4_low_neighbor(g: Graph, M: int, center: int, other: int) -> bool:
-    return (g.degree(center) == 4 and g.has_edge(center, other)
-            and g.degree(other) <= 7)
+    adj = g._adj
+    return (len(adj[center]) == 4 and g.has_edge(center, other)
+            and len(adj[other]) <= 7)
 
 
 def _deg4_candidates(g: Graph, M: int) -> Iterator[tuple]:
-    for u in g.vertices:
-        if g.degree(u) == 4:
-            for v in sorted(g.neighbors(u)):
-                yield u, v
+    adj = g._adj
+    for u in sorted([u for u, ns in adj.items() if len(ns) == 4]):
+        for v in sorted(adj[u]):
+            yield u, v
 
 
 def _two_deg2(g: Graph, M: int, hub: int, x: int, y: int,
               x_other: int, y_other: int) -> bool:
     """Non-adjacent 2-neighbors x < y of the hub whose far ends coincide
     (case 1) or are both non-adjacent to the hub (case 3)."""
+    adj = g._adj
     return (
         x < y
-        and g.degree(x) == 2
-        and g.degree(y) == 2
-        and set(g.neighbors(x)) == {hub, x_other}
-        and set(g.neighbors(y)) == {hub, y_other}
+        and len(adj[x]) == 2
+        and len(adj[y]) == 2
+        and set(adj[x]) == {hub, x_other}
+        and set(adj[y]) == {hub, y_other}
         and x_other != y
         and (x_other == y_other
              or not (g.has_edge(hub, x_other) or g.has_edge(hub, y_other)))
@@ -257,15 +272,15 @@ def _two_deg2(g: Graph, M: int, hub: int, x: int, y: int,
 
 
 def _two_deg2_candidates(g: Graph, M: int) -> Iterator[tuple]:
+    adj = g._adj
     twos: dict[int, list[int]] = {}  # hub -> its 2-neighbors, ascending
-    for x in g.vertices:
-        if g.degree(x) == 2:
-            for v in g.neighbors(x):
-                twos.setdefault(v, []).append(x)
+    for x in sorted([x for x, ns in adj.items() if len(ns) == 2]):
+        for v in adj[x]:
+            twos.setdefault(v, []).append(x)
     for v in sorted(twos):
         for x, y in itertools.combinations(twos[v], 2):
-            (xp,) = set(g.neighbors(x)) - {v}
-            (yp,) = set(g.neighbors(y)) - {v}
+            (xp,) = set(adj[x]) - {v}
+            (yp,) = set(adj[y]) - {v}
             yield v, x, y, xp, yp
 
 
@@ -279,12 +294,13 @@ def _twin_low_neighbor(g: Graph, M: int, hub: int, v1: int, v2: int,
     """Two neighbors of the hub of degree M + 2 - deg(hub), which is 2 or
     3, the first on a triangle with the hub and the apex (not necessarily
     a face: the extension trades colors along its edges only)."""
-    target = M + 2 - g.degree(hub)
+    adj = g._adj
+    target = M + 2 - len(adj[hub])
     return (
         2 <= target <= 3
         and v1 != v2
-        and g.degree(v1) == target
-        and g.degree(v2) == target
+        and len(adj[v1]) == target
+        and len(adj[v2]) == target
         and g.has_edge(hub, v1)
         and g.has_edge(hub, v2)
         and apex not in (hub, v1, v2)
@@ -294,13 +310,12 @@ def _twin_low_neighbor(g: Graph, M: int, hub: int, v1: int, v2: int,
 
 
 def _twin_candidates(g: Graph, M: int) -> Iterator[tuple]:
-    for v in g.vertices:
-        target = M + 2 - g.degree(v)
-        if not 2 <= target <= 3:
-            continue
-        lows = [w for w in sorted(g.neighbors(v)) if g.degree(w) == target]
+    adj = g._adj
+    for v in sorted([v for v, ns in adj.items() if 2 <= M + 2 - len(ns) <= 3]):
+        target = M + 2 - len(adj[v])
+        lows = [w for w in sorted(adj[v]) if len(adj[w]) == target]
         for v1, v2 in itertools.permutations(lows, 2):
-            for u in sorted(g.neighbors(v1)):
+            for u in sorted(adj[v1]):
                 yield v, v1, v2, u
 
 
@@ -309,8 +324,8 @@ def _has_rotation(g: BaseGraph) -> bool:
 
 
 def _successor(g, v: int, u: int) -> int:
-    """The neighbor that follows u in the rotation at v."""
-    order = g.rotation(v)
+    """The neighbor that follows u in the rotation at v, a vertex of g."""
+    order = g._rot[v]
     i = order.index(u) + 1
     return order[i] if i < len(order) else order[0]
 
@@ -335,10 +350,16 @@ def _face_of(g, a: int, b: int, c: int) -> Optional[tuple[int, int, int]]:
     return None
 
 
-def _triangle_faces(g, corners) -> list[tuple[int, int, int]]:
+def _any_pair(dc: int, db: int) -> bool:
+    return True
+
+
+def _triangle_faces(g, corners, pair_ok=_any_pair) -> list[tuple[int, int, int]]:
     """The faces bounded by three distinct vertices, at least one of them
     in corners, read off the consecutive pairs of each corner's rotation;
-    none on a graph without rotations.
+    none on a graph without rotations.  A pair (c, b) is tested for a face
+    only when pair_ok(deg c, deg b) holds, so a kind that bounds the other
+    two corners' degrees skips the successor lookups of every other pair.
 
     Each face starts at its least corner and the faces come in the order
     :func:`~tlabel.graphs.trace_faces` lists them, without tracing any other
@@ -346,28 +367,34 @@ def _triangle_faces(g, corners) -> list[tuple[int, int, int]]:
     """
     if not _has_rotation(g):
         return []
+    adj, rot = g._adj, g._rot
     found = set()
     for a in corners:
-        order = g.rotation(a)
+        order = rot[a]
         # c just before b at a is s_a(c) = b, the third condition of
         # _face_of, so two successor lookups settle the rest
         for c, b in zip(order[-1:] + order[:-1], order):
-            if (c != b and _successor(g, b, a) == c
+            if (c != b and pair_ok(len(adj[c]), len(adj[b]))
+                    and _successor(g, b, a) == c
                     and _successor(g, c, b) == a):
                 found.add(min((a, b, c), (b, c, a), (c, a, b)))
     return sorted(found)
 
 
-def _five_corner_faces(g) -> list[tuple[int, int, int]]:
-    return _triangle_faces(g, [v for v in g.vertices if g.degree(v) == 5])
+def _five_corner_faces(g, pair_ok) -> list[tuple[int, int, int]]:
+    """The triangle faces with a 5-corner whose other two corners, in
+    rotation order, have degrees that pass pair_ok."""
+    corners = [v for v, ns in g._adj.items() if len(ns) == 5]
+    return _triangle_faces(g, corners, pair_ok)
 
 
 def _face_566(g, M: int, v1: int, v2: int, v3: int) -> bool:
     """A triangle face whose corners have degree at most 6, with v1 its
     least corner of degree 5 and v2 < v3."""
-    d2, d3 = g.degree(v2), g.degree(v3)
+    adj = g._adj
+    d2, d3 = len(adj[v2]), len(adj[v3])
     return (
-        g.degree(v1) == 5
+        len(adj[v1]) == 5
         and v2 < v3 and d2 <= 6 and d3 <= 6
         and (d2 != 5 or v1 < v2) and (d3 != 5 or v1 < v3)
         and _face_of(g, v1, v2, v3) is not None
@@ -375,9 +402,10 @@ def _face_566(g, M: int, v1: int, v2: int, v3: int) -> bool:
 
 
 def _face_566_candidates(g, M: int) -> Iterator[tuple]:
-    for face in _five_corner_faces(g):
+    adj = g._adj
+    for face in _five_corner_faces(g, lambda dc, db: dc <= 6 and db <= 6):
         for v1 in face:
-            if g.degree(v1) == 5:
+            if len(adj[v1]) == 5:
                 v2, v3 = sorted(c for c in face if c != v1)
                 yield v1, v2, v3
 
@@ -385,24 +413,25 @@ def _face_566_candidates(g, M: int) -> Iterator[tuple]:
 def _face_567(g, M: int, v1: int, v2: int, v3: int, outside: int) -> bool:
     """A triangle face with corners of degree 5, 6 and 7, and the least
     neighbor of degree 6 that the 5-corner has off the face."""
+    adj = g._adj
     return (
-        (g.degree(v1), g.degree(v2), g.degree(v3)) == (5, 6, 7)
+        (len(adj[v1]), len(adj[v2]), len(adj[v3])) == (5, 6, 7)
         and _face_of(g, v1, v2, v3) is not None
         and outside == min(
-            (w for w in g.neighbors(v1)
-             if w not in (v2, v3) and g.degree(w) == 6),
+            (w for w in adj[v1] if w not in (v2, v3) and len(adj[w]) == 6),
             default=None,
         )
     )
 
 
 def _face_567_candidates(g, M: int) -> Iterator[tuple]:
-    for face in _five_corner_faces(g):
-        v1, v2, v3 = sorted(face, key=g.degree)
-        if (g.degree(v1), g.degree(v2), g.degree(v3)) == (5, 6, 7):
-            for w in sorted(g.neighbors(v1)):
-                if g.degree(w) == 6:
-                    yield v1, v2, v3, w
+    adj = g._adj
+    for face in _five_corner_faces(
+            g, lambda dc, db: (dc == 6 and db == 7) or (dc == 7 and db == 6)):
+        v1, v2, v3 = sorted(face, key=lambda c: len(adj[c]))
+        for w in sorted(adj[v1]):
+            if len(adj[w]) == 6:
+                yield v1, v2, v3, w
 
 
 def _alternator(g: Graph, M: int, k: int, low_side: tuple,
@@ -410,18 +439,18 @@ def _alternator(g: Graph, M: int, k: int, low_side: tuple,
     """Independent low vertices of degree at most k, their neighbors as
     the high side, each high vertex keeping at least deg(y) + k - M low
     neighbors, and edges listing the cross edges."""
+    adj = g._adj
     low, high = set(low_side), set(high_side)
     return (
         3 <= k <= (M + 2) // 4
         and bool(low)
         and low.isdisjoint(high)
-        and all(g.degree(x) <= k and high.issuperset(g.neighbors(x))
-                for x in low)
-        and high == set().union(*(g.neighbors(x) for x in low))
-        and all(len(low.intersection(g.neighbors(y))) >= g.degree(y) + k - M
+        and all(len(adj[x]) <= k and high.issuperset(adj[x]) for x in low)
+        and high == set().union(*(adj[x] for x in low))
+        and all(len(low.intersection(adj[y])) >= len(adj[y]) + k - M
                 for y in high)
         and edges == tuple(
-            sorted(edge_key(x, w) for x in low for w in g.neighbors(x)))
+            sorted(edge_key(x, w) for x in low for w in adj[x]))
     )
 
 
@@ -434,23 +463,24 @@ def _peel(g: Graph, M: int, k: int) -> Optional[tuple]:
     it keeps at least deg(y) + k - M low neighbors.  Peeling runs to a
     fixed point, so membership is order-independent.
     """
+    adj = g._adj
     low: set[int] = set()
-    for x in g.vertices:
-        if g.degree(x) <= k and low.isdisjoint(g.neighbors(x)):
+    for x in sorted(adj):
+        if len(adj[x]) <= k and low.isdisjoint(adj[x]):
             low.add(x)
     while low:
-        high = frozenset().union(*(g.neighbors(x) for x in low))
+        high = frozenset().union(*(adj[x] for x in low))
         bad = [
             y for y in sorted(high)
-            if len(low.intersection(g.neighbors(y))) < g.degree(y) + k - M
+            if len(low.intersection(adj[y])) < len(adj[y]) + k - M
         ]
         if not bad:
             cross = tuple(
-                sorted(edge_key(x, w) for x in low for w in g.neighbors(x))
+                sorted(edge_key(x, w) for x in low for w in adj[x])
             )
             return k, tuple(sorted(low)), tuple(sorted(high)), cross
         for y in bad:
-            low.difference_update(g.neighbors(y))
+            low.difference_update(adj[y])
     return None
 
 
@@ -902,25 +932,38 @@ class _Kind:
                 yield fields
 
 
+def _sparse_cite(g, M: int, u: int, v: int) -> tuple:
+    adj = g._adj
+    return ("edge degree sum %d is at most %d"
+            % (len(adj[u]) + len(adj[v]), _sparse_sum(M)), ((u, v),))
+
+
+def _light_cite(g, M: int, u: int, v: int, low: int) -> tuple:
+    adj = g._adj
+    du, dv = len(adj[u]), len(adj[v])
+    return ("edge with a degree-%d end and degree sum %d"
+            % (min(du, dv), du + dv), ((u, v),))
+
+
+def _face_566_cite(g, M: int, *corners: int) -> tuple:
+    adj = g._adj
+    return ("triangle face with degrees %s"
+            % sorted(len(adj[c]) for c in corners), (_face_of(g, *corners),))
+
+
 _CATALOGUE = {
     SPARSE_EDGE: _Kind(
         lambda g, M: _edges_summing_at_most(g, _sparse_sum(M)), _sparse_edge,
         lambda u, v: {"edge": (u, v)}, lambda d: d["edge"],
         _cut_edge, _extend_sparse_edge, code="C2",
-        cite=lambda g, M, u, v: (
-            "edge degree sum %d is at most %d"
-            % (g.degree(u) + g.degree(v), _sparse_sum(M)),
-            ((u, v),)),
+        cite=_sparse_cite,
     ),
     LIGHT_EDGE: _Kind(
         _light_candidates, _light_edge,
         lambda u, v, low: {"low": low, "edge": (u, v)},
         lambda d: (*d["edge"], d["low"]),
         _cut_edge, _extend_light_edge, code="C3",
-        cite=lambda g, M, u, v, low: (
-            "edge with a degree-%d end and degree sum %d"
-            % (min(g.degree(u), g.degree(v)), g.degree(u) + g.degree(v)),
-            ((u, v),)),
+        cite=_light_cite,
     ),
     DEG4_LOW_NEIGHBOR: _Kind(
         _deg4_candidates, _deg4_low_neighbor,
@@ -928,7 +971,7 @@ _CATALOGUE = {
         lambda d: (d["center"], d["edge"][1]),
         _cut_edge, _extend_deg4_low_neighbor, code="C6a",
         cite=lambda g, M, c, o: (
-            "4-vertex beside a vertex of degree %d" % g.degree(o), (c, o)),
+            "4-vertex beside a vertex of degree %d" % len(g._adj[o]), (c, o)),
     ),
     TWO_DEG2: _Kind(
         _two_deg2_candidates, _two_deg2, _two_deg2_data,
@@ -951,10 +994,7 @@ _CATALOGUE = {
         _face_566_candidates, _face_566,
         lambda v1, v2, v3: {"corners": (v1, v2, v3)}, lambda d: d["corners"],
         _reduce_face, _extend_face, code="C6b",
-        cite=lambda g, M, *corners: (
-            "triangle face with degrees %s"
-            % sorted(g.degree(c) for c in corners),
-            (_face_of(g, *corners),)),
+        cite=_face_566_cite,
     ),
     FACE_567: _Kind(
         _face_567_candidates, _face_567,
@@ -1263,7 +1303,7 @@ def _label(g: Graph, M: int,
             work.update(_base_labeling(w, log, itv, memo))
             trace.base_cases += 1
         else:
-            rec = ReductionRecord(cfg.kind, cfg.data)
+            rec = ReductionRecord(cfg.kind)
             _CATALOGUE[cfg.kind].extend(_Extension(w, work, itv, rec), cfg)
             trace.records.append(rec)
         if deep_check:

@@ -81,6 +81,22 @@ def test_verify_respects_span_argument(tmp_path, capsys):
     assert verdict["valid"] is False
 
 
+@pytest.mark.parametrize("missing", ["v 2 0\n", "e 1 2 9\n"])
+def test_verify_flags_a_labeling_missing_one_element(tmp_path, capsys,
+                                                     missing):
+    # every color present is legal, so only the missing vertex or edge
+    # makes the verdict negative
+    graph = tmp_path / "p3.gr"
+    graph.write_text(P3_TEXT)
+    lab = tmp_path / "partial.lab"
+    lab.write_text("v 0 0\nv 1 14\nv 2 0\ne 0 1 7\ne 1 2 9\n"
+                   .replace(missing, ""))
+    assert main(["verify", str(graph), str(lab), "--span", "14"]) == 1
+    verdict = _json_out(capsys)
+    assert verdict["complete"] is False
+    assert verdict["valid"] is True
+
+
 def test_verify_defaults_the_span_to_at_least_0(tmp_path, capsys):
     # the largest color used is negative here, so the span is 0 and the
     # color is out of range: a clean negative verdict, not bad input

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from itertools import repeat
 
 import pytest
 
+from corpus import digest_graphs
 from gadgets import (
     disjoint_union,
     octahedron,
@@ -129,6 +131,70 @@ def test_faces_come_in_least_dart_order_whatever_the_vertex_order():
         assert darts[0] == min(darts)
         firsts.append(darts[0])
     assert firsts == sorted(firsts)
+
+
+def _dart_map_trace_faces(g: PlaneGraph) -> tuple:
+    """trace_faces as it was written before each vertex kept one successor
+    map: one map from each dart (u, v) to w, popped by tuple key."""
+    comps = g.components()
+
+    nxt: dict[tuple[int, int], int] = {}  # dart (u, v) -> w
+    for v, order in g._rot.items():
+        nxt.update(zip(zip(order, repeat(v)), order[1:] + order[:1]))
+
+    faces: list[tuple[int, ...]] = [() for c in comps if len(c) == 1]
+    for u in sorted(g._rot):  # walks start in sorted dart order
+        for v in sorted(g._rot[u]):
+            w = nxt.pop((u, v), None)
+            if w is None:  # the dart lies on a face already traced
+                continue
+            walk = [u]
+            a, b = v, w
+            while a != u or b != v:  # until back at the dart (u, v)
+                walk.append(a)
+                a, b = b, nxt.pop((a, b))
+            faces.append(tuple(walk))
+
+    euler = g.n - g.m + len(faces)
+    plane = 2 * max(len(comps), 1)  # the empty graph is not plane
+    if euler != plane:
+        raise EmbeddingError(
+            "rotation system is not planar: V-E+F = %d-%d+%d = %d on %d "
+            "component(s), where a plane embedding has %d"
+            % (g.n, g.m, len(faces), euler, len(comps), plane)
+        )
+    if len(comps) > 1:
+        raise DisconnectedError(comps)
+    return tuple(faces)
+
+
+def _traced(trace, g: PlaneGraph):
+    """trace(g)'s faces, or for a graph it rejects, the error's type and
+    message and the faces it had traced when it raised."""
+    try:
+        return trace(g)
+    except GraphError as exc:
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        return type(exc), str(exc), tb.tb_frame.f_locals["faces"]
+
+
+def test_successor_maps_trace_the_faces_of_the_dart_map():
+    disconnected = disjoint_union(octahedron(), generate("wheel", 5),
+                                  PlaneGraph({0: set()}, {0: ()}))
+    graphs = list(digest_graphs())
+    graphs += [generate("cycle", 5), generate("star", 5), disconnected]
+    for bad in (toroidal_k7(), one_face_k33()):
+        graphs += [bad, with_isolated_vertex(bad)]
+    outcomes = []
+    for g in graphs:
+        outcome = _traced(trace_faces, g)
+        assert outcome == _traced(_dart_map_trace_faces, g), g
+        outcomes.append(outcome[0] if isinstance(outcome[0], type) else None)
+    # every rejection is compared, faces traced before it included
+    assert outcomes[-5:] == [DisconnectedError] + [EmbeddingError] * 4
+    assert _traced(trace_faces, disconnected)[2]
 
 
 def test_rotation_must_match_adjacency():

@@ -96,7 +96,7 @@ def _alternator(g: Graph) -> ReducibleConfig:
 
 
 def _run_extension(g: Graph, cfg: ReducibleConfig, work: dict) -> ReductionRecord:
-    rec = ReductionRecord(cfg.kind, dict(cfg.data))
+    rec = ReductionRecord(cfg.kind)
     reduction._CATALOGUE[cfg.kind].extend(
         _Extension(g, work, ITV, rec), cfg)
     lab = PartialLabeling(work)
@@ -288,6 +288,27 @@ def test_config_holds_rejects_mismatches():
     )
     assert config_holds(star, 12, good)
     assert not config_holds(star, 12, bad)
+    # data naming a vertex g lacks: each is what the finder builds from its
+    # fields, so the kind's predicate itself is asked, and must not raise
+    gone = 999
+    cases = [(_make_path3(), SPARSE_EDGE), (_make_star(3), LIGHT_EDGE),
+             (generate("wheel", 4), DEG4_LOW_NEIGHBOR),
+             (_make_spider(), TWO_DEG2),
+             (separated_twin_instance(), TWIN_LOW_NEIGHBOR),
+             (leaf_triangle(5, 6, 6), FACE_566),
+             (special_face_with_mate(), FACE_567)]
+    for g, kind in cases:
+        entry = reduction._CATALOGUE[kind]
+        fields = entry.fields(_find(g, kind).data)
+        for i in range(len(fields)):
+            stale = fields[:i] + (gone,) + fields[i + 1:]
+            cfg = ReducibleConfig(kind, entry.data(*stale))
+            assert not config_holds(g, 12, cfg), (kind, i)
+    k, low, high, cross = reduction._CATALOGUE[ALTERNATOR].fields(good.data)
+    for stale in ((k, low[:-1] + (gone,), high, cross),
+                  (k, low, high[:-1] + (gone,), cross)):
+        cfg = ReducibleConfig(ALTERNATOR, reduction._alternator_data(*stale))
+        assert not config_holds(star, 12, cfg), stale
 
 
 def test_config_holds_requires_the_data_the_finder_builds():
@@ -316,6 +337,17 @@ def test_config_holds_requires_the_data_the_finder_builds():
     face = _find(tri, FACE_566)
     assert not config_holds(Graph.from_edges(tri.edges()), 12, face)
     assert not config_holds(tri, 12, ReducibleConfig("bogus", face.data))
+
+
+def test_edge_predicates_are_false_on_a_stale_queued_key():
+    # the edge queues re-check keys whose ends may already be detached, so
+    # the edge predicates test the edge before they read a degree
+    w = _WorkGraph(_make_path3())
+    w.drop(2, {})
+    for u, v in ((1, 2), (2, 1)):
+        assert not reduction._sparse_edge(w, 12, u, v)
+        assert reduction._light_end(w, 12, u, v) is None
+        assert not reduction._light_edge(w, 12, u, v, 1)
 
 
 def test_twins_on_a_separating_triangle_reduce_and_extend():
@@ -573,7 +605,7 @@ def test_alternator_with_1200_cross_edges_extends():
 def test_transfer_records_shortfall_before_failing():
     g = Graph.from_edges([(0, 1)])
     work = {0: 0, 1: 5}
-    rec = ReductionRecord("sparse_edge", {})
+    rec = ReductionRecord("sparse_edge")
     with pytest.raises(ExtensionError):
         _Extension(g, work, ITV, rec).assign_fixed((0, 1), 1)
     assert rec.steps[-1].action == "transfer"
@@ -696,7 +728,7 @@ def _branch_cases() -> list:
 
 def _extend_until_done(g: Graph, cfg: ReducibleConfig, work: dict,
                        fails: bool) -> ReductionRecord:
-    rec = ReductionRecord(cfg.kind, dict(cfg.data))
+    rec = ReductionRecord(cfg.kind)
     if fails:
         with pytest.raises(ExtensionError):
             reduction._CATALOGUE[cfg.kind].extend(
@@ -1243,6 +1275,64 @@ def test_rotation_pair_triangle_faces_match_the_four_successor_form():
     for g, M in _chain_corpus():
         _chain_of_events(g, M, check)
     assert {1, 2} <= low
+
+
+def _unpruned_light_candidates(g, M: int):
+    """_light_candidates as it was before it started from the low ends."""
+    cap = (M + 2) // 4
+    for u, v in reduction._edges_summing_at_most(g, reduction._light_sum(M)):
+        for low in (u, v):
+            if g.degree(low) <= cap:
+                yield u, v, low
+
+
+def _unpruned_five_corner_faces(g) -> list:
+    """_five_corner_faces as it was before it tested pairs by degree."""
+    return _triangle_faces(g, [v for v in g.vertices if g.degree(v) == 5])
+
+
+def _unpruned_face_566_candidates(g, M: int):
+    for face in _unpruned_five_corner_faces(g):
+        for v1 in face:
+            if g.degree(v1) == 5:
+                v2, v3 = sorted(c for c in face if c != v1)
+                yield v1, v2, v3
+
+
+def _unpruned_face_567_candidates(g, M: int):
+    for face in _unpruned_five_corner_faces(g):
+        v1, v2, v3 = sorted(face, key=g.degree)
+        if (g.degree(v1), g.degree(v2), g.degree(v3)) == (5, 6, 7):
+            for w in sorted(g.neighbors(v1)):
+                if g.degree(w) == 6:
+                    yield v1, v2, v3, w
+
+
+UNPRUNED = {LIGHT_EDGE: _unpruned_light_candidates,
+            FACE_566: _unpruned_face_566_candidates,
+            FACE_567: _unpruned_face_567_candidates}
+
+
+def test_degree_pruned_enumerators_keep_the_unpruned_occurrences():
+    # light edges start from their low ends and the face kinds test a
+    # rotation pair only when its degrees can pass; what the predicate
+    # keeps must not change, nor its order, on working graphs partway
+    # through reduction and on the gadgets that hold a face kind
+    hits = dict.fromkeys(UNPRUNED, 0)
+
+    def check(w):
+        for M in (9, 12, 16):
+            for kind, unpruned in UNPRUNED.items():
+                entry = reduction._CATALOGUE[kind]
+                kept = [f for f in unpruned(w, M) if entry.holds(w, M, *f)]
+                assert list(entry.occurrences(w, M)) == kept, (kind, M)
+                hits[kind] += len(kept)
+
+    for g, M in _chain_corpus():
+        _chain_of_events(g, M, check)
+    check(geodesic_sphere())
+    check(special_face_with_mate())
+    assert all(hits.values()), hits
 
 
 def _scan_checked_choices(monkeypatch) -> list:
