@@ -19,11 +19,14 @@ when color c is free (:func:`available_edge_mask`,
 :func:`available_vertex_mask`): a color bars its own bit and a band the
 2d - 1 bits around its color, clipped at both ends of the interval, in
 one place, ``_free_mask``.  :func:`available_edge` and
-:func:`available_vertex` return the same colors as a frozenset.  The
-labeler passes its working dict as it is, calls the mask functions afresh
-after every assignment and reads a least color and a count off the int;
-the exact solver does not use them and instead keeps its own bitmask
-domains, updated incrementally (see :mod:`tlabel.exact`).
+:func:`available_vertex` return the same colors as a frozenset.  These
+functions read the labeling alone.  The labeler instead keeps, beside its
+working dict, each vertex's mask of its edge colors and hands
+``_free_mask`` those, reading a least color and a count off the int; it
+calls the availability functions only to check that fast path under its
+deep check and to build list-coloring lists.  The exact solver does not use
+them either and keeps its own bitmask domains, updated incrementally (see
+:mod:`tlabel.exact`).
 """
 
 from __future__ import annotations

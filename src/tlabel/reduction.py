@@ -20,24 +20,30 @@ each condition is written once.
 The labeler edits one ``_WorkGraph``, a :class:`~tlabel.graphs.BaseGraph`
 like the immutable graphs, so predicates, availability and validation read
 it through the same queries.  It keeps one neighbor list per vertex, the
-rotation on a plane graph.  Each reduction's undo log maps the vertices
-it touched to their lists from before it, and undoing assigns those lists
-back.  Each extender reads the restored graph, the working labeling, the
-interval, the bound M and the record from one ``_Extension``, whose
-methods are the coloring steps the extenders share and take normalized
-keys: ``available`` tells edges from vertices and returns the free colors
-as an int mask, whose least color and count are two int operations,
-``color_least`` gives one element its smallest free color, ``fit_pair``
-tries colors on one element until a second still has one, ``list_color``
-colors a set of edges from their lists, and ``fail`` records an
-assignment that found no color and raises.  ``_refit_face_edges`` moves
-a third edge out of a pinned face pair's way.
+rotation on a plane graph.  Each reduction's undo log records, per vertex
+it touched, the slots its edits changed, so undoing replays them
+backwards, and an event at a vertex of any degree logs O(1) per edit.
+Each extender reads the restored graph, the working labeling, the
+interval, the bound M and the record from the one ``_Extension`` of the
+backward loop, whose methods are the coloring steps the extenders share
+and take normalized keys.  ``put`` and ``lift`` are the only writes to the
+working labeling, and they keep each vertex's mask of its edge colors, so
+``available`` reads an edge's free colors off two masks and a vertex's off
+its mask and its neighbors' colors, as an int mask whose least color and
+count are two int operations; ``color_least`` gives one element its
+smallest free color, ``fit_pair`` tries colors on one element until a
+second still has one, ``list_color`` colors a set of edges from their
+lists, and ``fail`` records an assignment that found no color and raises.
+``_refit_face_edges`` moves a third edge out of a pinned face pair's way.
+The public availability functions and :func:`~tlabel.labeling.validate`
+read the labeling alone, so the final check shares nothing with this path.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from collections import defaultdict
 from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import (Callable, Iterator, Mapping, NamedTuple, NoReturn,
@@ -50,6 +56,7 @@ from .labeling import (
     ColorInterval,
     Element,
     PartialLabeling,
+    _free_mask,
     available_edge,
     available_edge_mask,
     available_vertex_mask,
@@ -504,12 +511,19 @@ class _WorkGraph(BaseGraph):
 
     ``_adj`` maps each vertex to one list of its neighbors: its rotation
     when the graph has one, so ``_rot`` is ``_adj`` itself, and None
-    otherwise.  The queries are :class:`BaseGraph`'s, so ``has_edge``
-    scans one list of at most M entries.  Every edit first saves, in the
-    event's undo log, the list of each vertex it changes as it was before
-    the event.  The log's keys are thus the vertices the event touched, and
-    :meth:`undo` puts the saved lists themselves back, rotation slots
-    included, so no neighbor list may be held across it.
+    otherwise.  The queries are :class:`BaseGraph`'s, except that
+    ``has_edge`` scans the shorter of the two lists, so a spoke of a hub is
+    found from its rim end.
+
+    An event's undo log maps each vertex the event touched to the edits of
+    its list, in order, as one flat list of (slot, lost, gained) triples: a
+    cut is i, w, None (w left slot i); a splice is i, old, new (new took
+    old's slot i); a detach is None, the list, None (the vertex left with
+    that list).  So a log costs O(1) per edit whatever the degree, its keys
+    are the vertices the event touched, and :meth:`undo` replays each
+    vertex's edits backwards, rotation slots included.  A detached list
+    goes back as it is, so a log is undone only once and no neighbor list
+    may be held across an undo.
     """
 
     __slots__ = ()
@@ -525,31 +539,38 @@ class _WorkGraph(BaseGraph):
             return Graph(self._adj)
         return PlaneGraph(self._adj, self._rot)
 
-    # -- edits -------------------------------------------------------------
+    def has_edge(self, u: int, v: int) -> bool:
+        try:
+            a, b = self._adj[u], self._adj[v]
+        except KeyError:
+            return False
+        return v in a if len(a) <= len(b) else u in b
 
-    def _save(self, v: int, log: dict) -> None:
-        """Keep v's neighbors from before the event, once per event."""
-        if v not in log:
-            log[v] = list(self._adj[v])
+    # -- edits -------------------------------------------------------------
 
     def cut(self, u: int, v: int, log: dict) -> None:
         """Delete the edge uv."""
-        if not self.has_edge(u, v):
-            raise GraphError("no edge (%d, %d) to delete" % (u, v))
-        self._save(u, log)
-        self._save(v, log)
-        self._adj[u].remove(v)
-        self._adj[v].remove(u)
+        adj = self._adj
+        try:
+            i = adj[u].index(v)
+        except (KeyError, ValueError):
+            raise GraphError("no edge (%d, %d) to delete" % (u, v)) from None
+        j = adj[v].index(u)
+        del adj[u][i]
+        del adj[v][j]
+        _note(log, u, i, v, None)
+        _note(log, v, j, u, None)
 
     def splice(self, at: int, old: int, new: int, log: dict) -> None:
         """Put the neighbor new in old's place at one vertex only."""
-        self._save(at, log)
         order = self._adj[at]
-        order[order.index(old)] = new
+        i = order.index(old)
+        order[i] = new
+        _note(log, at, i, old, new)
 
     def detach(self, x: int, log: dict) -> None:
         """Remove x, whose neighbors must no longer list it."""
-        log.setdefault(x, self._adj.pop(x))
+        _note(log, x, None, self._adj.pop(x), None)
 
     def drop(self, x: int, log: dict) -> None:
         """Delete x with its edges."""
@@ -560,9 +581,29 @@ class _WorkGraph(BaseGraph):
         self.detach(x, log)
 
     def undo(self, log: dict) -> None:
-        """Give every vertex the log saved its neighbors back.  The saved
-        lists become the graph's own, so a log is undone only once."""
-        self._adj.update(log)
+        """Take back every edit the log holds, each vertex's last first."""
+        adj = self._adj
+        for v, edits in log.items():
+            if len(edits) == 3 and edits[0] is not None and edits[2] is None:
+                adj[v].insert(edits[0], edits[1])  # one cut, the usual case
+                continue
+            for k in range(len(edits) - 3, -1, -3):
+                i, lost, gained = edits[k], edits[k + 1], edits[k + 2]
+                if i is None:
+                    adj[v] = lost
+                elif gained is None:
+                    adj[v].insert(i, lost)
+                else:
+                    adj[v][i] = lost
+
+
+def _note(log: dict, v: int, slot: Optional[int], lost, gained) -> None:
+    """Add one edit of v's list to an undo log (see _WorkGraph)."""
+    edits = log.get(v)
+    if edits is None:
+        log[v] = [slot, lost, gained]
+    else:
+        edits += slot, lost, gained
 
 
 def _cut_edge(w: _WorkGraph, cfg: ReducibleConfig, log: dict) -> None:
@@ -630,31 +671,78 @@ def _least(mask: int) -> int:
 
 
 class _Extension:
-    """One extension across one reduction: the restored graph g, the
-    working labeling, the interval with its bound M, and the record the
-    steps go to."""
+    """The extension state: the graph g as restored so far, the working
+    labeling, the interval with its bound M, the record the steps go to,
+    and each vertex's mask of the colors on its colored edges.
 
-    __slots__ = ("g", "work", "itv", "M", "rec")
+    ``_label`` keeps one for the whole backward loop and gives it each
+    reduction's record in turn.  Every write to the working labeling goes
+    through :meth:`put` and :meth:`lift`, which keep the masks, so
+    availability costs O(1) for an edge and a walk over the neighbors'
+    vertex colors for a vertex, whatever the degrees.  No step leaves two
+    edges at a vertex on one color (each color placed is free there or a
+    carried color checked free), so a color's bit stays set exactly while
+    one of the vertex's edges has it.
+    """
+
+    __slots__ = ("g", "work", "itv", "M", "rec", "masks")
 
     def __init__(self, g: Graph, work: dict, itv: ColorInterval,
-                 rec: ReductionRecord):
+                 rec: Optional[ReductionRecord] = None):
         self.g = g
         self.work = work
         self.itv = itv
         self.M = itv.k - 2
         self.rec = rec
+        self.masks = masks = defaultdict(int)
+        for key, c in work.items():
+            if isinstance(key, tuple):
+                masks[key[0]] |= 1 << c
+                masks[key[1]] |= 1 << c
+
+    def put(self, key: Element, color: int) -> None:
+        """Color an uncolored element."""
+        self.work[key] = color
+        if isinstance(key, tuple):
+            masks, bit = self.masks, 1 << color
+            masks[key[0]] |= bit
+            masks[key[1]] |= bit
+
+    def lift(self, key: Element) -> Optional[int]:
+        """Uncolor an element; return the color it held, if any."""
+        color = self.work.pop(key, None)
+        if color is not None and isinstance(key, tuple):
+            masks, keep = self.masks, ~(1 << color)
+            masks[key[0]] &= keep
+            masks[key[1]] &= keep
+        return color
 
     def available(self, key: Element) -> int:
         """The colors free for an element, as a mask: bit c is set when
-        color c is free."""
+        color c is free (``available_edge_mask``/``available_vertex_mask``
+        computed from the kept masks)."""
+        work, r = self.work, self.itv.d - 1
         if isinstance(key, tuple):
-            return available_edge_mask(self.g, self.work, key, self.itv)
-        return available_vertex_mask(self.g, self.work, key, self.itv)
+            u, v = key
+            bands = 0
+            c = work.get(u)
+            if c is not None:
+                bands = 1 << (c + r)
+            c = work.get(v)
+            if c is not None:
+                bands |= 1 << (c + r)
+            return _free_mask(self.masks[u] | self.masks[v], bands, self.itv)
+        same = 0
+        for w in self.g._adj[key]:
+            c = work.get(w)
+            if c is not None:
+                same |= 1 << c
+        return _free_mask(same, self.masks[key] << r, self.itv)
 
     def erase(self, key: Element) -> Optional[int]:
         """Uncolor an element, recording the step; return the color it held."""
         self.rec.add("erase", key, None, 0, 0)
-        return self.work.pop(key, None)
+        return self.lift(key)
 
     def check(self, key: Element, required: int) -> None:
         """Record how many colors the element has free, changing nothing."""
@@ -670,16 +758,15 @@ class _Extension:
         """Give an element its smallest legal color, with any color it holds
         lifted, and record the step; when it has none, leave it as it was
         and record nothing."""
-        work = self.work
-        held = work.pop(key, None)
+        held = self.lift(key)
         avail = self.available(key)
         if not avail:
             if held is not None:
-                work[key] = held
+                self.put(key, held)
             return False
         c = _least(avail)
         self.rec.add(action, key, c, avail.bit_count(), required)
-        work[key] = c
+        self.put(key, c)
         return True
 
     def assign_free(self, key: Element, required: int) -> None:
@@ -698,7 +785,7 @@ class _Extension:
                 "carried color %d is illegal on %r in a %s extension"
                 % (color, key, self.rec.kind)
             )
-        self.work[key] = color
+        self.put(key, color)
 
     def fit_pair(self, action: str, first: Element, cands: list,
                  second: Element, required: tuple[int, int]) -> bool:
@@ -708,28 +795,28 @@ class _Extension:
         Second's own color, if any, is lifted while it is tried.  On failure
         first is left uncolored and second as it was.
         """
-        work, rec = self.work, self.rec
-        held = work.pop(second, None)
+        rec = self.rec
+        held = self.lift(second)
         for c in cands:
-            work[first] = c
+            self.put(first, c)
             avail = self.available(second)
             if avail:
                 rec.add(action, first, c, len(cands), required[0])
                 least = _least(avail)
                 rec.add(action, second, least, avail.bit_count(), required[1])
-                work[second] = least
+                self.put(second, least)
                 return True
-            del work[first]
+            self.lift(first)
         if held is not None:
-            work[second] = held
+            self.put(second, held)
         return False
 
     def list_color(self, edges: list, need: Callable) -> None:
         """Color the edges together, as a list edge coloring from their free
         colors of the graph they form, and record each with the slack
         need(edge, that graph) guarantees."""
-        work = self.work
-        lists = {e: available_edge(self.g, work, e, self.itv) for e in edges}
+        lists = {e: available_edge(self.g, self.work, e, self.itv)
+                 for e in edges}
         helper = Graph.from_edges(edges)
         try:
             colored = list_edge_color(helper, lists)
@@ -737,7 +824,7 @@ class _Extension:
             raise ExtensionError(str(exc)) from exc
         for e in edges:
             self.rec.add("list", e, colored[e], len(lists[e]), need(e, helper))
-            work[e] = colored[e]
+            self.put(e, colored[e])
 
 
 def _separate_endpoints(ext: _Extension, u: int, v: int) -> None:
@@ -748,7 +835,7 @@ def _separate_endpoints(ext: _Extension, u: int, v: int) -> None:
     other end is a neighbor again, so availability rules it out directly.
     The low end has few incident bands, which keeps a color free.
     """
-    g, work, M = ext.g, ext.work, ext.M
+    g, M = ext.g, ext.M
     first, second = sorted((u, v), key=lambda t: (g.degree(t), t))
     for a in (first, second):
         if ext.color_least("recolor", a, max(0, M + 6 - 4 * g.degree(a))):
@@ -757,13 +844,13 @@ def _separate_endpoints(ext: _Extension, u: int, v: int) -> None:
     for a in (first, second):
         for w in sorted(g.neighbors(a)):
             ek = edge_key(a, w)
-            if ek not in work:
+            old = ext.lift(ek)
+            if old is None:
                 continue
-            old = work.pop(ek)
             cands = mask_colors(ext.available(ek) & ~(1 << old))
             if ext.fit_pair("recolor", ek, cands, a, (0, 0)):
                 return
-            work[ek] = old
+            ext.put(ek, old)
     raise ExtensionError(
         "endpoints of restored edge (%d, %d) cannot be separated" % (u, v)
     )
@@ -826,7 +913,7 @@ def _extend_twin_low_neighbor(ext: _Extension, cfg: ReducibleConfig) -> None:
     v = cfg["hub"]
     v1, v2 = cfg["twins"]
     u = cfg["apex"]
-    g, M, work = ext.g, ext.M, ext.work
+    g, M = ext.g, ext.M
     ext.erase(v1)
     ext.erase(v2)
     e1, e2 = edge_key(v, v1), edge_key(v, v2)
@@ -835,7 +922,7 @@ def _extend_twin_low_neighbor(ext: _Extension, cfg: ReducibleConfig) -> None:
         # both edges are pinned to the same color, so trade the apex
         # edge colors: the hub frees one color the second edge can take
         ka, kb = edge_key(u, v), edge_key(u, v1)
-        ca, cb = work.pop(ka), work.pop(kb)
+        ca, cb = ext.lift(ka), ext.lift(kb)
         ext.assign_fixed(ka, cb)
         ext.assign_fixed(kb, ca)
         avail1 = ext.available(e1)
@@ -857,17 +944,18 @@ def _refit_face_edges(ext: _Extension, e12: tuple, e13: tuple, moved: tuple,
     it, recording the move only when they fit; the edge keeps its color
     otherwise.  With count_held the step's measured slack counts the
     edge's held color among its choices."""
-    work, rec = ext.work, ext.rec
-    held = work.pop(moved)
+    rec = ext.rec
+    held = ext.lift(moved)
     cands = mask_colors(ext.available(moved))
     others = [r for r in cands if r != held]
     for r in others:
-        work[moved] = r
+        ext.put(moved, r)
         rec.add("recolor", moved, r, len(cands if count_held else others), 1)
         if _fit_face_edges(ext, e12, e13):
             return True
         rec.steps.pop()
-    work[moved] = held
+        ext.lift(moved)
+    ext.put(moved, held)
     return False
 
 
@@ -1060,7 +1148,9 @@ class _EdgeQueue:
 
     The predicate must stay true on an edge for as long as the edge
     exists, so an entry goes stale only when its edge is deleted and is
-    dropped when it reaches the front.  Each key is queued at most once.
+    dropped when it reaches the front.  A key is in the queue at most once;
+    :meth:`take` removes the key it returns, whose edge the reduction then
+    deletes.
     No edge whose end degrees sum past ``bound`` meets the predicate, so
     the queue starts from the sorted ``edges`` that meet it, a list that
     must hold every edge within the bound, and is offered no other.
@@ -1080,12 +1170,14 @@ class _EdgeQueue:
             self.queued.add(key)
             heapq.heappush(self.heap, key)
 
-    def first(self) -> Optional[tuple]:
-        heap = self.heap
+    def take(self) -> Optional[tuple]:
+        """Remove and return the least key that still holds, or None."""
+        heap, queued, holds = self.heap, self.queued, self.holds
         while heap:
-            if self.holds(heap[0]):
-                return heap[0]
-            self.queued.discard(heapq.heappop(heap))
+            key = heapq.heappop(heap)
+            queued.discard(key)
+            if holds(key):
+                return key
         return None
 
 
@@ -1172,10 +1264,10 @@ def _next_config(w: _WorkGraph, M: int, sparse: _EdgeQueue,
                  light: _EdgeQueue) -> ReducibleConfig:
     """What find_configuration would return on w, with the edge kinds
     taken from their queues."""
-    key = sparse.first()
+    key = sparse.take()
     if key is not None:
         return ReducibleConfig(SPARSE_EDGE, _CATALOGUE[SPARSE_EDGE].data(*key))
-    key = light.first()
+    key = light.take()
     if key is not None:
         return ReducibleConfig(LIGHT_EDGE, _CATALOGUE[LIGHT_EDGE].data(
             *key, _light_end(w, M, *key)))
@@ -1183,6 +1275,35 @@ def _next_config(w: _WorkGraph, M: int, sparse: _EdgeQueue,
     if cfg is None:
         raise IrreducibleError(w.freeze(), M)
     return cfg
+
+
+def _require_kept_availability(ext: _Extension, touched) -> None:
+    """Raise ExtensionError unless the kept edge-color mask of each vertex
+    in touched and of each of its neighbors equals the mask rebuilt from
+    the working labeling over the restored graph, and the extension's
+    availability equals ``available_vertex_mask`` at each vertex in touched
+    and ``available_edge_mask`` on each edge joining two of them, which
+    holds every edge the event restored."""
+    g, work, itv = ext.g, ext.work, ext.itv
+    touched = set(touched)
+    for x in sorted(touched.union(*(g.neighbors(v) for v in touched))):
+        rebuilt = 0
+        for y in g.neighbors(x):
+            c = work.get(edge_key(x, y))
+            if c is not None:
+                rebuilt |= 1 << c
+        if ext.masks[x] != rebuilt:
+            raise ExtensionError("intermediate kept edge colors at %r differ "
+                                 "from the labeling's" % (x,))
+    for v in sorted(touched):
+        public = {v: available_vertex_mask(g, work, v, itv)}
+        for x in g.neighbors(v):
+            if v < x and x in touched:
+                public[v, x] = available_edge_mask(g, work, (v, x), itv)
+        for key, mask in public.items():
+            if ext.available(key) != mask:
+                raise ExtensionError("intermediate availability of %r "
+                                     "differs from the labeling's" % (key,))
 
 
 def degree_bound(M: Optional[int], delta: int = 0) -> int:
@@ -1232,13 +1353,24 @@ def _label(g: Graph, M: int,
     Sparse and light edges wait in two queues ordered by edge key: no
     reduction raises a degree, so an edge that qualifies keeps qualifying
     until it is deleted, and only the edges at vertices a reduction touched
-    are offered again.  Each kind bounds its edges' end-degree sum
-    (``_sparse_sum``, ``_light_sum``); both queues start from one scan of
-    g's edges within the larger bound, and the forward loop reads each
-    touched vertex's degree and each of its edges' degree sums once and
-    offers an edge only to the queues whose bound the sum meets; the
-    queue's predicate still decides.  The other kinds are scanned for only
-    when both queues are empty.  Whenever the component of a touched vertex
+    are offered again; a queue hands out its key as the configuration is
+    chosen.  Each kind bounds its edges' end-degree sum (``_sparse_sum``,
+    ``_light_sum``); both queues start from one scan of g's edges within
+    the larger bound.  After each event the forward loop walks each touched
+    vertex's open edges and offers one only to the queues whose bound its
+    degree sum meets, and to the light queue only when an end has degree
+    at most (M + 2) // 4, as the light predicate needs; the queue's
+    predicate still decides.  An edge stays open until it meets both: it is
+    then in both queues for as long as it exists, so it is dropped from the
+    walk.  A vertex walks its whole list until half its edges have closed,
+    and then a list of its open neighbors, from which each later event
+    takes the neighbors its log says the vertex lost and to which it adds
+    those a splice gave; walking a closed edge again offers nothing new, so
+    the queues get exactly the keys that walking every edge would give.
+    So an event at a hub walks only the hub's edges not yet in both
+    queues, once half of them are, and a vertex whose edges mostly stay
+    open keeps no second list.  The other kinds are scanned for only when
+    both queues are empty.  Whenever the component of a touched vertex
     has at most BASE_ELEMENT_LIMIT elements, it is detached as a base case;
     so is every such component of g at the start (g's components, which a
     plane graph keeps from its face trace), as an event with no
@@ -1249,15 +1381,19 @@ def _label(g: Graph, M: int,
     once undone: a base case is rebuilt from its log's vertices and given
     exact search's witness, through a memo of witnesses by shape local to
     this call (``_base_labeling``), a reduction is extended across on the
-    restored graph.  The working graph is then freed, and the working dict
-    becomes the result uncopied, once validation has found every key an
-    element of g and the count of keys shows that it covers g.
+    restored graph.  Both write the working dict through one
+    ``_Extension``, which keeps each vertex's mask of its edge colors across
+    events for availability.  The working graph is then freed, and the
+    working dict becomes the result uncopied, once validation has found
+    every key an element of g and the count of keys shows that it covers g.
 
     The trace counts the base cases in ``base_cases``; ``splits`` counts
     those among them that a reduction cut loose, which excludes the small
-    components g starts with.  With deep_check the whole working graph is
-    validated after every event of the backward loop, not just at the end:
-    a quadratic check meant for tests.
+    components g starts with.  With deep_check, after every event of the
+    backward loop the whole working graph is validated, not just at the
+    end, and the kept masks and availability near the event are compared
+    with the labeling and the public availability functions
+    (``_require_kept_availability``): a quadratic check meant for tests.
     """
     itv = working_interval(M)
     trace = ExtensionTrace(M)
@@ -1270,6 +1406,10 @@ def _label(g: Graph, M: int,
     light = _EdgeQueue(
         lambda e: _light_end(w, M, *e) is not None, _light_sum(M), near)
     del near
+    cap = (M + 2) // 4
+    light_sum, sparse_sum = light.bound, sparse.bound
+    offer_light, offer_sparse = light.offer, sparse.offer
+    opened: dict = {}  # vertex -> its open neighbors, see above
     events: list[tuple] = []  # (configuration or None, undo log)
     for comp in g.components():
         _detach_small(w, min(comp), events)
@@ -1280,39 +1420,68 @@ def _label(g: Graph, M: int,
         events.append((cfg, log))
         touched = sorted(log)
         for v in touched:
-            if v in adj and _detach_small(w, v, events):
+            # most touched vertices have a degree no base case can hold
+            nbrs = adj.get(v)
+            if (nbrs is not None and len(nbrs) <= _BASE_MAX_DEGREE
+                    and _detach_small(w, v, events)):
                 trace.splits += 1
         for v in touched:
-            nbrs = adj.get(v, ())
+            nbrs = adj.get(v)
+            if nbrs is None:
+                opened.pop(v, None)
+                continue
+            ns = opened.get(v, nbrs)
+            if ns is not nbrs:
+                edits = log[v]  # (slot, lost, gained) triples, see _WorkGraph
+                for k in range(1, len(edits), 3):
+                    if edits[k] in ns:
+                        ns.remove(edits[k])
+                    if edits[k + 1] is not None:
+                        ns.append(edits[k + 1])
             dv = len(nbrs)
-            for x in nbrs:
-                total = dv + len(adj[x])
+            closed = 0
+            for x in ns:
+                dx = len(adj[x])
+                total = dv + dx
                 # a sparse edge's bound lies below a light edge's
-                if total <= light.bound:
+                if total <= light_sum:
                     key = (v, x) if v < x else (x, v)
-                    light.offer(key)
-                    if total <= sparse.bound:
-                        sparse.offer(key)
+                    low = dv <= cap or dx <= cap
+                    if low:  # no light edge lacks a low end
+                        offer_light(key)
+                    if total <= sparse_sum:
+                        offer_sparse(key)
+                        if low:
+                            closed += 1
+            # a list of its own pays once it halves the walk
+            if closed and (ns is not nbrs or 2 * closed >= dv):
+                opened[v] = [x for x in ns if not (
+                    dv + len(adj[x]) <= sparse_sum
+                    and (dv <= cap or len(adj[x]) <= cap))]
+    del opened
 
-    work: dict = {}
+    ext = _Extension(w, {}, itv)
+    work = ext.work
     memo: dict = {}  # base-case witnesses by shape, see _base_labeling
     while events:
         cfg, log = events.pop()
         w.undo(log)
         if cfg is None:
-            work.update(_base_labeling(w, log, itv, memo))
+            for key, c in _base_labeling(w, log, itv, memo).items():
+                ext.put(key, c)
             trace.base_cases += 1
         else:
-            rec = ReductionRecord(cfg.kind)
-            _CATALOGUE[cfg.kind].extend(_Extension(w, work, itv, rec), cfg)
-            trace.records.append(rec)
+            ext.rec = ReductionRecord(cfg.kind)
+            _CATALOGUE[cfg.kind].extend(ext, cfg)
+            trace.records.append(ext.rec)
         if deep_check:
             _require_valid(w, work, itv, "intermediate")
+            _require_kept_availability(ext, log)
 
     # free the working graph before the final validation, the run's peak;
     # validation rejects a key that is not an element of g, so counting
     # the keys is the totality check
-    del w, adj, sparse, light
+    del w, adj, sparse, light, ext
     _require_valid(g, work, itv, "final")
     if len(work) != g.n + g.m:
         raise ExtensionError("extension finished without covering the graph")

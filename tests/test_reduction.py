@@ -38,6 +38,7 @@ from tlabel.graphs import (
     Graph,
     GraphError,
     PlaneGraph,
+    edge_key,
     trace_faces,
 )
 from tlabel.io import serialize_labeling
@@ -984,6 +985,104 @@ def test_deep_check_catches_a_broken_intermediate_labeling(monkeypatch):
         label_planar(generate("wheel", 9), deep_check=True)
 
 
+def test_deep_check_catches_a_kept_mask_out_of_step(monkeypatch):
+    # a write that bypasses the extension's writer leaves the kept
+    # edge-color masks behind the labeling, which deep_check must notice
+    entry = reduction._CATALOGUE[SPARSE_EDGE]
+
+    def stray(ext, cfg):
+        entry.extend(ext, cfg)
+        e = edge_key(*cfg["edge"])
+        ext.work[e] = ext.lift(e)
+
+    monkeypatch.setitem(reduction._CATALOGUE, SPARSE_EDGE,
+                        dataclasses.replace(entry, extend=stray))
+    with pytest.raises(ExtensionError, match="intermediate kept edge colors"):
+        label_planar(generate("wheel", 9), deep_check=True)
+
+
+def _kept_masks(ext: _Extension) -> dict:
+    return {v: m for v, m in ext.masks.items() if m}
+
+
+def _rebuilt_masks(work: dict) -> dict:
+    """Each vertex's mask of its edge colors, from the labeling alone."""
+    out: dict = {}
+    for key, c in work.items():
+        if isinstance(key, tuple):
+            for v in key:
+                out[v] = out.get(v, 0) | 1 << c
+    return out
+
+
+def test_kept_masks_follow_every_write_of_the_extenders(monkeypatch):
+    # the branch instances and the pinned twin are the only inputs that
+    # reach assign_fixed, list_color and _refit_face_edges, and the undo
+    # cases run every kind once.  After every write the kept masks must
+    # equal masks rebuilt from the working labeling, and after each
+    # extension, failed or not, the fast availability must equal the
+    # public mask functions on every element
+    writes = 0
+
+    def checked(write):
+        def wrapper(ext, *args):
+            nonlocal writes
+            out = write(ext, *args)
+            writes += 1
+            assert _kept_masks(ext) == _rebuilt_masks(ext.work)
+            return out
+        return wrapper
+
+    monkeypatch.setattr(_Extension, "put", checked(_Extension.put))
+    monkeypatch.setattr(_Extension, "lift", checked(_Extension.lift))
+    twin, twin_child = pinned_twin_instance()
+    cases = [*_branch_cases(),
+             (twin, _find(twin, TWIN_LOW_NEIGHBOR), twin_child, False)]
+    for g, cfg in _undo_cases():
+        phi, _ = find_labeling(reduce_config(g, cfg), ITV)
+        cases.append((g, cfg, phi.as_dict(), False))
+    actions = set()
+    for g, cfg, work, fails in cases:
+        ext = _Extension(g, work, ITV, ReductionRecord(cfg.kind))
+        with pytest.raises(ExtensionError) if fails else contextlib.nullcontext():
+            reduction._CATALOGUE[cfg.kind].extend(ext, cfg)
+        reduction._require_kept_availability(ext, g.vertices)
+        actions |= {(cfg.kind, s.action) for s in ext.rec.steps}
+    assert writes > 100
+    assert {(TWO_DEG2, "transfer"), (TWIN_LOW_NEIGHBOR, "transfer"),
+            (TWO_DEG2, "list"), (ALTERNATOR, "list"),
+            (FACE_566, "recolor"), (FACE_567, "recolor")} <= actions
+
+
+def test_deep_check_cross_checks_kept_availability_on_the_corpus(monkeypatch):
+    # after every event deep_check compares the kept masks at the touched
+    # vertices and their neighbors, and the fast availability there, with
+    # what the labeling and the public functions give.  Its other half,
+    # validating the whole working graph after every event, is run by the
+    # family and gadget tests; over this corpus it would take about 25 s
+    # more under CPython 3.11, so this test runs only the final validation
+    valid = reduction._require_valid
+    kept = reduction._require_kept_availability
+    checked = []
+
+    def final_only(g, work, itv, stage):
+        if stage == "final":
+            valid(g, work, itv, stage)
+
+    def counted(ext, touched):
+        kept(ext, touched)
+        checked.append(len(touched))
+
+    monkeypatch.setattr(reduction, "_require_valid", final_only)
+    monkeypatch.setattr(reduction, "_require_kept_availability", counted)
+    events = 0
+    for _, g, bound in acceptance_corpus():
+        _, trace = label_planar(g, bound, deep_check=True)
+        events += trace.base_cases + len(trace.records)
+    # one check per event, each of at least one touched vertex
+    assert len(checked) == events > 10000 and min(checked) >= 1
+
+
 def test_label_planar_input_errors():
     w4 = generate("wheel", 4)
     with pytest.raises(ValueError):
@@ -1555,6 +1654,23 @@ def test_label_planar_peak_memory_is_linear_and_small():
     finally:
         tracemalloc.stop()
     assert peak / g.n < 3200, "%.0f bytes per vertex" % (peak / g.n)
+
+
+@pytest.mark.parametrize("family, per_vertex", (("star", 2000),
+                                                 ("wheel", 3200)))
+def test_label_planar_peak_memory_at_a_hub_is_linear(family, per_vertex):
+    # an event at the hub logs one slot per edit and offers only the hub's
+    # edges not yet in both queues, so the peak grows with n, not n^2;
+    # under CPython 3.11 star(2000) reads 1,460 and wheel(2000) 2,318 bytes
+    # per vertex, against 9,370 and 10,151 with whole-list undo logs
+    g = generate(family, 2000)
+    tracemalloc.start()
+    try:
+        label_planar(g, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / g.n < per_vertex, "%.0f bytes per vertex" % (peak / g.n)
 
 
 def test_nothing_of_the_labeler_outlives_label_planar():
