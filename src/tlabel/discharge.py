@@ -112,14 +112,9 @@ def _ledger(vertex_units: dict, face_units: list) -> ChargeLedger:
     return ChargeLedger(charges)
 
 
-def _degrees(g: Graph) -> dict:
-    """Each vertex's degree, vertices ascending."""
-    return {v: g.degree(v) for v in g.vertices}
-
-
 def initial_charges(g: PlaneGraph) -> ChargeLedger:
     """Degree-minus-four charges; any connected plane graph totals -8."""
-    return _ledger(*_initial_units(g, _degrees(g)))
+    return _ledger(*_initial_units(g, g.degrees()))
 
 
 SPECIAL_FACE_DEGREES = (5, 6, 7)
@@ -148,7 +143,7 @@ def _face_kinds(faces, deg: dict) -> list[str]:
 
 def classify_faces(g: PlaneGraph) -> tuple[str, ...]:
     """Label each face "special", "normal" (other triangles), or "big"."""
-    return tuple(_face_kinds(g.faces(), _degrees(g)))
+    return tuple(_face_kinds(g.faces(), g.degrees()))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +235,7 @@ def apply_rules(g: PlaneGraph, M: int) -> ChargeLedger:
     a sliding scale by degree, a 5-corner paying more on a special
     triangle.  The moves count units of 1/UNIT on ints.
     """
-    deg = _degrees(g)
+    deg = g.degrees()
     vertex_units, face_units = _initial_units(g, deg)
     needy = [v for v, d in deg.items() if d in (2, 3)]
     masters: dict = {}
@@ -376,7 +371,7 @@ def audit(g: PlaneGraph, M: Optional[int] = None) -> AuditReport:
 
     violations = scan_structure(g, M)
     try:
-        vertex_units, face_units = _initial_units(g, _degrees(g))
+        vertex_units, face_units = _initial_units(g, g.degrees())
         initial = Fraction(sum(vertex_units.values()) + sum(face_units), UNIT)
     except DisconnectedError:
         initial = None

@@ -220,13 +220,14 @@ class PlaneGraph(Graph):
     every component at once, the first time :meth:`faces` is asked for.
     """
 
-    __slots__ = ("_faces", "_comps")
+    __slots__ = ("_faces", "_comps", "_deg")
 
     def __init__(self, adjacency, rotation: Mapping[int, Sequence[int]]):
         super().__init__(adjacency)
         self._rot = _rotation_tuples(self._adj, rotation, _int_tuple)
         self._faces = None
         self._comps = None
+        self._deg = None
 
     @classmethod
     def _adopt(cls, adjacency, rotation: Mapping[int, Sequence[int]]) -> "PlaneGraph":
@@ -236,6 +237,7 @@ class PlaneGraph(Graph):
         g._rot = _rotation_tuples(g._adj, rotation)
         g._faces = None
         g._comps = None
+        g._deg = None
         return g
 
     def components(self) -> list[frozenset[int]]:
@@ -244,6 +246,14 @@ class PlaneGraph(Graph):
         if self._comps is None:
             self._comps = tuple(super().components())
         return list(self._comps)
+
+    def degrees(self) -> dict[int, int]:
+        """Each vertex's degree, vertices ascending, built once per graph
+        and kept, so the auditor's passes share one map; read it only."""
+        if self._deg is None:
+            adj = self._adj
+            self._deg = {v: len(adj[v]) for v in self.vertices}
+        return self._deg
 
     def faces(self) -> tuple[tuple[int, ...], ...]:
         """The faces of :func:`trace_faces`, traced once per graph.  A

@@ -186,9 +186,11 @@ class ExtensionTrace:
 # Predicates, enumerators and cites bind adj = g._adj once per call and
 # read a degree as len(adj[v]), a list on the working graph and a frozenset
 # on Graph, so a vertex g lacks raises KeyError, which config_holds reads as
-# no occurrence; the edge predicates, which the queues call on keys whose
-# ends may be gone, test the edge first.  A face kind finds no face on a
-# graph without rotations.
+# no occurrence.  The labeler's edge queues call no predicate (see
+# _EdgeQueue); the edge predicates test the edge first, so that
+# config_holds rejects an edge whose ends may be gone, such as a stale key
+# that deep_check judges.  A face kind finds no face on a graph without
+# rotations.
 
 
 def _sparse_sum(M: int) -> int:
@@ -201,8 +203,13 @@ def _light_sum(M: int) -> int:
     return M + 1
 
 
+def _light_cap(M: int) -> int:
+    """The largest degree of a light edge's low end under bound M."""
+    return (M + 2) // 4
+
+
 def _sparse_edge(g: Graph, M: int, u: int, v: int) -> bool:
-    if not (u < v and g.has_edge(u, v)):  # a queued key may be stale
+    if not (u < v and g.has_edge(u, v)):  # the ends may be gone
         return False
     adj = g._adj
     return len(adj[u]) + len(adj[v]) <= _sparse_sum(M)
@@ -211,13 +218,13 @@ def _sparse_edge(g: Graph, M: int, u: int, v: int) -> bool:
 def _light_end(g: Graph, M: int, u: int, v: int) -> Optional[int]:
     """The low end of a light edge uv, the first end light enough, or None
     when uv is not a light edge."""
-    if not g.has_edge(u, v):  # a queued key may be stale
+    if not g.has_edge(u, v):  # the ends may be gone
         return None
     adj = g._adj
     du, dv = len(adj[u]), len(adj[v])
     if du + dv > _light_sum(M):
         return None
-    cap = (M + 2) // 4
+    cap = _light_cap(M)
     if du <= cap:
         return u
     if dv <= cap:
@@ -239,10 +246,10 @@ def _edges_summing_at_most(g: BaseGraph, total: int) -> list[tuple[int, int]]:
 
 def _light_candidates(g: Graph, M: int) -> list[tuple]:
     """(u, v, low) for each edge uv, u < v, within the light sum and each
-    end low of degree at most (M + 2) // 4, read from the low ends and
-    sorted: by edge, u before v as the low end."""
+    end low of degree at most ``_light_cap(M)``, read from the low ends
+    and sorted: by edge, u before v as the low end."""
     adj = g._adj
-    cap, total = (M + 2) // 4, _light_sum(M)
+    cap, total = _light_cap(M), _light_sum(M)
     return sorted([(low, v, low) if low < v else (v, low, low)
                    for low, ns in adj.items() if len(ns) <= cap
                    for v in ns if len(ns) + len(adj[v]) <= total])
@@ -1144,39 +1151,35 @@ def config_holds(g: Graph, M: int, cfg: ReducibleConfig) -> bool:
 
 
 class _EdgeQueue:
-    """Edge keys meeting a predicate, smallest first.
+    """Edge keys u < v of one edge kind, smallest first.
 
-    The predicate must stay true on an edge for as long as the edge
-    exists, so an entry goes stale only when its edge is deleted and is
-    dropped when it reaches the front.  A key is in the queue at most once;
-    :meth:`take` removes the key it returns, whose edge the reduction then
-    deletes.
-    No edge whose end degrees sum past ``bound`` meets the predicate, so
-    the queue starts from the sorted ``edges`` that meet it, a list that
-    must hold every edge within the bound, and is offered no other.
+    A key is queued once its edge qualifies: its end degrees sum to at
+    most the kind's bound (``_sparse_sum``, ``_light_sum``) and, for a
+    light edge, an end has degree at most ``_light_cap``.  No reduction
+    raises a degree, so a key that qualified qualifies whenever its edge
+    exists, also when a two_deg2 splice re-creates an edge deleted
+    earlier.  So whoever queues a key decides its membership once, and
+    :meth:`take` only tests that the edge exists; a key whose edge is gone
+    is stale and dropped when it reaches the front.  ``queued`` holds the
+    keys in ``heap``, each at most once; the driver pushes a key that is
+    not in it onto both.  take removes the key it returns, whose edge the
+    reduction then deletes.
     """
 
-    __slots__ = ("holds", "bound", "heap", "queued")
+    __slots__ = ("heap", "queued")
 
-    def __init__(self, holds, bound: int, edges: list[tuple[int, int]]):
-        self.holds = holds
-        self.bound = bound
+    def __init__(self, edges: list[tuple[int, int]]):
         # edges is sorted, so the list is already a heap
-        self.heap = [k for k in edges if holds(k)]
-        self.queued = set(self.heap)
+        self.heap = edges
+        self.queued = set(edges)
 
-    def offer(self, key: tuple) -> None:
-        if key not in self.queued and self.holds(key):
-            self.queued.add(key)
-            heapq.heappush(self.heap, key)
-
-    def take(self) -> Optional[tuple]:
-        """Remove and return the least key that still holds, or None."""
-        heap, queued, holds = self.heap, self.queued, self.holds
+    def take(self, w: _WorkGraph) -> Optional[tuple]:
+        """Remove and return the least key whose edge w has, or None."""
+        heap, queued, has_edge = self.heap, self.queued, w.has_edge
         while heap:
             key = heapq.heappop(heap)
             queued.discard(key)
-            if holds(key):
+            if has_edge(*key):
                 return key
         return None
 
@@ -1264,13 +1267,15 @@ def _next_config(w: _WorkGraph, M: int, sparse: _EdgeQueue,
                  light: _EdgeQueue) -> ReducibleConfig:
     """What find_configuration would return on w, with the edge kinds
     taken from their queues."""
-    key = sparse.take()
+    key = sparse.take(w)
     if key is not None:
         return ReducibleConfig(SPARSE_EDGE, _CATALOGUE[SPARSE_EDGE].data(*key))
-    key = light.take()
+    key = light.take(w)
     if key is not None:
+        u, v = key  # the low end is the first end light enough
+        low = u if len(w._adj[u]) <= _light_cap(M) else v
         return ReducibleConfig(LIGHT_EDGE, _CATALOGUE[LIGHT_EDGE].data(
-            *key, _light_end(w, M, *key)))
+            u, v, low))
     cfg = _first_config(w, M, _RARE_KINDS)
     if cfg is None:
         raise IrreducibleError(w.freeze(), M)
@@ -1350,22 +1355,27 @@ def _label(g: Graph, M: int,
     reducible structure at a time in place and records each removal as an
     event, a pair of its configuration and its undo log, so the reductions
     form a chain, not a tree of graph copies.
-    Sparse and light edges wait in two queues ordered by edge key: no
-    reduction raises a degree, so an edge that qualifies keeps qualifying
-    until it is deleted, and only the edges at vertices a reduction touched
-    are offered again; a queue hands out its key as the configuration is
+    Sparse and light edges wait in two queues ordered by edge key
+    (``_EdgeQueue``); a queue hands out its key as the configuration is
     chosen.  Each kind bounds its edges' end-degree sum (``_sparse_sum``,
-    ``_light_sum``); both queues start from one scan of g's edges within
-    the larger bound.  After each event the forward loop walks each touched
-    vertex's open edges and offers one only to the queues whose bound its
-    degree sum meets, and to the light queue only when an end has degree
-    at most (M + 2) // 4, as the light predicate needs; the queue's
-    predicate still decides.  An edge stays open until it meets both: it is
+    ``_light_sum``), and a light edge needs an end of degree at most
+    ``_light_cap``.  No reduction raises a degree, so an edge that
+    qualifies keeps qualifying for as long as it exists: membership is
+    decided once, where the driver queues a key, and a queue calls no
+    predicate; handing a key out, it only tests that the edge exists.  At
+    the start one scan of g's edges within the light sum splits into the
+    edges within the sparse sum and those with a low end, exactly the
+    edges the two predicates accept.  After each event the forward loop
+    walks each touched vertex's open edges, so it knows each is an edge,
+    its degree sum and whether an end is low, and pushes it onto each
+    queue whose terms it meets and which does not hold it yet.  Only the
+    edges at vertices a reduction touched can newly qualify, so the walk
+    misses none.  An edge stays open until it meets both: it is
     then in both queues for as long as it exists, so it is dropped from the
     walk.  A vertex walks its whole list until half its edges have closed,
     and then a list of its open neighbors, from which each later event
     takes the neighbors its log says the vertex lost and to which it adds
-    those a splice gave; walking a closed edge again offers nothing new, so
+    those a splice gave; walking a closed edge again pushes nothing, so
     the queues get exactly the keys that walking every edge would give.
     So an event at a hub walks only the hub's edges not yet in both
     queues, once half of them are, and a vertex whose edges mostly stay
@@ -1389,8 +1399,10 @@ def _label(g: Graph, M: int,
 
     The trace counts the base cases in ``base_cases``; ``splits`` counts
     those among them that a reduction cut loose, which excludes the small
-    components g starts with.  With deep_check, after every event of the
-    backward loop the whole working graph is validated, not just at the
+    components g starts with.  With deep_check, the forward loop checks
+    each configuration it takes with ``config_holds`` before reducing it,
+    so a key queued wrongly raises ExtensionError; and after every event
+    of the backward loop the whole working graph is validated, not just at the
     end, and the kept masks and availability near the event are compared
     with the labeling and the public availability functions
     (``_require_kept_availability``): a quadratic check meant for tests.
@@ -1400,15 +1412,19 @@ def _label(g: Graph, M: int,
 
     w = _WorkGraph(g)
     adj = w._adj
-    # a sparse edge's bound lies below a light edge's, so one scan serves both
-    near = _edges_summing_at_most(g, _light_sum(M))
-    sparse = _EdgeQueue(lambda e: _sparse_edge(w, M, *e), _sparse_sum(M), near)
-    light = _EdgeQueue(
-        lambda e: _light_end(w, M, *e) is not None, _light_sum(M), near)
+    sparse_sum, light_sum, cap = _sparse_sum(M), _light_sum(M), _light_cap(M)
+    # a sparse edge's bound lies below a light edge's, so one scan serves
+    # both, whose keys the queues share; each is an edge u < v, as the
+    # predicates need
+    near = _edges_summing_at_most(g, light_sum)
+    sparse = _EdgeQueue([e for e in near
+                         if len(adj[e[0]]) + len(adj[e[1]]) <= sparse_sum])
+    light = _EdgeQueue([e for e in near
+                        if len(adj[e[0]]) <= cap or len(adj[e[1]]) <= cap])
     del near
-    cap = (M + 2) // 4
-    light_sum, sparse_sum = light.bound, sparse.bound
-    offer_light, offer_sparse = light.offer, sparse.offer
+    sparse_heap, sparse_queued = sparse.heap, sparse.queued
+    light_heap, light_queued = light.heap, light.queued
+    heappush = heapq.heappush
     opened: dict = {}  # vertex -> its open neighbors, see above
     events: list[tuple] = []  # (configuration or None, undo log)
     for comp in g.components():
@@ -1416,6 +1432,9 @@ def _label(g: Graph, M: int,
 
     while adj:
         cfg = _next_config(w, M, sparse, light)
+        if deep_check and not config_holds(w, M, cfg):
+            raise ExtensionError("the driver chose a %s that does not hold: "
+                                 "%r" % (cfg.kind, dict(cfg.data)))
         log = _reduce(w, cfg)
         events.append((cfg, log))
         touched = sorted(log)
@@ -1447,10 +1466,14 @@ def _label(g: Graph, M: int,
                 if total <= light_sum:
                     key = (v, x) if v < x else (x, v)
                     low = dv <= cap or dx <= cap
-                    if low:  # no light edge lacks a low end
-                        offer_light(key)
+                    # no light edge lacks a low end
+                    if low and key not in light_queued:
+                        light_queued.add(key)
+                        heappush(light_heap, key)
                     if total <= sparse_sum:
-                        offer_sparse(key)
+                        if key not in sparse_queued:
+                            sparse_queued.add(key)
+                            heappush(sparse_heap, key)
                         if low:
                             closed += 1
             # a list of its own pays once it halves the walk
@@ -1458,7 +1481,9 @@ def _label(g: Graph, M: int,
                 opened[v] = [x for x in ns if not (
                     dv + len(adj[x]) <= sparse_sum
                     and (dv <= cap or len(adj[x]) <= cap))]
-    del opened
+    # the queues hold only stale keys now
+    del opened, sparse, sparse_heap, sparse_queued
+    del light, light_heap, light_queued
 
     ext = _Extension(w, {}, itv)
     work = ext.work
@@ -1481,7 +1506,7 @@ def _label(g: Graph, M: int,
     # free the working graph before the final validation, the run's peak;
     # validation rejects a key that is not an element of g, so counting
     # the keys is the totality check
-    del w, adj, sparse, light, ext
+    del w, adj, ext
     _require_valid(g, work, itv, "final")
     if len(work) != g.n + g.m:
         raise ExtensionError("extension finished without covering the graph")

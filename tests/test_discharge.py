@@ -465,6 +465,27 @@ def test_audit_computes_components_at_most_twice(monkeypatch):
     assert len(calls) <= 2
 
 
+def test_audit_passes_share_one_degree_map(monkeypatch):
+    # audit, initial_charges, classify_faces and apply_rules each read the
+    # degrees of one graph, which keeps the map that the first of them built
+    maps = []
+    degrees = PlaneGraph.degrees
+
+    def kept(self):
+        maps.append(degrees(self))
+        return maps[-1]
+
+    monkeypatch.setattr(PlaneGraph, "degrees", kept)
+    monkeypatch.setattr("tlabel.discharge.scan_structure", lambda g, M: ())
+    g = octahedron()
+    assert audit(g).status == "CONTRADICTION-CANDIDATE"
+    initial_charges(g)
+    classify_faces(g)
+    apply_rules(g, 12)
+    assert len(maps) == 5 and all(m is maps[0] for m in maps)
+    assert list(maps[0].items()) == [(v, g.degree(v)) for v in g.vertices]
+
+
 @pytest.mark.parametrize("make", [
     toroidal_k7, one_face_k33,
     # being disconnected must not spare a rotation system its face tracing

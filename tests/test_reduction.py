@@ -341,14 +341,32 @@ def test_config_holds_requires_the_data_the_finder_builds():
 
 
 def test_edge_predicates_are_false_on_a_stale_queued_key():
-    # the edge queues re-check keys whose ends may already be detached, so
-    # the edge predicates test the edge before they read a degree
+    # deep_check asks config_holds about each key a queue hands out, whose
+    # ends a wrong queue may already have detached, so the edge predicates
+    # test the edge before they read a degree
     w = _WorkGraph(_make_path3())
     w.drop(2, {})
     for u, v in ((1, 2), (2, 1)):
         assert not reduction._sparse_edge(w, 12, u, v)
         assert reduction._light_end(w, 12, u, v) is None
         assert not reduction._light_edge(w, 12, u, v, 1)
+
+
+def test_edge_queue_takes_the_least_key_whose_edge_exists():
+    # a queue tests nothing but the edge: a key whose edge is gone is
+    # dropped as stale, and a queued key whose edge is back is taken
+    w = _WorkGraph(Graph.from_edges([(0, 1), (1, 2), (2, 3)]))
+    queue = reduction._EdgeQueue([(0, 1), (1, 2), (2, 3)])
+    gone: dict = {}
+    w.cut(0, 1, gone)
+    back: dict = {}
+    w.cut(1, 2, back)
+    w.undo(back)
+    assert queue.take(w) == (1, 2)
+    assert queue.queued == {(2, 3)}
+    w.cut(2, 3, {})
+    assert queue.take(w) is None
+    assert queue.heap == [] and not queue.queued
 
 
 def test_twins_on_a_separating_triangle_reduce_and_extend():
@@ -1001,6 +1019,18 @@ def test_deep_check_catches_a_kept_mask_out_of_step(monkeypatch):
         label_planar(generate("wheel", 9), deep_check=True)
 
 
+def test_deep_check_catches_a_wrongly_queued_key(monkeypatch):
+    # a queue hands out what it was given without a predicate, so deep_check
+    # must judge each pick: with every edge of the wheel queued, the first
+    # sparse pick is the spoke (0, 1), whose degree sum 9 + 3 exceeds 10
+    g = generate("wheel", 9)
+    queue = reduction._EdgeQueue
+    monkeypatch.setattr(reduction, "_EdgeQueue",
+                        lambda edges: queue(list(g.edges())))
+    with pytest.raises(ExtensionError, match="sparse_edge that does not hold"):
+        label_planar(g, deep_check=True)
+
+
 def _kept_masks(ext: _Extension) -> dict:
     return {v: m for v, m in ext.masks.items() if m}
 
@@ -1378,7 +1408,7 @@ def test_rotation_pair_triangle_faces_match_the_four_successor_form():
 
 def _unpruned_light_candidates(g, M: int):
     """_light_candidates as it was before it started from the low ends."""
-    cap = (M + 2) // 4
+    cap = reduction._light_cap(M)
     for u, v in reduction._edges_summing_at_most(g, reduction._light_sum(M)):
         for low in (u, v):
             if g.degree(low) <= cap:
@@ -1469,8 +1499,8 @@ def test_queued_choice_matches_a_full_scan(monkeypatch):
 
 
 def test_queues_miss_no_edge_on_the_acceptance_corpus(monkeypatch):
-    # an edge is offered to a queue only when its degree sum meets the
-    # queue's bound, so a queue that missed an edge would pick later than
+    # an edge is queued only when the driver's walk finds it within the
+    # queue's terms, so a queue that missed an edge would pick later than
     # the scan on some event
     chosen = _scan_checked_choices(monkeypatch)
     bounds = set()
@@ -1659,7 +1689,7 @@ def test_label_planar_peak_memory_is_linear_and_small():
 @pytest.mark.parametrize("family, per_vertex", (("star", 2000),
                                                  ("wheel", 3200)))
 def test_label_planar_peak_memory_at_a_hub_is_linear(family, per_vertex):
-    # an event at the hub logs one slot per edit and offers only the hub's
+    # an event at the hub logs one slot per edit and walks only the hub's
     # edges not yet in both queues, so the peak grows with n, not n^2;
     # under CPython 3.11 star(2000) reads 1,460 and wheel(2000) 2,318 bytes
     # per vertex, against 9,370 and 10,151 with whole-list undo logs
