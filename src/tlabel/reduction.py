@@ -24,16 +24,20 @@ rotation on a plane graph.  Each reduction's undo log records, per vertex
 it touched, the slots its edits changed, so undoing replays them
 backwards, and an event at a vertex of any degree logs O(1) per edit.
 Each extender reads the restored graph, the working labeling, the
-interval, the bound M and the record from the one ``_Extension`` of the
-backward loop, whose methods are the coloring steps the extenders share
-and take normalized keys.  ``put`` and ``lift`` are the only writes to the
-working labeling, and they keep each vertex's mask of its edge colors, so
-``available`` reads an edge's free colors off two masks and a vertex's off
-its mask and its neighbors' colors, as an int mask whose least color and
-count are two int operations; ``color_least`` gives one element its
-smallest free color, ``fit_pair`` tries colors on one element until a
-second still has one, ``list_color`` colors a set of edges from their
-lists, and ``fail`` records an assignment that found no color and raises.
+interval and the record from the one ``_Extension`` of the backward loop,
+whose methods are the coloring steps the extenders share and take
+normalized keys.  The lemmas' bounds on an element's free colors, which
+the steps record as required, are one count, ``need``: the interval's
+size less the colors its colored neighbors and incident elements bar, so
+no extender reads M or the gap d.  ``put`` and ``lift`` are the only
+writes to the working labeling, and they keep each vertex's mask of its
+edge colors, so ``available`` reads an edge's free colors off two masks
+and a vertex's off its mask and its neighbors' colors, as an int mask
+whose least color and count are two int operations; ``color_least``
+gives one element its smallest free color, ``fit_pair`` tries colors on
+one element until a second still has one, ``list_color`` colors a set of
+edges from their lists, and ``fail`` records an assignment that found no
+color and raises.
 ``_refit_face_edges`` moves a third edge out of a pinned face pair's way.
 The public availability functions and :func:`~tlabel.labeling.validate`
 read the labeling alone, so the final check shares nothing with this path.
@@ -679,8 +683,8 @@ def _least(mask: int) -> int:
 
 class _Extension:
     """The extension state: the graph g as restored so far, the working
-    labeling, the interval with its bound M, the record the steps go to,
-    and each vertex's mask of the colors on its colored edges.
+    labeling, the interval, the record the steps go to, and each vertex's
+    mask of the colors on its colored edges.
 
     ``_label`` keeps one for the whole backward loop and gives it each
     reduction's record in turn.  Every write to the working labeling goes
@@ -692,14 +696,13 @@ class _Extension:
     one of the vertex's edges has it.
     """
 
-    __slots__ = ("g", "work", "itv", "M", "rec", "masks")
+    __slots__ = ("g", "work", "itv", "rec", "masks")
 
     def __init__(self, g: Graph, work: dict, itv: ColorInterval,
                  rec: Optional[ReductionRecord] = None):
         self.g = g
         self.work = work
         self.itv = itv
-        self.M = itv.k - 2
         self.rec = rec
         self.masks = masks = defaultdict(int)
         for key, c in work.items():
@@ -745,6 +748,30 @@ class _Extension:
             if c is not None:
                 same |= 1 << c
         return _free_mask(same, self.masks[key] << r, self.itv)
+
+    def need(self, key: Element, floor: int, same: int = 0,
+             band: int = 0) -> int:
+        """How many colors the element is sure to have free, or floor when
+        that is more: the count every extension lemma makes.
+
+        A vertex must differ from its neighbors and keep the gap d from its
+        edges; an edge must differ from the other edges at its ends and
+        keep the gap from its two ends.  A colored element of the first
+        sort bars one color and one of the second at most 2d - 1, so the
+        count is the interval's size less those bars, where ``same``
+        elements of the first sort and ``band`` of the second are still
+        uncolored and bar nothing.  Degrees are read from g as restored.
+        """
+        adj = self.g._adj
+        if isinstance(key, tuple):
+            n_same = len(adj[key[0]]) + len(adj[key[1]]) - 2
+            n_band = 2
+        else:
+            n_same = n_band = len(adj[key])
+        itv = self.itv
+        count = (itv.k + 1 - (n_same - same)
+                 - (2 * itv.d - 1) * (n_band - band))
+        return count if count > floor else floor
 
     def erase(self, key: Element) -> Optional[int]:
         """Uncolor an element, recording the step; return the color it held."""
@@ -840,12 +867,13 @@ def _separate_endpoints(ext: _Extension, u: int, v: int) -> None:
     The ends were not adjacent in the reduced graph, so they may share a
     color there.  Recoloring happens against the parent graph, where the
     other end is a neighbor again, so availability rules it out directly.
-    The low end has few incident bands, which keeps a color free.
+    The low end has few incident bands, which keeps a color free: the
+    restored edge is still uncolored, so its band is not counted.
     """
-    g, M = ext.g, ext.M
+    g = ext.g
     first, second = sorted((u, v), key=lambda t: (g.degree(t), t))
     for a in (first, second):
-        if ext.color_least("recolor", a, max(0, M + 6 - 4 * g.degree(a))):
+        if ext.color_least("recolor", a, ext.need(a, 0, band=1)):
             return
     # move one incident edge color aside to free a band for the endpoint
     for a in (first, second):
@@ -865,31 +893,27 @@ def _separate_endpoints(ext: _Extension, u: int, v: int) -> None:
 
 def _extend_sparse_edge(ext: _Extension, cfg: ReducibleConfig) -> None:
     u, v = cfg["edge"]
-    g, M = ext.g, ext.M
     if ext.work[u] == ext.work[v]:
         _separate_endpoints(ext, u, v)
-    required = max(1, M - 1 - g.degree(u) - g.degree(v))
-    ext.assign_free((u, v), required)
+    ext.assign_free((u, v), ext.need((u, v), 1))
 
 
 def _extend_light_edge(ext: _Extension, cfg: ReducibleConfig) -> None:
     u = cfg["low"]
-    a, b = cfg["edge"]
-    g, M = ext.g, ext.M
+    e = cfg["edge"]
     ext.erase(u)
-    ext.assign_free((a, b), max(1, M + 2 - g.degree(a) - g.degree(b)))
-    ext.assign_free(u, max(1, M + 3 - 4 * g.degree(u)))
+    ext.assign_free(e, ext.need(e, 1, band=1))
+    ext.assign_free(u, ext.need(u, 1))
 
 
 def _extend_deg4_low_neighbor(ext: _Extension, cfg: ReducibleConfig) -> None:
     u = cfg["center"]
     a, b = cfg["edge"]
     other = b if a == u else a
-    g, M = ext.g, ext.M
-    ext.erase(u)
-    ext.check(u, max(2, M - 10))
-    required = max(3, M - 2 - g.degree(other))
     key = edge_key(u, other)
+    ext.erase(u)
+    ext.check(u, ext.need(u, 2, band=1))
+    required = ext.need(key, 3, band=1)
     cands = mask_colors(ext.available(key))
     # some candidate leaves the center colorable because its band cannot
     # cover two spare colors three different ways
@@ -900,11 +924,11 @@ def _extend_deg4_low_neighbor(ext: _Extension, cfg: ReducibleConfig) -> None:
 def _extend_two_deg2(ext: _Extension, cfg: ReducibleConfig) -> None:
     v, x, y = cfg["hub"], cfg["x"], cfg["y"]
     xp, yp = cfg["x_other"], cfg["y_other"]
-    g, M = ext.g, ext.M
     if cfg["case"] == 1:
         ring = [edge_key(*e) for e in ((v, x), (x, xp), (xp, y), (y, v))]
-        ext.list_color(ring, lambda e, _: max(
-            2, M + 2 - g.degree(v if v in e else xp)))
+        # each ring edge meets two ring edges and its end x or y, all
+        # still uncolored
+        ext.list_color(ring, lambda e, _: ext.need(e, 2, same=2, band=1))
     else:
         carried_x = ext.erase(edge_key(v, xp))
         carried_y = ext.erase(edge_key(v, yp))
@@ -912,15 +936,14 @@ def _extend_two_deg2(ext: _Extension, cfg: ReducibleConfig) -> None:
         ext.assign_fixed(edge_key(v, y), carried_x)
         ext.assign_fixed(edge_key(y, yp), carried_y)
         ext.assign_fixed(edge_key(v, x), carried_y)
-    ext.assign_free(x, max(1, M - 5))
-    ext.assign_free(y, max(1, M - 5))
+    ext.assign_free(x, ext.need(x, 1))
+    ext.assign_free(y, ext.need(y, 1))
 
 
 def _extend_twin_low_neighbor(ext: _Extension, cfg: ReducibleConfig) -> None:
     v = cfg["hub"]
     v1, v2 = cfg["twins"]
     u = cfg["apex"]
-    g, M = ext.g, ext.M
     ext.erase(v1)
     ext.erase(v2)
     e1, e2 = edge_key(v, v1), edge_key(v, v2)
@@ -935,8 +958,8 @@ def _extend_twin_low_neighbor(ext: _Extension, cfg: ReducibleConfig) -> None:
         avail1 = ext.available(e1)
     if not ext.fit_pair("assign", e1, mask_colors(avail1), e2, (1, 1)):
         ext.fail(e1, 1, "hub edges cannot take distinct colors")
-    ext.assign_free(v1, max(1, M + 3 - 4 * g.degree(v1)))
-    ext.assign_free(v2, max(1, M + 3 - 4 * g.degree(v2)))
+    ext.assign_free(v1, ext.need(v1, 1))
+    ext.assign_free(v2, ext.need(v2, 1))
 
 
 def _fit_face_edges(ext: _Extension, e12: tuple, e13: tuple) -> bool:
@@ -968,18 +991,19 @@ def _refit_face_edges(ext: _Extension, e12: tuple, e13: tuple, moved: tuple,
 
 def _extend_face(ext: _Extension, cfg: ReducibleConfig) -> None:
     v1, v2, v3 = cfg["corners"]
-    g, M, work = ext.g, ext.M, ext.work
+    work = ext.work
     e12, e13 = edge_key(v1, v2), edge_key(v1, v3)
     # the low corner lost both face edges in the reduced graph, so it may
-    # collide with a mate it is about to rejoin; two missing bands leave it
-    # at least M - 11 fresh colors
+    # collide with a mate it is about to rejoin; its two face edges are
+    # still uncolored, so their bands are not counted against it
     if work[v1] in (work[v2], work[v3]) and not ext.color_least(
-            "recolor", v1, max(1, M + 9 - 4 * g.degree(v1))):
+            "recolor", v1, ext.need(v1, 1, band=2)):
         raise ExtensionError(
             "low corner %d of a tight face cannot be recolored" % v1
         )
-    ext.check(e12, max(0, M - g.degree(v1) - g.degree(v2)))
-    ext.check(e13, max(0, M - g.degree(v1) - g.degree(v3)))
+    # each face edge meets the other, still uncolored
+    ext.check(e12, ext.need(e12, 0, same=1))
+    ext.check(e13, ext.need(e13, 0, same=1))
     if _fit_face_edges(ext, e12, e13):
         return
     # freeing a color seen by both endpoints of the third side unsticks
@@ -995,12 +1019,11 @@ def _extend_face(ext: _Extension, cfg: ReducibleConfig) -> None:
 
 
 def _extend_alternator(ext: _Extension, cfg: ReducibleConfig) -> None:
-    g, M = ext.g, ext.M
     low = cfg["low_side"]
     cross = [edge_key(*e) for e in cfg["edges"]]
     ext.list_color(cross, lambda e, h: max(h.degree(e[0]), h.degree(e[1])))
     for x in sorted(low):
-        ext.assign_free(x, max(1, M + 3 - 4 * g.degree(x)))
+        ext.assign_free(x, ext.need(x, 1))
 
 
 # ---------------------------------------------------------------------------

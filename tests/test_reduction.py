@@ -42,7 +42,8 @@ from tlabel.graphs import (
     trace_faces,
 )
 from tlabel.io import serialize_labeling
-from tlabel.labeling import PartialLabeling, validate, working_interval
+from tlabel.labeling import (ColorInterval, PartialLabeling, validate,
+                             working_interval)
 from tlabel.reduction import (
     ALTERNATOR,
     BASE_ELEMENT_LIMIT,
@@ -838,6 +839,111 @@ def test_separate_endpoints_fails_when_no_edge_move_frees_an_end():
     rec = _extend_until_done(g, cfg, work, fails=True)
     assert rec.steps == []
     assert work == child
+
+
+# ---------------------------------------------------------------------------
+# the count behind every extension bound
+
+
+def _pendant(*degrees: int) -> tuple:
+    """A vertex, or an edge (0, 1), whose ends have the given degrees by
+    pendant leaves, as (graph, key)."""
+    if len(degrees) == 1:
+        return Graph.from_edges((0, i) for i in range(1, degrees[0] + 1)), 0
+    du, dv = degrees
+    edges = [(0, 1)] + [(0, 2 + i) for i in range(du - 1)]
+    edges += [(1, 1 + du + i) for i in range(dv - 1)]
+    return Graph.from_edges(edges), (0, 1)
+
+
+# Every site where an extender takes its required from _Extension.need, as
+# (floor, same, band, the degrees of the key's ends the site admits at M,
+# the inline formula at d = 2 that need replaced).
+_NEED_SITES = {
+    "vertex with its edges colored": (
+        1, 0, 0, lambda M: [(a,) for a in range(1, M + 1)],
+        lambda M, a: max(1, M + 3 - 4 * a)),
+    "two_deg2 x and y": (
+        1, 0, 0, lambda M: [(2,)], lambda M, a: max(1, M - 5)),
+    "separated endpoint": (
+        0, 0, 1, lambda M: [(a,) for a in range(1, M + 1)],
+        lambda M, a: max(0, M + 6 - 4 * a)),
+    "deg4 center": (
+        2, 0, 1, lambda M: [(4,)], lambda M, a: max(2, M - 10)),
+    "face low corner": (
+        1, 0, 2, lambda M: [(a,) for a in range(2, M + 1)],
+        lambda M, a: max(1, M + 9 - 4 * a)),
+    "sparse edge": (
+        1, 0, 0, lambda M: itertools.product(range(1, M + 1), repeat=2),
+        lambda M, du, dv: max(1, M - 1 - du - dv)),
+    "light edge": (
+        1, 0, 1, lambda M: itertools.product(range(1, M + 1), repeat=2),
+        lambda M, du, dv: max(1, M + 2 - du - dv)),
+    "deg4 edge": (
+        3, 0, 1, lambda M: [(4, b) for b in range(1, M + 1)],
+        lambda M, du, dv: max(3, M - 2 - dv)),
+    "face edge": (
+        0, 1, 0, lambda M: itertools.product(range(2, M + 1), repeat=2),
+        lambda M, du, dv: max(0, M - du - dv)),
+    "two_deg2 ring edge": (
+        2, 2, 1,
+        lambda M: [p for b in range(2, M + 1) for p in ((2, b), (b, 2))],
+        lambda M, du, dv: max(2, M + 2 - (dv if du == 2 else du))),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_NEED_SITES))
+def test_need_equals_each_sites_inline_formula(site):
+    floor, same, band, degrees, formula = _NEED_SITES[site]
+    built = {}
+    for M in range(12, 21):
+        itv = working_interval(M)
+        for ds in degrees(M):
+            if ds not in built:
+                built[ds] = _pendant(*ds)
+            g, key = built[ds]
+            got = _Extension(g, {}, itv).need(key, floor, same, band)
+            assert got == formula(M, *ds), (M, ds)
+
+
+def _uncolored_around(g: Graph, work: dict, key) -> tuple[int, int]:
+    """How many of the elements key must differ from, and how many it must
+    keep the gap from, are uncolored."""
+    if isinstance(key, tuple):
+        u, v = key
+        same = sum(edge_key(a, w) not in work
+                   for a, b in ((u, v), (v, u))
+                   for w in g.neighbors(a) if w != b)
+        return same, (u not in work) + (v not in work)
+    return (sum(w not in work for w in g.neighbors(key)),
+            sum(edge_key(key, w) not in work for w in g.neighbors(key)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_need_is_a_sound_and_tight_count_at_every_gap(d):
+    """On witnesses with about 30 % of their elements uncolored, every
+    uncolored element has at least need's count free, and for vertices and
+    edges alike the count is met exactly somewhere."""
+    rng = random.Random(d)
+    graphs = [generate("wheel", n) for n in (5, 8)]
+    graphs += [generate(family, 9, seed) for seed in range(3)
+               for family in ("stacked_triangulation", "random_planar")]
+    least = {}
+    for g in graphs:
+        itv = ColorInterval(g.max_degree + 2 * d, d)
+        phi, _ = find_labeling(g, itv)
+        witness = phi.as_dict()
+        for _ in range(5):
+            work = {e: c for e, c in witness.items() if rng.random() >= 0.3}
+            ext = _Extension(g, work, itv)
+            for key in witness.keys() - work.keys():
+                same, band = _uncolored_around(g, work, key)
+                # a floor far below any count leaves the count itself
+                slack = (ext.available(key).bit_count()
+                         - ext.need(key, -10 ** 9, same, band))
+                sort = "edge" if isinstance(key, tuple) else "vertex"
+                least[sort] = min(least.get(sort, slack), slack)
+    assert least == {"vertex": 0, "edge": 0}
 
 
 # ---------------------------------------------------------------------------
