@@ -138,11 +138,9 @@ class ReductionRecord:
     steps: list = field(default_factory=list)
 
     def add(self, action: str, element: Element, color: Optional[int],
-            measured: int, required: int) -> TraceStep:
+            measured: int, required: int) -> None:
         """Append one step; an edge element must already be normalized."""
-        step = TraceStep(action, element, color, measured, required)
-        self.steps.append(step)
-        return step
+        self.steps.append(TraceStep(action, element, color, measured, required))
 
 
 @dataclass
@@ -1176,17 +1174,15 @@ def config_holds(g: Graph, M: int, cfg: ReducibleConfig) -> bool:
 class _EdgeQueue:
     """Edge keys u < v of one edge kind, smallest first.
 
-    A key is queued once its edge qualifies: its end degrees sum to at
-    most the kind's bound (``_sparse_sum``, ``_light_sum``) and, for a
-    light edge, an end has degree at most ``_light_cap``.  No reduction
-    raises a degree, so a key that qualified qualifies whenever its edge
-    exists, also when a two_deg2 splice re-creates an edge deleted
-    earlier.  So whoever queues a key decides its membership once, and
-    :meth:`take` only tests that the edge exists; a key whose edge is gone
-    is stale and dropped when it reaches the front.  ``queued`` holds the
-    keys in ``heap``, each at most once; the driver pushes a key that is
-    not in it onto both.  take removes the key it returns, whose edge the
-    reduction then deletes.
+    No reduction raises a degree, so a key that qualified for its kind
+    qualifies whenever its edge exists, also when a two_deg2 splice
+    re-creates an edge deleted earlier.  So the driver decides a key's
+    membership once, where it queues it (see ``_label``), and :meth:`take`
+    only tests that the edge exists; a key whose edge is gone is stale and
+    dropped when it reaches the front.  ``queued`` holds the keys in
+    ``heap``, each at most once; the driver pushes a key that is not in it
+    onto both.  take removes the key it returns, whose edge the reduction
+    then deletes.
     """
 
     __slots__ = ("heap", "queued")
@@ -1379,30 +1375,27 @@ def _label(g: Graph, M: int,
     event, a pair of its configuration and its undo log, so the reductions
     form a chain, not a tree of graph copies.
     Sparse and light edges wait in two queues ordered by edge key
-    (``_EdgeQueue``); a queue hands out its key as the configuration is
-    chosen.  Each kind bounds its edges' end-degree sum (``_sparse_sum``,
-    ``_light_sum``), and a light edge needs an end of degree at most
-    ``_light_cap``.  No reduction raises a degree, so an edge that
-    qualifies keeps qualifying for as long as it exists: membership is
-    decided once, where the driver queues a key, and a queue calls no
-    predicate; handing a key out, it only tests that the edge exists.  At
-    the start one scan of g's edges within the light sum splits into the
-    edges within the sparse sum and those with a low end, exactly the
-    edges the two predicates accept.  After each event the forward loop
-    walks each touched vertex's open edges, so it knows each is an edge,
-    its degree sum and whether an end is low, and pushes it onto each
-    queue whose terms it meets and which does not hold it yet.  Only the
-    edges at vertices a reduction touched can newly qualify, so the walk
-    misses none.  An edge stays open until it meets both: it is
-    then in both queues for as long as it exists, so it is dropped from the
-    walk.  A vertex walks its whole list until half its edges have closed,
-    and then a list of its open neighbors, from which each later event
-    takes the neighbors its log says the vertex lost and to which it adds
-    those a splice gave; walking a closed edge again pushes nothing, so
-    the queues get exactly the keys that walking every edge would give.
-    So an event at a hub walks only the hub's edges not yet in both
-    queues, once half of them are, and a vertex whose edges mostly stay
-    open keeps no second list.  The other kinds are scanned for only when
+    (``_EdgeQueue``).  One test decides where an edge goes: within
+    ``_sparse_sum`` to the sparse queue only, otherwise to the light queue
+    when within ``_light_sum`` and an end has degree at most
+    ``_light_cap``.  No reduction raises a degree, so an edge keeps its
+    queue's terms for as long as it exists and every live edge within the
+    sparse sum is in the sparse queue, which is read first: the light
+    queue needs none of them.  At the start one scan of g's edges within
+    the light sum splits by the test.  After each event one pass over the
+    touched vertices detaches a vertex's component when it is small (see
+    below) and otherwise walks the vertex's open edges, queuing each by the
+    test unless its queue holds it; only edges at touched vertices can
+    newly qualify, so the walk misses none.  Smallness is the component's,
+    so a walked vertex's component is never detached later in the pass.
+    An edge within the sparse sum is closed and leaves the walk; any other
+    stays open, as its ends may still drop into the sparse sum.  A vertex
+    walks its whole list until half its edges have closed, and then a list
+    of its open neighbors, kept by the neighbors its log says it lost or a
+    splice gave; walking a closed edge again pushes nothing, so the queues
+    get exactly the keys that walking every edge would give, and an event
+    at a hub, once half its edges are in the sparse queue, walks only the
+    others.  The other kinds are scanned for only when
     both queues are empty.  Whenever the component of a touched vertex
     has at most BASE_ELEMENT_LIMIT elements, it is detached as a base case;
     so is every such component of g at the start (g's components, which a
@@ -1437,13 +1430,13 @@ def _label(g: Graph, M: int,
     adj = w._adj
     sparse_sum, light_sum, cap = _sparse_sum(M), _light_sum(M), _light_cap(M)
     # a sparse edge's bound lies below a light edge's, so one scan serves
-    # both, whose keys the queues share; each is an edge u < v, as the
-    # predicates need
+    # both; each key is an edge u < v, as the predicates need
     near = _edges_summing_at_most(g, light_sum)
     sparse = _EdgeQueue([e for e in near
                          if len(adj[e[0]]) + len(adj[e[1]]) <= sparse_sum])
     light = _EdgeQueue([e for e in near
-                        if len(adj[e[0]]) <= cap or len(adj[e[1]]) <= cap])
+                        if len(adj[e[0]]) + len(adj[e[1]]) > sparse_sum
+                        and (len(adj[e[0]]) <= cap or len(adj[e[1]]) <= cap)])
     del near
     sparse_heap, sparse_queued = sparse.heap, sparse.queued
     light_heap, light_queued = light.heap, light.queued
@@ -1460,15 +1453,13 @@ def _label(g: Graph, M: int,
                                  "%r" % (cfg.kind, dict(cfg.data)))
         log = _reduce(w, cfg)
         events.append((cfg, log))
-        touched = sorted(log)
-        for v in touched:
-            # most touched vertices have a degree no base case can hold
+        for v in sorted(log):
             nbrs = adj.get(v)
+            # most touched vertices have a degree no base case can hold
             if (nbrs is not None and len(nbrs) <= _BASE_MAX_DEGREE
                     and _detach_small(w, v, events)):
                 trace.splits += 1
-        for v in touched:
-            nbrs = adj.get(v)
+                nbrs = None
             if nbrs is None:
                 opened.pop(v, None)
                 continue
@@ -1485,25 +1476,20 @@ def _label(g: Graph, M: int,
             for x in ns:
                 dx = len(adj[x])
                 total = dv + dx
-                # a sparse edge's bound lies below a light edge's
-                if total <= light_sum:
+                if total <= sparse_sum:
+                    closed += 1
                     key = (v, x) if v < x else (x, v)
-                    low = dv <= cap or dx <= cap
-                    # no light edge lacks a low end
-                    if low and key not in light_queued:
+                    if key not in sparse_queued:
+                        sparse_queued.add(key)
+                        heappush(sparse_heap, key)
+                elif total <= light_sum and (dv <= cap or dx <= cap):
+                    key = (v, x) if v < x else (x, v)
+                    if key not in light_queued:
                         light_queued.add(key)
                         heappush(light_heap, key)
-                    if total <= sparse_sum:
-                        if key not in sparse_queued:
-                            sparse_queued.add(key)
-                            heappush(sparse_heap, key)
-                        if low:
-                            closed += 1
             # a list of its own pays once it halves the walk
             if closed and (ns is not nbrs or 2 * closed >= dv):
-                opened[v] = [x for x in ns if not (
-                    dv + len(adj[x]) <= sparse_sum
-                    and (dv <= cap or len(adj[x]) <= cap))]
+                opened[v] = [x for x in ns if dv + len(adj[x]) > sparse_sum]
     # the queues hold only stale keys now
     del opened, sparse, sparse_heap, sparse_queued
     del light, light_heap, light_queued

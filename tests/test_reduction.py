@@ -7,6 +7,7 @@ import dataclasses
 import functools
 import gc
 import hashlib
+import heapq
 import itertools
 import random
 import tracemalloc
@@ -1637,6 +1638,56 @@ def test_queues_miss_no_edge_below_12(monkeypatch, M):
         assert {DEG4_LOW_NEIGHBOR, TWIN_LOW_NEIGHBOR, FACE_566} <= set(chosen)
 
 
+def test_light_queue_gets_only_keys_above_the_sparse_sum(monkeypatch):
+    # the sparse queue is read first and holds every live edge within the
+    # sparse sum, so the light queue must never be given one: each key the
+    # light queue starts with or is pushed later must have end degrees
+    # summing to more than the sparse sum when it is queued
+    works, queues = [], []
+    checked = [0, 0]  # keys the light queue started with, keys pushed later
+
+    class SpyWorkGraph(_WorkGraph):
+        def __init__(self, g):
+            super().__init__(g)
+            works.append(self)
+
+    def above(key):
+        adj = works[-1]._adj
+        return len(adj[key[0]]) + len(adj[key[1]]) > reduction._sparse_sum(M)
+
+    queue, push = reduction._EdgeQueue, heapq.heappush
+
+    def spy_queue(edges):
+        queues.append(queue(edges))
+        if len(queues) % 2 == 0:  # the second queue of a run is the light one
+            for key in edges:
+                assert above(key), ("start", key, M)
+            checked[0] += len(edges)
+        return queues[-1]
+
+    def spy_push(heap, key):
+        if len(queues) % 2 == 0 and heap is queues[-1].heap:
+            assert above(key), ("push", key, M)
+            checked[1] += 1
+        push(heap, key)
+
+    monkeypatch.setattr(reduction, "_WorkGraph", SpyWorkGraph)
+    monkeypatch.setattr(reduction, "_EdgeQueue", spy_queue)
+    monkeypatch.setattr(heapq, "heappush", spy_push)
+    runs = list(_chain_corpus())
+    for family in ("stacked_triangulation", "random_planar"):
+        runs += [(generate(family, n, seed, 9), 9)
+                 for n, seed in ((40, 0), (120, 1), (300, 2))]
+    runs += [(generate(family, 9), 9) for family in ("wheel", "star")]
+    for g, M in runs:
+        # at 9 a graph may have no reducible structure or fail to extend
+        below = (IrreducibleError, ExtensionError) if M < 12 else ()
+        with contextlib.suppress(*below):
+            reduction._label(g, M)
+    assert len(queues) == 2 * len(runs)
+    assert all(checked), checked
+
+
 def _prefer_rare_kinds(monkeypatch) -> None:
     """Make label_planar take any rare kind before a queued edge."""
     queued = reduction._next_config
@@ -1796,8 +1847,8 @@ def test_label_planar_peak_memory_is_linear_and_small():
                                                  ("wheel", 3200)))
 def test_label_planar_peak_memory_at_a_hub_is_linear(family, per_vertex):
     # an event at the hub logs one slot per edit and walks only the hub's
-    # edges not yet in both queues, so the peak grows with n, not n^2;
-    # under CPython 3.11 star(2000) reads 1,460 and wheel(2000) 2,318 bytes
+    # edges not yet in the sparse queue, so the peak grows with n, not n^2;
+    # under CPython 3.11 star(2000) reads 1,450 and wheel(2000) 2,289 bytes
     # per vertex, against 9,370 and 10,151 with whole-list undo logs
     g = generate(family, 2000)
     tracemalloc.start()
