@@ -20,9 +20,10 @@ each condition is written once.
 The labeler edits one ``_WorkGraph``, a :class:`~tlabel.graphs.BaseGraph`
 like the immutable graphs, so predicates, availability and validation read
 it through the same queries.  It keeps one neighbor list per vertex, the
-rotation on a plane graph.  Each reduction's undo log records, per vertex
-it touched, the slots its edits changed, so undoing replays them
-backwards, and an event at a vertex of any degree logs O(1) per edit.
+rotation on a plane graph.  Each event's undo log is one flat list with
+four entries per edit, the vertex, the slot, what left it and what took
+it, so an event at a vertex of any degree logs O(1) per edit, and undoing
+is one replay of the list from its end back to its start.
 Each extender reads the restored graph, the working labeling, the
 interval and the record from the one ``_Extension`` of the backward loop,
 whose methods are the coloring steps the extenders share and take
@@ -524,15 +525,16 @@ class _WorkGraph(BaseGraph):
     ``has_edge`` scans the shorter of the two lists, so a spoke of a hub is
     found from its rim end.
 
-    An event's undo log maps each vertex the event touched to the edits of
-    its list, in order, as one flat list of (slot, lost, gained) triples: a
-    cut is i, w, None (w left slot i); a splice is i, old, new (new took
-    old's slot i); a detach is None, the list, None (the vertex left with
-    that list).  So a log costs O(1) per edit whatever the degree, its keys
-    are the vertices the event touched, and :meth:`undo` replays each
-    vertex's edits backwards, rotation slots included.  A detached list
-    goes back as it is, so a log is undone only once and no neighbor list
-    may be held across an undo.
+    An event's undo log is one flat list, four entries per edit of a
+    vertex's list in the order made, (vertex, slot, lost, gained): a cut
+    is v, i, w, None at each end (w left slot i of v's list); a splice is
+    v, i, old, new (new took old's slot i); a detach is v, None, the list,
+    None (v left with that list).  So a log costs O(1) per edit whatever
+    the degree, ``log[::4]`` names the vertices the event touched, and
+    :meth:`undo` replays the edits from the last back to the first, which
+    restores every list, rotation slots included.  A detached list goes
+    back as it is, so a log is undone only once and no neighbor list may
+    be held across an undo.
     """
 
     __slots__ = ()
@@ -557,7 +559,7 @@ class _WorkGraph(BaseGraph):
 
     # -- edits -------------------------------------------------------------
 
-    def cut(self, u: int, v: int, log: dict) -> None:
+    def cut(self, u: int, v: int, log: list) -> None:
         """Delete the edge uv."""
         adj = self._adj
         try:
@@ -567,21 +569,20 @@ class _WorkGraph(BaseGraph):
         j = adj[v].index(u)
         del adj[u][i]
         del adj[v][j]
-        _note(log, u, i, v, None)
-        _note(log, v, j, u, None)
+        log += u, i, v, None, v, j, u, None
 
-    def splice(self, at: int, old: int, new: int, log: dict) -> None:
+    def splice(self, at: int, old: int, new: int, log: list) -> None:
         """Put the neighbor new in old's place at one vertex only."""
         order = self._adj[at]
         i = order.index(old)
         order[i] = new
-        _note(log, at, i, old, new)
+        log += at, i, old, new
 
-    def detach(self, x: int, log: dict) -> None:
+    def detach(self, x: int, log: list) -> None:
         """Remove x, whose neighbors must no longer list it."""
-        _note(log, x, None, self._adj.pop(x), None)
+        log += x, None, self._adj.pop(x), None
 
-    def drop(self, x: int, log: dict) -> None:
+    def drop(self, x: int, log: list) -> None:
         """Delete x with its edges."""
         if x not in self._adj:
             raise GraphError("unknown vertex %r" % (x,))
@@ -589,37 +590,24 @@ class _WorkGraph(BaseGraph):
             self.cut(x, w, log)
         self.detach(x, log)
 
-    def undo(self, log: dict) -> None:
-        """Take back every edit the log holds, each vertex's last first."""
+    def undo(self, log: list) -> None:
+        """Take back every edit the log holds, the last first."""
         adj = self._adj
-        for v, edits in log.items():
-            if len(edits) == 3 and edits[0] is not None and edits[2] is None:
-                adj[v].insert(edits[0], edits[1])  # one cut, the usual case
-                continue
-            for k in range(len(edits) - 3, -1, -3):
-                i, lost, gained = edits[k], edits[k + 1], edits[k + 2]
-                if i is None:
-                    adj[v] = lost
-                elif gained is None:
-                    adj[v].insert(i, lost)
-                else:
-                    adj[v][i] = lost
+        for k in range(len(log) - 4, -1, -4):
+            v, i, lost, gained = log[k], log[k + 1], log[k + 2], log[k + 3]
+            if i is None:
+                adj[v] = lost
+            elif gained is None:
+                adj[v].insert(i, lost)
+            else:
+                adj[v][i] = lost
 
 
-def _note(log: dict, v: int, slot: Optional[int], lost, gained) -> None:
-    """Add one edit of v's list to an undo log (see _WorkGraph)."""
-    edits = log.get(v)
-    if edits is None:
-        log[v] = [slot, lost, gained]
-    else:
-        edits += slot, lost, gained
-
-
-def _cut_edge(w: _WorkGraph, cfg: ReducibleConfig, log: dict) -> None:
+def _cut_edge(w: _WorkGraph, cfg: ReducibleConfig, log: list) -> None:
     w.cut(*cfg["edge"], log)
 
 
-def _reduce_two_deg2(w: _WorkGraph, cfg: ReducibleConfig, log: dict) -> None:
+def _reduce_two_deg2(w: _WorkGraph, cfg: ReducibleConfig, log: list) -> None:
     v, x, y = cfg["hub"], cfg["x"], cfg["y"]
     if cfg["case"] == 1:
         w.drop(x, log)
@@ -638,27 +626,27 @@ def _reduce_two_deg2(w: _WorkGraph, cfg: ReducibleConfig, log: dict) -> None:
         w.detach(y, log)
 
 
-def _reduce_twin(w: _WorkGraph, cfg: ReducibleConfig, log: dict) -> None:
+def _reduce_twin(w: _WorkGraph, cfg: ReducibleConfig, log: list) -> None:
     for twin in cfg["twins"]:
         w.cut(cfg["hub"], twin, log)
 
 
-def _reduce_face(w: _WorkGraph, cfg: ReducibleConfig, log: dict) -> None:
+def _reduce_face(w: _WorkGraph, cfg: ReducibleConfig, log: list) -> None:
     v1, v2, v3 = cfg["corners"]
     w.cut(v1, v2, log)
     w.cut(v1, v3, log)
 
 
-def _reduce_alternator(w: _WorkGraph, cfg: ReducibleConfig, log: dict) -> None:
+def _reduce_alternator(w: _WorkGraph, cfg: ReducibleConfig, log: list) -> None:
     for x in cfg["low_side"]:
         w.drop(x, log)
 
 
-def _reduce(w: _WorkGraph, cfg: ReducibleConfig) -> dict:
+def _reduce(w: _WorkGraph, cfg: ReducibleConfig) -> list:
     """Remove the structure from w in place; return the undo log."""
     if cfg.kind not in _CATALOGUE:
         raise ValueError("unknown structure kind %r" % cfg.kind)
-    log: dict = {}
+    log: list = []
     _CATALOGUE[cfg.kind].reduce(w, cfg, log)
     return log
 
@@ -1232,7 +1220,7 @@ def _detach_small(w: _WorkGraph, start: int, events: list) -> bool:
     comp = _small_component(w, start)
     if comp is None:
         return False
-    log: dict = {}
+    log: list = []
     for v in sorted(comp):
         w.detach(v, log)
     events.append((None, log))
@@ -1372,8 +1360,9 @@ def _label(g: Graph, M: int,
 
     The labeler works on one mutable copy of g.  A forward loop removes one
     reducible structure at a time in place and records each removal as an
-    event, a pair of its configuration and its undo log, so the reductions
-    form a chain, not a tree of graph copies.
+    event, a pair of its configuration and its flat undo log (see
+    ``_WorkGraph``), so the reductions form a chain, not a tree of graph
+    copies.
     Sparse and light edges wait in two queues ordered by edge key
     (``_EdgeQueue``).  One test decides where an edge goes: within
     ``_sparse_sum`` to the sparse queue only, otherwise to the light queue
@@ -1383,35 +1372,38 @@ def _label(g: Graph, M: int,
     sparse sum is in the sparse queue, which is read first: the light
     queue needs none of them.  At the start one scan of g's edges within
     the light sum splits by the test.  After each event one pass over the
-    touched vertices detaches a vertex's component when it is small (see
-    below) and otherwise walks the vertex's open edges, queuing each by the
-    test unless its queue holds it; only edges at touched vertices can
-    newly qualify, so the walk misses none.  Smallness is the component's,
-    so a walked vertex's component is never detached later in the pass.
+    vertices its log names, the touched vertices, detaches a vertex's
+    component when it is small (see below) and otherwise walks the
+    vertex's open edges, queuing each by the test unless its queue holds
+    it; only edges at touched vertices can newly qualify, so the walk
+    misses none.  Smallness is the component's, so a walked vertex's
+    component is never detached later in the pass.
     An edge within the sparse sum is closed and leaves the walk; any other
     stays open, as its ends may still drop into the sparse sum.  A vertex
     walks its whole list until half its edges have closed, and then a list
-    of its open neighbors, kept by the neighbors its log says it lost or a
-    splice gave; walking a closed edge again pushes nothing, so the queues
+    of its open neighbors, which one pass over each event's log keeps: a
+    neighbor an edit took from the vertex leaves the list and one a splice
+    gave it joins; walking a closed edge again pushes nothing, so the queues
     get exactly the keys that walking every edge would give, and an event
     at a hub, once half its edges are in the sparse queue, walks only the
-    others.  The other kinds are scanned for only when
-    both queues are empty.  Whenever the component of a touched vertex
-    has at most BASE_ELEMENT_LIMIT elements, it is detached as a base case;
-    so is every such component of g at the start (g's components, which a
-    plane graph keeps from its face trace), as an event with no
-    configuration whose log saved exactly that component.  The search for
-    a small component stops at the first vertex whose degree no base case
-    can hold (``_BASE_MAX_DEGREE``), so most searches end at once.  The
-    backward loop then pops the events in reverse, so each log is freed
-    once undone: a base case is rebuilt from its log's vertices and given
-    exact search's witness, through a memo of witnesses by shape local to
-    this call (``_base_labeling``), a reduction is extended across on the
-    restored graph.  Both write the working dict through one
-    ``_Extension``, which keeps each vertex's mask of its edge colors across
-    events for availability.  The working graph is then freed, and the
-    working dict becomes the result uncopied, once validation has found
-    every key an element of g and the count of keys shows that it covers g.
+    others.  The other kinds are scanned for only when both queues are
+    empty.  Whenever the component of a touched vertex has at most
+    BASE_ELEMENT_LIMIT elements, it is detached as a base case; so is every
+    such component of g at the start (g's components, which a plane graph
+    keeps from its face trace), as an event with no configuration whose
+    log saved exactly that component.  The search for a small component
+    stops at the first vertex whose degree no base case can hold
+    (``_BASE_MAX_DEGREE``), so most searches end at once.  The backward
+    loop then pops the events in reverse and replays each log backwards,
+    so each is freed once undone: a base case is rebuilt from the vertices
+    its log names and given exact search's witness, through a memo of
+    witnesses by shape local to this call (``_base_labeling``), and a
+    reduction is extended across on the restored graph.  Both write the
+    working dict through one ``_Extension``, which keeps each vertex's
+    mask of its edge colors across events for availability.  The working
+    graph is then freed, and the working dict becomes the result uncopied,
+    once validation has found every key an element of g and the count of
+    keys shows that it covers g.
 
     The trace counts the base cases in ``base_cases``; ``splits`` counts
     those among them that a reduction cut loose, which excludes the small
@@ -1453,7 +1445,17 @@ def _label(g: Graph, M: int,
                                  "%r" % (cfg.kind, dict(cfg.data)))
         log = _reduce(w, cfg)
         events.append((cfg, log))
-        for v in sorted(log):
+        # (vertex, slot, lost, gained) per edit, see _WorkGraph
+        for k in range(0, len(log), 4):
+            ns = opened.get(log[k])
+            if ns is None or log[k + 1] is None:  # no open list, or a detach
+                continue
+            lost, gained = log[k + 2], log[k + 3]
+            if lost in ns:
+                ns.remove(lost)
+            if gained is not None:
+                ns.append(gained)
+        for v in sorted(set(log[::4])):
             nbrs = adj.get(v)
             # most touched vertices have a degree no base case can hold
             if (nbrs is not None and len(nbrs) <= _BASE_MAX_DEGREE
@@ -1464,13 +1466,6 @@ def _label(g: Graph, M: int,
                 opened.pop(v, None)
                 continue
             ns = opened.get(v, nbrs)
-            if ns is not nbrs:
-                edits = log[v]  # (slot, lost, gained) triples, see _WorkGraph
-                for k in range(1, len(edits), 3):
-                    if edits[k] in ns:
-                        ns.remove(edits[k])
-                    if edits[k + 1] is not None:
-                        ns.append(edits[k + 1])
             dv = len(nbrs)
             closed = 0
             for x in ns:
@@ -1501,7 +1496,7 @@ def _label(g: Graph, M: int,
         cfg, log = events.pop()
         w.undo(log)
         if cfg is None:
-            for key, c in _base_labeling(w, log, itv, memo).items():
+            for key, c in _base_labeling(w, log[::4], itv, memo).items():
                 ext.put(key, c)
             trace.base_cases += 1
         else:
@@ -1510,7 +1505,7 @@ def _label(g: Graph, M: int,
             trace.records.append(ext.rec)
         if deep_check:
             _require_valid(w, work, itv, "intermediate")
-            _require_kept_availability(ext, log)
+            _require_kept_availability(ext, log[::4])
 
     # free the working graph before the final validation, the run's peak;
     # validation rejects a key that is not an element of g, so counting

@@ -227,7 +227,7 @@ def test_induced():
 
 def _dropped_vertex_work_graph():
     w = _WorkGraph(generate("wheel", 6))
-    w.drop(3, {})  # cuts the edges at 3, then detaches it
+    w.drop(3, [])  # cuts the edges at 3, then detaches it
     return w
 
 

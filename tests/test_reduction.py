@@ -347,7 +347,7 @@ def test_edge_predicates_are_false_on_a_stale_queued_key():
     # ends a wrong queue may already have detached, so the edge predicates
     # test the edge before they read a degree
     w = _WorkGraph(_make_path3())
-    w.drop(2, {})
+    w.drop(2, [])
     for u, v in ((1, 2), (2, 1)):
         assert not reduction._sparse_edge(w, 12, u, v)
         assert reduction._light_end(w, 12, u, v) is None
@@ -359,14 +359,14 @@ def test_edge_queue_takes_the_least_key_whose_edge_exists():
     # dropped as stale, and a queued key whose edge is back is taken
     w = _WorkGraph(Graph.from_edges([(0, 1), (1, 2), (2, 3)]))
     queue = reduction._EdgeQueue([(0, 1), (1, 2), (2, 3)])
-    gone: dict = {}
+    gone: list = []
     w.cut(0, 1, gone)
-    back: dict = {}
+    back: list = []
     w.cut(1, 2, back)
     w.undo(back)
     assert queue.take(w) == (1, 2)
     assert queue.queued == {(2, 3)}
-    w.cut(2, 3, {})
+    w.cut(2, 3, [])
     assert queue.take(w) is None
     assert queue.heap == [] and not queue.queued
 
@@ -1346,6 +1346,75 @@ def test_undo_restores_every_state_of_a_chain_of_events():
     assert splices >= 5 and bases >= 1
 
 
+def _random_edit_script(w: _WorkGraph, rng: random.Random, log: list) -> None:
+    """Edit w with a few random cuts, drops and two_deg2-style path
+    splices, all into one log.  A splice picks a vertex x and two of its
+    neighbors a and b that are not adjacent, cuts x's other edges, puts b
+    in x's slot at a and a in x's slot at b, and detaches x."""
+    adj = w._adj
+    for _ in range(rng.randint(1, 8)):
+        if not adj:
+            return
+        op = rng.random()
+        x = rng.choice(sorted(adj))
+        if op < 0.5 and adj[x]:
+            w.cut(x, rng.choice(adj[x]), log)
+        elif op < 0.7:
+            w.drop(x, log)
+        else:
+            pairs = [(a, b) for a, b in itertools.combinations(adj[x], 2)
+                     if not w.has_edge(a, b)]
+            if pairs:
+                a, b = rng.choice(pairs)
+                for y in [y for y in adj[x] if y not in (a, b)]:
+                    w.cut(x, y, log)
+                w.splice(a, x, b, log)
+                w.splice(b, x, a, log)
+                w.detach(x, log)
+
+
+def _interleaved(log: list) -> bool:
+    """Whether some vertex's edits in log have another vertex's between."""
+    owners = log[::4]
+    return any(owners[i] != v and v in owners[:i] and v in owners[i + 1:]
+               for v in set(owners) for i in range(len(owners)))
+
+
+def test_undo_restores_interleaved_random_edit_scripts():
+    # no reducer edits a vertex, then others, then it again in one log, so
+    # undo's one backward replay is checked on random scripts that do:
+    # chains of logs over plane and plain graphs, undone in reverse, must
+    # pass back through every list in order
+    rng = random.Random(2029)
+    plane = [generate("stacked_triangulation", 30, 1, 12),
+             generate("random_planar", 40, 2, 14), generate("wheel", 9)]
+    graphs = plane + [Graph.from_edges(g.edges()) for g in plane]
+    interleaved = splices = 0
+    for trial in range(120):
+        g = graphs[trial % len(graphs)]
+        w = _WorkGraph(g)
+        states, logs = [], []
+        for _ in range(3):
+            states.append({v: list(ns) for v, ns in w._adj.items()})
+            log: list = []
+            _random_edit_script(w, rng, log)
+            logs.append(log)
+            interleaved += _interleaved(log)
+            splices += any(log[k + 3] is not None
+                           for k in range(0, len(log), 4))
+        for before, log in zip(reversed(states), reversed(logs)):
+            w.undo(log)
+            assert w._adj == before
+        if isinstance(g, PlaneGraph):
+            assert w._rot is w._adj
+            assert w._adj == {v: list(g.rotation(v)) for v in g.vertices}
+        else:
+            assert w._rot is None
+            assert {v: set(ns) for v, ns in w._adj.items()} == {
+                v: g.neighbors(v) for v in g.vertices}
+    assert interleaved >= 200 and splices >= 100
+
+
 def _answers_as_frozen(w: _WorkGraph, M: int) -> int:
     """Assert that w answers every query, and every kind's scan, as its
     frozen copy does; the catalogue reads neighbors() as an iterable, a
@@ -1434,7 +1503,7 @@ def test_small_component_degree_test_is_exact():
 def test_induced_reads_the_current_working_graph():
     g = generate("stacked_triangulation", 30, seed=3, max_degree=12)
     w = _WorkGraph(g)
-    log: dict = {}
+    log: list = []
     for u, v in g.edges()[::3]:
         w.cut(u, v, log)
     keep = set(g.vertices[::2])
@@ -1445,7 +1514,7 @@ def test_induced_reads_the_current_working_graph():
 def test_validate_reads_the_current_working_graph():
     g = generate("stacked_triangulation", 30, seed=3, max_degree=12)
     w = _WorkGraph(g)
-    log: dict = {}
+    log: list = []
     for u, v in g.edges()[::3]:
         w.cut(u, v, log)
     rng = random.Random(0)
@@ -1846,10 +1915,11 @@ def test_label_planar_peak_memory_is_linear_and_small():
 @pytest.mark.parametrize("family, per_vertex", (("star", 2000),
                                                  ("wheel", 3200)))
 def test_label_planar_peak_memory_at_a_hub_is_linear(family, per_vertex):
-    # an event at the hub logs one slot per edit and walks only the hub's
-    # edges not yet in the sparse queue, so the peak grows with n, not n^2;
-    # under CPython 3.11 star(2000) reads 1,450 and wheel(2000) 2,289 bytes
-    # per vertex, against 9,370 and 10,151 with whole-list undo logs
+    # an event at the hub logs four entries per edit in one flat list and
+    # walks only the hub's edges not yet in the sparse queue, so the peak
+    # grows with n, not n^2; under CPython 3.11 star(2000) reads 971 and
+    # wheel(2000) 1,547 bytes per vertex, against 9,370 and 10,151 with
+    # whole-list undo logs
     g = generate(family, 2000)
     tracemalloc.start()
     try:
