@@ -189,11 +189,12 @@ class ExtensionTrace:
 # Predicates, enumerators and cites bind adj = g._adj once per call and
 # read a degree as len(adj[v]), a list on the working graph and a frozenset
 # on Graph, so a vertex g lacks raises KeyError, which config_holds reads as
-# no occurrence.  The labeler's edge queues call no predicate (see
-# _EdgeQueue); the edge predicates test the edge first, so that
-# config_holds rejects an edge whose ends may be gone, such as a stale key
-# that deep_check judges.  A face kind finds no face on a graph without
-# rotations.
+# no occurrence.  The labeler's edge heap calls no predicate (see
+# _label): sparse and light edges wait in one heap of (rank, u, v), rank 0
+# sparse before rank 1 light.  The edge predicates test the edge first, so
+# that config_holds rejects an edge whose ends may be gone, such as a
+# stale entry that deep_check judges.  A face kind finds no face on a
+# graph without rotations.
 
 
 def _sparse_sum(M: int) -> int:
@@ -612,11 +613,9 @@ def _reduce_two_deg2(w: _WorkGraph, cfg: ReducibleConfig, log: list) -> None:
     if cfg["case"] == 1:
         w.drop(x, log)
         w.drop(y, log)
-    elif not _has_rotation(w):
-        raise GraphError("rewiring a path needs a rotation system")
     else:
-        # each far end takes the deleted vertex's slot in the rotations, so
-        # the embedding stays intact
+        # each far end takes the deleted vertex's slot in its list, so a
+        # rotation stays plane; a plain graph is rewired the same way
         xp, yp = cfg["x_other"], cfg["y_other"]
         w.splice(v, x, xp, log)
         w.splice(xp, x, v, log)
@@ -1118,7 +1117,8 @@ _CATALOGUE = {
 }
 KIND_ORDER = tuple(_CATALOGUE)
 
-# sparse and light edges are queued by the labeler; it scans only for these
+# sparse and light edges wait in the labeler's edge heap, at their
+# KIND_ORDER index as rank; it scans only for these
 _RARE_KINDS = KIND_ORDER[2:]
 
 
@@ -1157,38 +1157,6 @@ def config_holds(g: Graph, M: int, cfg: ReducibleConfig) -> bool:
 
 # ---------------------------------------------------------------------------
 # the driver
-
-
-class _EdgeQueue:
-    """Edge keys u < v of one edge kind, smallest first.
-
-    No reduction raises a degree, so a key that qualified for its kind
-    qualifies whenever its edge exists, also when a two_deg2 splice
-    re-creates an edge deleted earlier.  So the driver decides a key's
-    membership once, where it queues it (see ``_label``), and :meth:`take`
-    only tests that the edge exists; a key whose edge is gone is stale and
-    dropped when it reaches the front.  ``queued`` holds the keys in
-    ``heap``, each at most once; the driver pushes a key that is not in it
-    onto both.  take removes the key it returns, whose edge the reduction
-    then deletes.
-    """
-
-    __slots__ = ("heap", "queued")
-
-    def __init__(self, edges: list[tuple[int, int]]):
-        # edges is sorted, so the list is already a heap
-        self.heap = edges
-        self.queued = set(edges)
-
-    def take(self, w: _WorkGraph) -> Optional[tuple]:
-        """Remove and return the least key whose edge w has, or None."""
-        heap, queued, has_edge = self.heap, self.queued, w.has_edge
-        while heap:
-            key = heapq.heappop(heap)
-            queued.discard(key)
-            if has_edge(*key):
-                return key
-        return None
 
 
 def _small_component(w: _WorkGraph, start: int) -> Optional[set[int]]:
@@ -1270,19 +1238,21 @@ def _require_valid(g: Graph, work: dict, itv: ColorInterval,
                              % (stage, len(bad), bad[:3]))
 
 
-def _next_config(w: _WorkGraph, M: int, sparse: _EdgeQueue,
-                 light: _EdgeQueue) -> ReducibleConfig:
+def _next_config(w: _WorkGraph, M: int, heap: list,
+                 queued: set) -> ReducibleConfig:
     """What find_configuration would return on w, with the edge kinds
-    taken from their queues."""
-    key = sparse.take(w)
-    if key is not None:
-        return ReducibleConfig(SPARSE_EDGE, _CATALOGUE[SPARSE_EDGE].data(*key))
-    key = light.take(w)
-    if key is not None:
-        u, v = key  # the low end is the first end light enough
-        low = u if len(w._adj[u]) <= _light_cap(M) else v
-        return ReducibleConfig(LIGHT_EDGE, _CATALOGUE[LIGHT_EDGE].data(
-            u, v, low))
+    taken from the edge heap: its least entry whose edge w has, of the
+    kind ``KIND_ORDER[rank]``; each entry it pops is discarded from
+    queued."""
+    has_edge = w.has_edge
+    while heap:
+        entry = heapq.heappop(heap)
+        queued.discard(entry)
+        rank, u, v = entry
+        if has_edge(u, v):
+            kind = KIND_ORDER[rank]
+            fields = (u, v) if rank == 0 else (u, v, _light_end(w, M, u, v))
+            return ReducibleConfig(kind, _CATALOGUE[kind].data(*fields))
     cfg = _first_config(w, M, _RARE_KINDS)
     if cfg is None:
         raise IrreducibleError(w.freeze(), M)
@@ -1363,31 +1333,36 @@ def _label(g: Graph, M: int,
     event, a pair of its configuration and its flat undo log (see
     ``_WorkGraph``), so the reductions form a chain, not a tree of graph
     copies.
-    Sparse and light edges wait in two queues ordered by edge key
-    (``_EdgeQueue``).  One test decides where an edge goes: within
-    ``_sparse_sum`` to the sparse queue only, otherwise to the light queue
-    when within ``_light_sum`` and an end has degree at most
+    Sparse and light edges wait in one heap of entries (rank, u, v), an
+    edge u < v of kind ``KIND_ORDER[rank]``: rank 0 sparse, rank 1 light,
+    so every sparse entry comes before every light one and each rank is
+    read in edge order; ``queued`` holds the entries in the heap, each at
+    most once.  One test decides an edge's rank: within ``_sparse_sum`` 0,
+    otherwise 1 when within ``_light_sum`` and an end has degree at most
     ``_light_cap``.  No reduction raises a degree, so an edge keeps its
-    queue's terms for as long as it exists and every live edge within the
-    sparse sum is in the sparse queue, which is read first: the light
-    queue needs none of them.  At the start one scan of g's edges within
-    the light sum splits by the test.  After each event one pass over the
-    vertices its log names, the touched vertices, detaches a vertex's
-    component when it is small (see below) and otherwise walks the
-    vertex's open edges, queuing each by the test unless its queue holds
-    it; only edges at touched vertices can newly qualify, so the walk
-    misses none.  Smallness is the component's, so a walked vertex's
-    component is never detached later in the pass.
+    rank's terms for as long as it exists, also when a two_deg2 splice
+    re-creates an edge deleted earlier, and ``_next_config`` tests only
+    that the edge exists: an entry whose edge is gone is dropped when it
+    reaches the front.  Every live edge within the sparse sum waits at
+    rank 0, read first, so rank 1 needs none of them.  At the start one
+    scan of g's edges within the light sum builds the heap by the test.
+    After each event one pass over the vertices its log names, the
+    touched vertices, detaches a vertex's component when it is small (see
+    below) and otherwise walks the vertex's open edges, pushing each by
+    the test unless the heap holds its entry; only edges at touched
+    vertices can newly qualify, so the walk misses none.  Smallness is the
+    component's, so a walked vertex's component is never detached later
+    in the pass.
     An edge within the sparse sum is closed and leaves the walk; any other
     stays open, as its ends may still drop into the sparse sum.  A vertex
     walks its whole list until half its edges have closed, and then a list
     of its open neighbors, which one pass over each event's log keeps: a
     neighbor an edit took from the vertex leaves the list and one a splice
-    gave it joins; walking a closed edge again pushes nothing, so the queues
-    get exactly the keys that walking every edge would give, and an event
-    at a hub, once half its edges are in the sparse queue, walks only the
-    others.  The other kinds are scanned for only when both queues are
-    empty.  Whenever the component of a touched vertex has at most
+    gave it joins; walking a closed edge again pushes nothing, so the heap
+    gets exactly the entries that walking every edge would give, and an
+    event at a hub, once half its edges wait at rank 0, walks only the
+    others.  The other kinds are scanned for only when the heap holds no
+    live entry.  Whenever the component of a touched vertex has at most
     BASE_ELEMENT_LIMIT elements, it is detached as a base case; so is every
     such component of g at the start (g's components, which a plane graph
     keeps from its face trace), as an event with no configuration whose
@@ -1409,7 +1384,7 @@ def _label(g: Graph, M: int,
     those among them that a reduction cut loose, which excludes the small
     components g starts with.  With deep_check, the forward loop checks
     each configuration it takes with ``config_holds`` before reducing it,
-    so a key queued wrongly raises ExtensionError; and after every event
+    so an entry pushed wrongly raises ExtensionError; and after every event
     of the backward loop the whole working graph is validated, not just at the
     end, and the kept masks and availability near the event are compared
     with the labeling and the public availability functions
@@ -1422,16 +1397,17 @@ def _label(g: Graph, M: int,
     adj = w._adj
     sparse_sum, light_sum, cap = _sparse_sum(M), _light_sum(M), _light_cap(M)
     # a sparse edge's bound lies below a light edge's, so one scan serves
-    # both; each key is an edge u < v, as the predicates need
+    # both; each entry is (rank, u, v) for an edge u < v, as the predicates
+    # need, and the rank-0 entries, then the rank-1 ones, each sorted, are
+    # already a heap
     near = _edges_summing_at_most(g, light_sum)
-    sparse = _EdgeQueue([e for e in near
-                         if len(adj[e[0]]) + len(adj[e[1]]) <= sparse_sum])
-    light = _EdgeQueue([e for e in near
-                        if len(adj[e[0]]) + len(adj[e[1]]) > sparse_sum
-                        and (len(adj[e[0]]) <= cap or len(adj[e[1]]) <= cap)])
+    heap = [(0, u, v) for u, v in near
+            if len(adj[u]) + len(adj[v]) <= sparse_sum]
+    heap += [(1, u, v) for u, v in near
+             if len(adj[u]) + len(adj[v]) > sparse_sum
+             and (len(adj[u]) <= cap or len(adj[v]) <= cap)]
     del near
-    sparse_heap, sparse_queued = sparse.heap, sparse.queued
-    light_heap, light_queued = light.heap, light.queued
+    queued = set(heap)
     heappush = heapq.heappush
     opened: dict = {}  # vertex -> its open neighbors, see above
     events: list[tuple] = []  # (configuration or None, undo log)
@@ -1439,7 +1415,7 @@ def _label(g: Graph, M: int,
         _detach_small(w, min(comp), events)
 
     while adj:
-        cfg = _next_config(w, M, sparse, light)
+        cfg = _next_config(w, M, heap, queued)
         if deep_check and not config_holds(w, M, cfg):
             raise ExtensionError("the driver chose a %s that does not hold: "
                                  "%r" % (cfg.kind, dict(cfg.data)))
@@ -1473,21 +1449,20 @@ def _label(g: Graph, M: int,
                 total = dv + dx
                 if total <= sparse_sum:
                     closed += 1
-                    key = (v, x) if v < x else (x, v)
-                    if key not in sparse_queued:
-                        sparse_queued.add(key)
-                        heappush(sparse_heap, key)
+                    rank = 0
                 elif total <= light_sum and (dv <= cap or dx <= cap):
-                    key = (v, x) if v < x else (x, v)
-                    if key not in light_queued:
-                        light_queued.add(key)
-                        heappush(light_heap, key)
+                    rank = 1
+                else:
+                    continue
+                entry = (rank, v, x) if v < x else (rank, x, v)
+                if entry not in queued:
+                    queued.add(entry)
+                    heappush(heap, entry)
             # a list of its own pays once it halves the walk
             if closed and (ns is not nbrs or 2 * closed >= dv):
                 opened[v] = [x for x in ns if dv + len(adj[x]) > sparse_sum]
-    # the queues hold only stale keys now
-    del opened, sparse, sparse_heap, sparse_queued
-    del light, light_heap, light_queued
+    # the heap holds only entries whose edges are gone now
+    del opened, heap, queued
 
     ext = _Extension(w, {}, itv)
     work = ext.work

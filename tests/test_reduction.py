@@ -355,20 +355,33 @@ def test_edge_predicates_are_false_on_a_stale_queued_key():
 
 
 def test_edge_queue_takes_the_least_key_whose_edge_exists():
-    # a queue tests nothing but the edge: a key whose edge is gone is
-    # dropped as stale, and a queued key whose edge is back is taken
-    w = _WorkGraph(Graph.from_edges([(0, 1), (1, 2), (2, 3)]))
-    queue = reduction._EdgeQueue([(0, 1), (1, 2), (2, 3)])
+    # the heap tests nothing but the edge: an entry whose edge is gone is
+    # dropped as stale, an entry whose edge is back is taken, and a sparse
+    # entry, rank 0, comes before a light one, rank 1, with a smaller edge
+    w = _WorkGraph(Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 4)]))
+    heap = [(0, 0, 1), (0, 1, 2), (0, 3, 4), (1, 2, 3)]
+    queued = set(heap)
     gone: list = []
     w.cut(0, 1, gone)
     back: list = []
     w.cut(1, 2, back)
     w.undo(back)
-    assert queue.take(w) == (1, 2)
-    assert queue.queued == {(2, 3)}
-    w.cut(2, 3, [])
-    assert queue.take(w) is None
-    assert queue.heap == [] and not queue.queued
+    cfg = reduction._next_config(w, 12, heap, queued)
+    assert cfg == ReducibleConfig(SPARSE_EDGE, {"edge": (1, 2)})
+    assert queued == {(0, 3, 4), (1, 2, 3)}
+    cfg = reduction._next_config(w, 12, heap, queued)
+    assert cfg == ReducibleConfig(SPARSE_EDGE, {"edge": (3, 4)})
+    assert queued == {(1, 2, 3)}
+    cfg = reduction._next_config(w, 12, heap, queued)
+    assert cfg.kind == LIGHT_EDGE
+    assert dict(cfg.data) == {"edge": (2, 3), "low": 2}
+    assert heap == [] and not queued
+    # a heap of stale entries runs dry, and the rare kinds are scanned for
+    heap += [(0, 0, 1), (1, 0, 1)]
+    queued.update(heap)
+    cfg = reduction._next_config(w, 12, heap, queued)
+    assert cfg.kind in reduction._RARE_KINDS
+    assert heap == [] and not queued
 
 
 def test_twins_on_a_separating_triangle_reduce_and_extend():
@@ -495,6 +508,20 @@ def test_two_deg2_case1_roundtrip():
 def test_two_deg2_case3_roundtrip():
     spider = _make_spider()
     rec = _roundtrip(spider, _find(spider, TWO_DEG2))
+    assert [s.action for s in rec.steps].count("transfer") == 4
+
+
+def test_two_deg2_case3_rewires_a_plain_graph():
+    # the splice and its extension read no rotation, so a plain graph's
+    # case-3 two_deg2 reduces, extends and validates like a plane one's
+    spider = Graph.from_edges(_make_spider().edges())
+    assert not isinstance(spider, PlaneGraph)
+    cfg = _find(spider, TWO_DEG2)
+    assert cfg["case"] == 3
+    child = reduce_config(spider, cfg)
+    assert sorted(child.vertices) == [0, 2, 4]
+    assert child.has_edge(0, 2) and child.has_edge(0, 4)
+    rec = _roundtrip(spider, cfg)
     assert [s.action for s in rec.steps].count("transfer") == 4
 
 
@@ -1127,13 +1154,20 @@ def test_deep_check_catches_a_kept_mask_out_of_step(monkeypatch):
 
 
 def test_deep_check_catches_a_wrongly_queued_key(monkeypatch):
-    # a queue hands out what it was given without a predicate, so deep_check
-    # must judge each pick: with every edge of the wheel queued, the first
-    # sparse pick is the spoke (0, 1), whose degree sum 9 + 3 exceeds 10
+    # the heap hands out what it was given without a predicate, so
+    # deep_check must judge each pick: with the spoke (0, 1) pushed as a
+    # sparse entry, the first pick is that spoke, whose degree sum 9 + 3
+    # exceeds 10
     g = generate("wheel", 9)
-    queue = reduction._EdgeQueue
-    monkeypatch.setattr(reduction, "_EdgeQueue",
-                        lambda edges: queue(list(g.edges())))
+    queued_config = reduction._next_config
+
+    def spoke_first(w, M, heap, queued):
+        if (0, 0, 1) not in queued:
+            queued.add((0, 0, 1))
+            heapq.heappush(heap, (0, 0, 1))
+        return queued_config(w, M, heap, queued)
+
+    monkeypatch.setattr(reduction, "_next_config", spoke_first)
     with pytest.raises(ExtensionError, match="sparse_edge that does not hold"):
         label_planar(g, deep_check=True)
 
@@ -1647,10 +1681,10 @@ def _scan_checked_choices(monkeypatch) -> list:
     queued = reduction._next_config
     chosen = []
 
-    def checked(w, M, sparse, light):
+    def checked(w, M, heap, in_heap):
         scanned = reduction._first_config(w, M, KIND_ORDER)
         try:
-            cfg = queued(w, M, sparse, light)
+            cfg = queued(w, M, heap, in_heap)
         except IrreducibleError:
             assert scanned is None
             raise
@@ -1708,40 +1742,44 @@ def test_queues_miss_no_edge_below_12(monkeypatch, M):
 
 
 def test_light_queue_gets_only_keys_above_the_sparse_sum(monkeypatch):
-    # the sparse queue is read first and holds every live edge within the
-    # sparse sum, so the light queue must never be given one: each key the
-    # light queue starts with or is pushed later must have end degrees
-    # summing to more than the sparse sum when it is queued
-    works, queues = [], []
-    checked = [0, 0]  # keys the light queue started with, keys pushed later
+    # rank 0 is read first and holds every live edge within the sparse sum,
+    # so rank 1 must never be given one: each rank-1 entry the heap starts
+    # with or is pushed later must have end degrees summing to more than
+    # the sparse sum when it is queued
+    works, starts, heaps = [], [], []
+    checked = [0, 0]  # rank-1 entries the heap started with, pushed later
 
     class SpyWorkGraph(_WorkGraph):
         def __init__(self, g):
             super().__init__(g)
             works.append(self)
+            # the degrees the heap is built from, before any detach
+            starts.append({v: len(ns) for v, ns in self._adj.items()})
 
-    def above(key):
-        adj = works[-1]._adj
-        return len(adj[key[0]]) + len(adj[key[1]]) > reduction._sparse_sum(M)
+    def above(degree, entry):
+        _, u, v = entry
+        return degree[u] + degree[v] > reduction._sparse_sum(M)
 
-    queue, push = reduction._EdgeQueue, heapq.heappush
+    queued_config, push = reduction._next_config, heapq.heappush
 
-    def spy_queue(edges):
-        queues.append(queue(edges))
-        if len(queues) % 2 == 0:  # the second queue of a run is the light one
-            for key in edges:
-                assert above(key), ("start", key, M)
-            checked[0] += len(edges)
-        return queues[-1]
+    def spy_next(w, M, heap, queued):
+        if len(heaps) < len(works):  # the first call of a run
+            heaps.append(heap)
+            for entry in heap:
+                if entry[0] == 1:
+                    assert above(starts[-1], entry), ("start", entry, M)
+                    checked[0] += 1
+        return queued_config(w, M, heap, queued)
 
-    def spy_push(heap, key):
-        if len(queues) % 2 == 0 and heap is queues[-1].heap:
-            assert above(key), ("push", key, M)
+    def spy_push(heap, entry):
+        if heaps and heap is heaps[-1] and entry[0] == 1:
+            degree = {v: len(works[-1]._adj[v]) for v in entry[1:]}
+            assert above(degree, entry), ("push", entry, M)
             checked[1] += 1
-        push(heap, key)
+        push(heap, entry)
 
     monkeypatch.setattr(reduction, "_WorkGraph", SpyWorkGraph)
-    monkeypatch.setattr(reduction, "_EdgeQueue", spy_queue)
+    monkeypatch.setattr(reduction, "_next_config", spy_next)
     monkeypatch.setattr(heapq, "heappush", spy_push)
     runs = list(_chain_corpus())
     for family in ("stacked_triangulation", "random_planar"):
@@ -1753,7 +1791,7 @@ def test_light_queue_gets_only_keys_above_the_sparse_sum(monkeypatch):
         below = (IrreducibleError, ExtensionError) if M < 12 else ()
         with contextlib.suppress(*below):
             reduction._label(g, M)
-    assert len(queues) == 2 * len(runs)
+    assert len(heaps) == len(works) == len(runs)
     assert all(checked), checked
 
 
@@ -1761,9 +1799,9 @@ def _prefer_rare_kinds(monkeypatch) -> None:
     """Make label_planar take any rare kind before a queued edge."""
     queued = reduction._next_config
 
-    def rare_first(w, M, sparse, light):
+    def rare_first(w, M, heap, in_heap):
         cfg = reduction._first_config(w, M, reduction._RARE_KINDS)
-        return cfg if cfg is not None else queued(w, M, sparse, light)
+        return cfg if cfg is not None else queued(w, M, heap, in_heap)
 
     monkeypatch.setattr(reduction, "_next_config", rare_first)
 
@@ -1916,10 +1954,10 @@ def test_label_planar_peak_memory_is_linear_and_small():
                                                  ("wheel", 3200)))
 def test_label_planar_peak_memory_at_a_hub_is_linear(family, per_vertex):
     # an event at the hub logs four entries per edit in one flat list and
-    # walks only the hub's edges not yet in the sparse queue, so the peak
-    # grows with n, not n^2; under CPython 3.11 star(2000) reads 971 and
-    # wheel(2000) 1,547 bytes per vertex, against 9,370 and 10,151 with
-    # whole-list undo logs
+    # walks only the hub's edges not yet waiting in the edge heap as
+    # sparse, so the peak grows with n, not n^2; under CPython 3.11
+    # star(2000) reads 997 and wheel(2000) 1,584 bytes per vertex, against
+    # 9,370 and 10,151 with whole-list undo logs
     g = generate(family, 2000)
     tracemalloc.start()
     try:
