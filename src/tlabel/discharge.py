@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
 from .graphs import DisconnectedError, Graph, GraphError, PlaneGraph
-from .reduction import _CATALOGUE, degree_bound
+from .reduction import _CATALOGUE, SPECIAL_FACE_DEGREES, degree_bound
 
 
 class AuditError(RuntimeError):
@@ -117,7 +117,6 @@ def initial_charges(g: PlaneGraph) -> ChargeLedger:
     return _ledger(*_initial_units(g, g.degrees()))
 
 
-SPECIAL_FACE_DEGREES = (5, 6, 7)
 _SPECIAL_DEGREE_SET = frozenset(SPECIAL_FACE_DEGREES)
 
 

@@ -7,8 +7,8 @@ component, so a rotation system that does not describe a plane embedding
 is always caught at trace time rather than silently accepted.  A face is
 its boundary walk, a plain tuple of vertices.  A plane graph keeps its
 trace, or that the trace found it disconnected, and the components the
-trace searched for, so the labeler's planarity gate, the labeler and the
-auditor share one trace and one component search of a graph object.
+trace searched for, so the labeler's planarity gate and the auditor share
+one trace and one component search of a graph object.
 
 The read queries live once, in :class:`BaseGraph`; the immutable graphs
 here and the labeler's mutable working graph all answer through it.  The
@@ -242,7 +242,7 @@ class PlaneGraph(Graph):
 
     def components(self) -> list[frozenset[int]]:
         """:meth:`Graph.components`, searched once per graph and kept, so
-        the face trace's search also serves the labeler."""
+        the face trace's search also serves the auditor."""
         if self._comps is None:
             self._comps = tuple(super().components())
         return list(self._comps)

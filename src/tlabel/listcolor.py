@@ -47,35 +47,29 @@ def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]]:
 
 def check_list_sizes(g: Graph, lists: Mapping[tuple, Iterable[int]]) -> None:
     """Require every edge list to hold max of the endpoint degrees colors."""
-    for u, v in g.edges():
-        e = edge_key(u, v)
+    for e in g.edges():
         if e not in lists:
             raise ListSizeError("edge (%d, %d) has no color list" % e)
+        u, v = e
         need = max(g.degree(u), g.degree(v))
         have = len(set(lists[e]))
         if have < need:
             raise ListSizeError(
-                "edge (%d, %d) has %d colors, needs %d" % (e[0], e[1], have, need)
+                "edge (%d, %d) has %d colors, needs %d" % (u, v, have, need)
             )
 
 
-def list_edge_color(g: Graph, lists: Mapping[tuple, Iterable[int]],
-                    check: bool = True) -> dict[tuple, int]:
+def list_edge_color(g: Graph,
+                    lists: Mapping[tuple, Iterable[int]]) -> dict[tuple, int]:
     """Proper edge coloring from per-edge lists on a bipartite graph.
 
-    With check=True the degree threshold is enforced up front and a failed
-    search raises ListColorError, since exhaustion then means the caller
-    handed over an inconsistent instance.  With check=False undersized
-    lists are allowed and exhaustion returns via the same error.
+    The degree threshold is enforced up front (ListSizeError), so a failed
+    search raises ListColorError: exhaustion then means the caller handed
+    over an inconsistent instance.
     """
     bipartition(g)
-    if check:
-        check_list_sizes(g, lists)
-
-    edges = [edge_key(u, v) for u, v in g.edges()]
-    for e in edges:
-        if e not in lists:
-            raise ListSizeError("edge (%d, %d) has no color list" % e)
+    check_list_sizes(g, lists)
+    edges = g.edges()
 
     # free[e] is e's list less the colors of its colored neighbors; it stays
     # fixed once e is colored, since only uncolored edges are struck

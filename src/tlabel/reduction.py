@@ -428,12 +428,16 @@ def _face_566_candidates(g, M: int) -> Iterator[tuple]:
                 yield v1, v2, v3
 
 
+# a special triangle is a face whose corners have these degrees, one each
+SPECIAL_FACE_DEGREES = (5, 6, 7)
+
+
 def _face_567(g, M: int, v1: int, v2: int, v3: int, outside: int) -> bool:
     """A triangle face with corners of degree 5, 6 and 7, and the least
     neighbor of degree 6 that the 5-corner has off the face."""
     adj = g._adj
     return (
-        (len(adj[v1]), len(adj[v2]), len(adj[v3])) == (5, 6, 7)
+        (len(adj[v1]), len(adj[v2]), len(adj[v3])) == SPECIAL_FACE_DEGREES
         and _face_of(g, v1, v2, v3) is not None
         and outside == min(
             (w for w in adj[v1] if w not in (v2, v3) and len(adj[w]) == 6),
@@ -1310,10 +1314,10 @@ def label_planar(g: PlaneGraph, M: Optional[int] = None,
     Planarity is checked before labeling, by tracing g's faces, which
     raises EmbeddingError for a rotation system that is not plane,
     connected or not.  g keeps its trace, or that the trace found it
-    disconnected, and the components the trace searched for, which the
-    engine reads; so a fresh graph costs one trace and one component
-    search, and labeling or auditing the same graph object again costs
-    neither.  The labeling, and deep_check, are the engine's, ``_label``.
+    disconnected, so labeling or auditing the same graph object again
+    traces it no more.  The labeling, and deep_check, are the engine's,
+    ``_label``, which does not read g's components: it finds the small
+    ones itself.
     """
     if not isinstance(g, PlaneGraph):
         raise GraphError("a plane graph with a rotation system is required")
@@ -1344,15 +1348,15 @@ def _label(g: Graph, M: int,
     re-creates an edge deleted earlier, and ``_next_config`` tests only
     that the edge exists: an entry whose edge is gone is dropped when it
     reaches the front.  Every live edge within the sparse sum waits at
-    rank 0, read first, so rank 1 needs none of them.  At the start one
-    scan of g's edges within the light sum builds the heap by the test.
-    After each event one pass over the vertices its log names, the
-    touched vertices, detaches a vertex's component when it is small (see
-    below) and otherwise walks the vertex's open edges, pushing each by
-    the test unless the heap holds its entry; only edges at touched
-    vertices can newly qualify, so the walk misses none.  Smallness is the
-    component's, so a walked vertex's component is never detached later
-    in the pass.
+    rank 0, read first, so rank 1 needs none of them.  The loop offers
+    edges in one pass, over every vertex of g in ascending order at the
+    start and after each event over the vertices its log names, the
+    touched vertices: the pass detaches a vertex's component when it is
+    small (see below) and otherwise walks the vertex's open edges, pushing
+    each by the test unless the heap holds its entry; only edges at
+    touched vertices can newly qualify, so the walk misses none.
+    Smallness is the component's, so a walked vertex's component is never
+    detached later in the pass.
     An edge within the sparse sum is closed and leaves the walk; any other
     stays open, as its ends may still drop into the sparse sum.  A vertex
     walks its whole list until half its edges have closed, and then a list
@@ -1362,12 +1366,12 @@ def _label(g: Graph, M: int,
     gets exactly the entries that walking every edge would give, and an
     event at a hub, once half its edges wait at rank 0, walks only the
     others.  The other kinds are scanned for only when the heap holds no
-    live entry.  Whenever the component of a touched vertex has at most
-    BASE_ELEMENT_LIMIT elements, it is detached as a base case; so is every
-    such component of g at the start (g's components, which a plane graph
-    keeps from its face trace), as an event with no configuration whose
-    log saved exactly that component.  The search for a small component
-    stops at the first vertex whose degree no base case can hold
+    live entry.  Whenever the component of a vertex the pass visits has at
+    most BASE_ELEMENT_LIMIT elements, it is detached as a base case, an
+    event with no configuration whose log saved exactly that component; so
+    the start's pass detaches each small component of g at its least
+    vertex, and g's components are never searched.  The search for a small
+    component stops at the first vertex whose degree no base case can hold
     (``_BASE_MAX_DEGREE``), so most searches end at once.  The backward
     loop then pops the events in reverse and replays each log backwards,
     so each is freed once undone: a base case is rebuilt from the vertices
@@ -1381,14 +1385,15 @@ def _label(g: Graph, M: int,
     keys shows that it covers g.
 
     The trace counts the base cases in ``base_cases``; ``splits`` counts
-    those among them that a reduction cut loose, which excludes the small
-    components g starts with.  With deep_check, the forward loop checks
-    each configuration it takes with ``config_holds`` before reducing it,
-    so an entry pushed wrongly raises ExtensionError; and after every event
-    of the backward loop the whole working graph is validated, not just at the
-    end, and the kept masks and availability near the event are compared
-    with the labeling and the public availability functions
-    (``_require_kept_availability``): a quadratic check meant for tests.
+    those among them that a reduction cut loose, the detaches made once a
+    reduction has run, so not the small components g starts with.  With
+    deep_check, the forward loop checks each configuration it takes with
+    ``config_holds`` before reducing it, so an entry pushed wrongly raises
+    ExtensionError; and after every event of the backward loop the whole
+    working graph is validated, not just at the end, and the kept masks
+    and availability near the event are compared with the labeling and
+    the public availability functions (``_require_kept_availability``): a
+    quadratic check meant for tests.
     """
     itv = working_interval(M)
     trace = ExtensionTrace(M)
@@ -1396,47 +1401,22 @@ def _label(g: Graph, M: int,
     w = _WorkGraph(g)
     adj = w._adj
     sparse_sum, light_sum, cap = _sparse_sum(M), _light_sum(M), _light_cap(M)
-    # a sparse edge's bound lies below a light edge's, so one scan serves
-    # both; each entry is (rank, u, v) for an edge u < v, as the predicates
-    # need, and the rank-0 entries, then the rank-1 ones, each sorted, are
-    # already a heap
-    near = _edges_summing_at_most(g, light_sum)
-    heap = [(0, u, v) for u, v in near
-            if len(adj[u]) + len(adj[v]) <= sparse_sum]
-    heap += [(1, u, v) for u, v in near
-             if len(adj[u]) + len(adj[v]) > sparse_sum
-             and (len(adj[u]) <= cap or len(adj[v]) <= cap)]
-    del near
-    queued = set(heap)
+    # each entry is (rank, u, v) for an edge u < v, as the predicates need
+    heap: list = []
+    queued: set = set()
     heappush = heapq.heappush
     opened: dict = {}  # vertex -> its open neighbors, see above
     events: list[tuple] = []  # (configuration or None, undo log)
-    for comp in g.components():
-        _detach_small(w, min(comp), events)
-
-    while adj:
-        cfg = _next_config(w, M, heap, queued)
-        if deep_check and not config_holds(w, M, cfg):
-            raise ExtensionError("the driver chose a %s that does not hold: "
-                                 "%r" % (cfg.kind, dict(cfg.data)))
-        log = _reduce(w, cfg)
-        events.append((cfg, log))
-        # (vertex, slot, lost, gained) per edit, see _WorkGraph
-        for k in range(0, len(log), 4):
-            ns = opened.get(log[k])
-            if ns is None or log[k + 1] is None:  # no open list, or a detach
-                continue
-            lost, gained = log[k + 2], log[k + 3]
-            if lost in ns:
-                ns.remove(lost)
-            if gained is not None:
-                ns.append(gained)
-        for v in sorted(set(log[::4])):
+    cfg = None  # no reduction yet: a detach is one of g's own components
+    touched = sorted(adj)
+    while True:
+        for v in touched:
             nbrs = adj.get(v)
             # most touched vertices have a degree no base case can hold
             if (nbrs is not None and len(nbrs) <= _BASE_MAX_DEGREE
                     and _detach_small(w, v, events)):
-                trace.splits += 1
+                if cfg is not None:
+                    trace.splits += 1
                 nbrs = None
             if nbrs is None:
                 opened.pop(v, None)
@@ -1461,6 +1441,25 @@ def _label(g: Graph, M: int,
             # a list of its own pays once it halves the walk
             if closed and (ns is not nbrs or 2 * closed >= dv):
                 opened[v] = [x for x in ns if dv + len(adj[x]) > sparse_sum]
+        if not adj:
+            break
+        cfg = _next_config(w, M, heap, queued)
+        if deep_check and not config_holds(w, M, cfg):
+            raise ExtensionError("the driver chose a %s that does not hold: "
+                                 "%r" % (cfg.kind, dict(cfg.data)))
+        log = _reduce(w, cfg)
+        events.append((cfg, log))
+        # (vertex, slot, lost, gained) per edit, see _WorkGraph
+        for k in range(0, len(log), 4):
+            ns = opened.get(log[k])
+            if ns is None or log[k + 1] is None:  # no open list, or a detach
+                continue
+            lost, gained = log[k + 2], log[k + 3]
+            if lost in ns:
+                ns.remove(lost)
+            if gained is not None:
+                ns.append(gained)
+        touched = sorted(set(log[::4]))
     # the heap holds only entries whose edges are gone now
     del opened, heap, queued
 

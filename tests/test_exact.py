@@ -101,6 +101,13 @@ def test_chromatic_numbers_frozen():
     assert edge_chromatic_number(star) == 3
 
 
+def test_chromatic_numbers_of_graphs_without_vertices_or_edges():
+    assert chromatic_number(_make([])) == 0
+    assert edge_chromatic_number(_make([])) == 0
+    assert chromatic_number(_make([], vertices=range(3))) == 1
+    assert edge_chromatic_number(_make([], vertices=range(3))) == 0
+
+
 def test_bounds_sandwich_c5():
     c5 = generate("cycle", 5)
     assert bounds(c5, d=2) == (4, 6)

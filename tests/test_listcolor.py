@@ -87,13 +87,6 @@ def test_missing_list_is_an_error():
         list_edge_color(g, {})
 
 
-def test_unchecked_mode_reports_exhaustion():
-    g = Graph.from_edges([(0, 10), (0, 11)])
-    lists = {(0, 10): {1}, (0, 11): {1}}
-    with pytest.raises(ListColorError):
-        list_edge_color(g, lists, check=False)
-
-
 def test_exact_size_lists_always_color():
     # threshold-sized lists never fail, per the bipartite list coloring
     # guarantee
@@ -124,18 +117,16 @@ def test_long_path_colors_without_recursion():
     assert out == {(i, i + 1): i % 2 for i in range(n)}
 
 
-# sha256 of the colorings of K8,8 and K12,12 with two list patterns each, and
-# of the exhaustion of six free edges beside a star of three edges that all
-# have lists {0, 1}; recorded with the search that picked from buckets
+# sha256 of the colorings of K8,8 and K12,12 with two list patterns each;
+# recorded with the search that picked from buckets
 LONG_SEARCH_DIGEST = (
-    "3fbecb64cb397a72f86a4b2c32ed1d77b095991603e438acf20c25256dc80eb1"
+    "e74d10997752ee2d5a9ffa022688a039d3cd4d6c439b45c1fd87f5506ff0390b"
 )
 
 
 def test_long_searches_keep_the_pick_order():
     # these searches push several times more heap entries than they have
-    # edges (the six free edges come first and are undone 2**6 times before
-    # the star is refuted), so the heap is rebuilt from its live entries
+    # edges and backtrack, so the heap is rebuilt from its live entries
     # midway, and the picks must not change
     h = hashlib.sha256()
     for a in (8, 12):
@@ -146,19 +137,16 @@ def test_long_searches_keep_the_pick_order():
             out = list_edge_color(g, lists)
             assert _is_proper(g, out)
             h.update(repr(sorted(out.items())).encode())
-    star = Graph.from_edges([(2 * i, 2 * i + 1) for i in range(6)]
-                            + [(20, 21), (20, 22), (20, 23)])
-    with pytest.raises(ListColorError):
-        list_edge_color(star, {e: {0, 1} for e in star.edges()}, check=False)
-    h.update(b"exhausted")
     assert h.hexdigest() == LONG_SEARCH_DIGEST
 
 
 # sha256 of each seeded instance's coloring, or the name of the error it
-# raised, with threshold-size lists, larger lists, and undersized lists under
-# check=False; recorded with the recursive search that the flat loop replaced
+# raised, with threshold-size lists, larger lists, and lists of random size,
+# which are refused when undersized; the colorings with threshold-size and
+# larger lists are those the recursive search that the flat loop replaced
+# gave
 LIST_COLOR_DIGEST = (
-    "12f808922ebbc8998308ce5443503e3c94e76ecdd5223b34383c946cd68e6125"
+    "3f9e72b38fa78bc31e93f665bd377fcb6245416bee6096e8d1a5166e67a9740a"
 )
 
 
@@ -175,7 +163,7 @@ def _digest_corpus_text() -> str:
             lists[edge_key(u, v)] = rng.sample(range(size + rng.randint(0, 3)),
                                                size)
         try:
-            out = list_edge_color(g, lists, check=mode < 2)
+            out = list_edge_color(g, lists)
             lines.append("%d %r" % (i, sorted(out.items())))
         except (ListSizeError, ListColorError) as exc:
             lines.append("%d %s" % (i, type(exc).__name__))

@@ -314,6 +314,18 @@ def test_config_holds_rejects_mismatches():
         assert not config_holds(star, 12, cfg), stale
 
 
+def test_a_triangle_that_bounds_no_face_is_no_face_kind():
+    # the triangle 0, 1, 2 of the first stacking step separates the
+    # vertices stacked inside it from the rest, so it bounds no face; the
+    # degrees of face_566 pass at its 5-corner 1, so _face_of decides
+    g = generate("stacked_triangulation", 6, 0)
+    assert all(g.has_edge(u, v) for u, v in ((0, 1), (1, 2), (0, 2)))
+    assert (g.degree(0), g.degree(1), g.degree(2)) == (4, 5, 5)
+    assert reduction._face_of(g, 1, 0, 2) is None
+    assert not config_holds(g, 12, ReducibleConfig(FACE_566,
+                                                   {"corners": (1, 0, 2)}))
+
+
 def test_config_holds_requires_the_data_the_finder_builds():
     w4 = generate("wheel", 4)
     cfg = _find(w4, DEG4_LOW_NEIGHBOR)
@@ -859,6 +871,18 @@ def test_assign_free_records_the_shortfall_before_failing():
     g, cfg, work = _sparse_edge_starved()
     rec = _extend_until_done(g, cfg, work, fails=True)
     assert _steps_of(rec) == [("assign", (0, 1), None, 0, 1)]
+
+
+def test_list_color_reports_a_short_list_as_an_extension_error():
+    # with colors {0..4} and gap 2, the ends colored 0 and 4 leave the edge
+    # (0, 1) only color 2, where its list must hold 2, the degree of 0 in
+    # the graph the edges form
+    g = Graph.from_edges([(0, 1), (0, 2)])
+    ext = _Extension(g, {0: 0, 1: 4}, ColorInterval(k=4, d=2),
+                     ReductionRecord(SPARSE_EDGE))
+    with pytest.raises(ExtensionError, match="has 1 colors, needs 2"):
+        ext.list_color([(0, 1), (0, 2)], lambda e, helper: 2)
+    assert ext.rec.steps == [] and (0, 1) not in ext.work
 
 
 def test_separate_endpoints_fails_when_no_edge_move_frees_an_end():
@@ -1793,6 +1817,80 @@ def test_light_queue_gets_only_keys_above_the_sparse_sum(monkeypatch):
             reduction._label(g, M)
     assert len(heaps) == len(works) == len(runs)
     assert all(checked), checked
+
+
+def _ranked_entries(g: Graph, M: int) -> set:
+    """The heap entry (rank, u, v) of each edge u < v of g that the rank
+    test admits by g's degrees: rank 0 within the sparse sum, else rank 1
+    within the light sum with an end of degree at most the light cap;
+    leaving out the edges of components of at most BASE_ELEMENT_LIMIT
+    vertices and edges."""
+    small = set()
+    for comp in g.components():
+        elements = len(comp) + sum(g.degree(v) for v in comp) // 2
+        if elements <= BASE_ELEMENT_LIMIT:
+            small |= comp
+    out = set()
+    for u, v in g.edges():
+        if u in small:
+            continue
+        du, dv = g.degree(u), g.degree(v)
+        if du + dv <= reduction._sparse_sum(M):
+            out.add((0, u, v))
+        elif (du + dv <= reduction._light_sum(M)
+              and min(du, dv) <= reduction._light_cap(M)):
+            out.add((1, u, v))
+    return out
+
+
+def test_first_pick_sees_each_ranked_edge_of_the_start_once(monkeypatch):
+    # the start is the forward loop's first pass, over every vertex: it
+    # detaches the small components and walks every other edge from both
+    # ends, so the first pick sees one entry per edge the rank test admits
+    # at g's degrees, and no entry of a small component
+    firsts: list = []
+    queued_config = reduction._next_config
+
+    def spy(w, M, heap, queued):
+        if not firsts:
+            firsts.append((list(heap), set(queued)))
+        return queued_config(w, M, heap, queued)
+
+    monkeypatch.setattr(reduction, "_next_config", spy)
+    runs = [(g, M) for M in (12, 16) for _, g, _ in acceptance_corpus()
+            if g.max_degree <= M]
+    runs.append((disjoint_union(generate("wheel", 13), _make_c4(),
+                                _make_spider(), generate("cycle", 5)), 13))
+    ranks = set()
+    for g, M in runs:
+        firsts.clear()
+        label_planar(g, M)
+        heap, queued = firsts[0]
+        want = _ranked_entries(g, M)
+        assert len(heap) == len(queued) == len(want), M
+        assert set(heap) == queued == want, M
+        ranks.update(rank for rank, _, _ in want)
+    assert ranks == {0, 1}
+
+
+def test_plain_graph_labels_without_a_component_search(monkeypatch):
+    # a plain graph has no rotations and no kept components, and the
+    # engine searches for none: each small component is detached by the
+    # start pass at its least vertex, and counts as no split
+    def unused(*args):
+        raise AssertionError("the engine searched the whole graph")
+
+    tri = generate("stacked_triangulation", 60, 1, 12)
+    edges = list(tri.edges())
+    edges += [(u + 100, v + 100) for u, v in _make_c4().edges()]
+    edges += [(u + 200, v + 200) for u, v in _make_spider().edges()]
+    g = Graph.from_edges(edges, vertices=[300])
+    monkeypatch.setattr(Graph, "components", unused)
+    monkeypatch.setattr(reduction, "_edges_summing_at_most", unused)
+    lab, trace = reduction._label(g, 12)
+    assert validate(g, lab, ITV) == []
+    assert trace.ok()
+    assert trace.base_cases - trace.splits == 3
 
 
 def _prefer_rare_kinds(monkeypatch) -> None:
