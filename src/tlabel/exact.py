@@ -19,7 +19,12 @@ its depth, so the saved domains never outnumber the conflicts.  The
 conflicts come from one index of each vertex's incident edges.  Elements
 are tried in a static order with colors ascending; a smallest-domain-first
 order would find other first solutions and so change the witnesses that
-the labeler's base cases and their golden digests depend on.
+the labeler's base cases and their golden digests depend on.  The labeler
+reproduces the search's first descent without searching: in the same
+order it gives each element its least free color, which is the witness
+whenever every element finds one (see ``reduction._label_base``), and it
+searches only when one finds none.  :func:`lambda_exact` orders the
+elements and builds their conflicts once per component, for every level.
 
 The search never tries a color that a symmetry of the problem makes
 redundant (Gent, Petrie and Puget, "Symmetry in Constraint Programming",
@@ -47,9 +52,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .graphs import Graph
+from .graphs import BaseGraph, Graph
 from .labeling import ColorInterval, PartialLabeling, is_edge
 
 
@@ -88,19 +93,24 @@ def _check_budget(budget: Optional[int]) -> None:
         raise ValueError("the search budget must be non-negative, got %d" % budget)
 
 
-def _element_order(g: Graph) -> list:
+def _element_order(g: BaseGraph, vertices: Optional[Iterable[int]] = None) -> list:
     """Vertices and edges interleaved by descending degree pressure.
 
     An edge weighs the sum of its endpoint degrees, a vertex its own degree;
     ties break toward vertices and then lower ids so runs are reproducible.
+    The elements are those of ``vertices``, every vertex of g when None,
+    and of the edges at them, so they must be a union of g's components:
+    a component of the labeler's working graph is ordered in place.
     """
-    deg = {}
+    adj = g._adj
     items = []
-    for v in g.vertices:
-        deg[v] = dv = g.degree(v)
+    for v in adj if vertices is None else vertices:
+        ns = adj[v]
+        dv = len(ns)
         items.append((-dv, 0, v, v))
-    for u, v in g.edges():
-        items.append((-(deg[u] + deg[v]), 1, u, v))
+        for x in ns:
+            if v < x:
+                items.append((-(dv + len(adj[x])), 1, v, x))
     items.sort()
     return [u if kind == 0 else (u, v) for _, kind, u, v in items]
 
@@ -240,6 +250,11 @@ def _total_conflicts(g: Graph, order: Sequence) -> tuple[list, list]:
     return same, band
 
 
+def _witness(order: list, colors: Optional[list]) -> Optional[PartialLabeling]:
+    """The labeling giving the elements in order their colors, None for none."""
+    return None if colors is None else PartialLabeling(dict(zip(order, colors)))
+
+
 def find_labeling(g: Graph, interval: ColorInterval,
                   budget: Optional[int] = None) -> tuple[Optional[PartialLabeling], int]:
     """Search for any total labeling within the interval.
@@ -252,9 +267,7 @@ def find_labeling(g: Graph, interval: ColorInterval,
     order = _element_order(g)
     same, band = _total_conflicts(g, order)
     colors, nodes = _search(same, band, interval.k, interval.d, budget)
-    if colors is None:
-        return None, nodes
-    return PartialLabeling(dict(zip(order, colors))), nodes
+    return _witness(order, colors), nodes
 
 
 def span_lower_bound(g: Graph, d: int) -> int:
@@ -280,20 +293,24 @@ def _left(budget: Optional[int], spent: int) -> Optional[int]:
 
 
 def _lambda_connected(g: Graph, d: int, budget: Optional[int]) -> SolveResult:
-    """lambda_exact on a connected graph: each span level gets what the
-    levels below it left of the budget."""
+    """lambda_exact on a connected graph: the element order and its
+    conflicts depend on g alone, so they are built once, and each span
+    level is searched with what the levels below it left of the budget."""
+    order = _element_order(g)
+    same, band = _total_conflicts(g, order)
     levels: list = []
     for k in itertools.count(span_lower_bound(g, d)):
         interval = ColorInterval(k=k, d=d)
         try:
-            phi, spent = find_labeling(g, interval,
-                                       _left(budget, sum(levels)))
+            colors, spent = _search(same, band, interval.k, interval.d,
+                                    _left(budget, sum(levels)))
         except BudgetExceeded as exc:
             levels.append(exc.nodes)
             return SolveResult("unknown", None, None, sum(levels), tuple(levels))
         levels.append(spent)
-        if phi is not None:
-            return SolveResult("solved", k, phi, sum(levels), tuple(levels))
+        if colors is not None:
+            return SolveResult("solved", k, _witness(order, colors),
+                               sum(levels), tuple(levels))
 
 
 def lambda_exact(g: Graph, d: int = 2, budget: Optional[int] = None) -> SolveResult:

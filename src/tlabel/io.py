@@ -34,7 +34,7 @@ from itertools import chain
 from typing import Union
 
 from .graphs import Graph, PlaneGraph, _edge_adjacency, edge_key
-from .labeling import PartialLabeling
+from .labeling import PartialLabeling, _color_map
 
 
 class FormatError(ValueError):
@@ -148,7 +148,7 @@ def parse_labeling(text: str, g: Graph) -> PartialLabeling:
 
 
 def serialize_labeling(phi: PartialLabeling) -> str:
-    m = phi.as_dict()
+    m = _color_map(phi)
     lines = []
     for el in phi.elements():
         if isinstance(el, tuple):

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from typing import (Callable, Iterator, Mapping, NamedTuple, NoReturn,
                     Optional)
 
-from .exact import find_labeling
+from .exact import _element_order, find_labeling
 from .graphs import (BaseGraph, DisconnectedError, Graph, GraphError,
                      PlaneGraph, edge_key)
 from .labeling import (
@@ -149,9 +149,9 @@ class ExtensionTrace:
     """Everything that happened while building one labeling.
 
     Records appear in extension order, innermost reduction first.
-    ``base_cases`` counts the small components labeled by exact search and
-    ``splits`` those among them that a reduction cut loose (see
-    ``_label``).
+    ``base_cases`` counts the small components given exact search's
+    witness and ``splits`` those among them that a reduction cut loose
+    (see ``_label``).
     """
 
     max_degree_bound: int
@@ -1199,38 +1199,39 @@ def _detach_small(w: _WorkGraph, start: int, events: list) -> bool:
     return True
 
 
-def _base_labeling(w: _WorkGraph, comp, itv: ColorInterval,
-                   memo: dict) -> dict:
-    """find_labeling's witness on the component comp of w, as a dict.
+def _label_base(ext: _Extension, comp: list) -> None:
+    """Give the component comp of the restored graph, still uncolored,
+    find_labeling's witness by first fit: each element, in
+    ``_element_order``'s order, takes its least free color.
 
-    An isolated vertex gets 0, its witness.  Any other component is looked
-    up in memo, which maps its order-preserving relabeling (the sorted ids
-    to 0..n-1, and its sorted relabeled edges) to the witness's (element,
-    color) pairs on the relabeled graph, in the witness's order.  The
-    search orders elements by degrees and id order alone, so a component
-    with the same relabeling gets the same witness, mapped back; memo must
-    hold witnesses in itv only.
+    When first fit completes, that is the witness.  The search's first
+    descent tries the same elements in the same order, their free colors
+    its domains, least first, and rejects a color only when placing it
+    leaves a later element no free color; free colors only shrink, so first
+    fit would then find that element with none.  The symmetry cuts keep
+    each least free color: element 0 has every color free, and at d = 1 so
+    is the color one above the largest placed.  So the descent never
+    backtracks.  When first fit finds no color, the search goes on: what
+    was placed is lifted and find_labeling's witness is put instead.
     """
-    ids = sorted(comp)
-    if len(ids) == 1:
-        return {ids[0]: 0}
-    adj = w._adj
-    index = {v: i for i, v in enumerate(ids)}
-    key = (len(ids), tuple(sorted(
-        [(index[u], index[x]) for u in ids for x in adj[u] if u < x])))
-    pairs = memo.get(key)
-    if pairs is None:
-        phi, _ = find_labeling(w.induced(ids), itv)
-        if phi is None:
-            raise ExtensionError(
-                "a base graph with %d elements has no labeling in a "
-                "%d-color interval" % (len(ids) + len(key[1]), itv.size))
-        pairs = memo[key] = tuple(
-            ((index[el[0]], index[el[1]]) if isinstance(el, tuple)
-             else index[el], c)
-            for el, c in phi.as_dict().items())
-    return {((ids[el[0]], ids[el[1]]) if isinstance(el, tuple) else ids[el]): c
-            for el, c in pairs}
+    order = _element_order(ext.g, comp)
+    put, available = ext.put, ext.available
+    for key in order:
+        avail = available(key)
+        if not avail:
+            break
+        put(key, _least(avail))
+    else:
+        return
+    for key in order:
+        ext.lift(key)
+    phi, _ = find_labeling(ext.g.induced(comp), ext.itv)
+    if phi is None:
+        raise ExtensionError(
+            "a base graph with %d elements has no labeling in a %d-color "
+            "interval" % (len(order), ext.itv.size))
+    for key, c in phi.as_dict().items():
+        put(key, c)
 
 
 def _require_valid(g: Graph, work: dict, itv: ColorInterval,
@@ -1375,11 +1376,11 @@ def _label(g: Graph, M: int,
     (``_BASE_MAX_DEGREE``), so most searches end at once.  The backward
     loop then pops the events in reverse and replays each log backwards,
     so each is freed once undone: a base case is rebuilt from the vertices
-    its log names and given exact search's witness, through a memo of
-    witnesses by shape local to this call (``_base_labeling``), and a
-    reduction is extended across on the restored graph.  Both write the
-    working dict through one ``_Extension``, which keeps each vertex's
-    mask of its edge colors across events for availability.  The working
+    its log names and given exact search's witness by first fit
+    (``_label_base``), and a reduction is extended across on the restored
+    graph.  Both write the working dict through one ``_Extension``, which
+    keeps each vertex's mask of its edge colors across events for
+    availability.  The working
     graph is then freed, and the working dict becomes the result uncopied,
     once validation has found every key an element of g and the count of
     keys shows that it covers g.
@@ -1465,13 +1466,11 @@ def _label(g: Graph, M: int,
 
     ext = _Extension(w, {}, itv)
     work = ext.work
-    memo: dict = {}  # base-case witnesses by shape, see _base_labeling
     while events:
         cfg, log = events.pop()
         w.undo(log)
         if cfg is None:
-            for key, c in _base_labeling(w, log[::4], itv, memo).items():
-                ext.put(key, c)
+            _label_base(ext, log[::4])
             trace.base_cases += 1
         else:
             ext.rec = ReductionRecord(cfg.kind)

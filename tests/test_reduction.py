@@ -1993,32 +1993,26 @@ CORPUS_BASES_AND_SPLITS = {12: (5455, 5455), 16: (11834, 11834)}
 
 
 def test_base_cases_take_find_labelings_witness(monkeypatch):
-    # the memo hands out, mapped back to the component's ids and in the
-    # same order, exactly the witness the exact search gives the component
-    base_labeling = reduction._base_labeling
-    searched = []
-    memos: list = []
+    # first fit gives each base case, item for item and in the same order,
+    # the witness the exact search gives the component, without searching
+    label_base = reduction._label_base
 
-    def checked(w, comp, itv, memo):
-        shapes, searches = len(memo), len(searched)
-        got = base_labeling(w, comp, itv, memo)
-        # a search only for a shape new to the memo, which then keeps it
-        assert len(searched) - searches == len(memo) - shapes
-        phi, _ = find_labeling(w.induced(comp), itv)
-        assert list(got.items()) == list(phi.as_dict().items())
+    def checked(ext, comp):
+        before = len(ext.work)
+        label_base(ext, comp)
+        phi, _ = find_labeling(ext.g.induced(comp), ext.itv)
+        # the working dict keeps insertion order: the base case is its tail
+        got = list(itertools.islice(reversed(ext.work.items()),
+                                    len(ext.work) - before))[::-1]
+        assert got == list(phi.as_dict().items())
         if len(comp) == 1:
-            assert got == dict.fromkeys(comp, 0)
-        if not any(m is memo for m in memos):
-            memos.append(memo)
-        return got
+            assert got == [(comp[0], 0)]
 
-    def counting(g, itv):
-        searched.append(g.n)
-        return find_labeling(g, itv)
+    def no_search(g, itv):
+        raise AssertionError("a base case fell back to the exact search")
 
-    monkeypatch.setattr(reduction, "_base_labeling", checked)
-    monkeypatch.setattr(reduction, "find_labeling", counting)
-    runs = 0
+    monkeypatch.setattr(reduction, "_label_base", checked)
+    monkeypatch.setattr(reduction, "find_labeling", no_search)
     for M, (bases, splits) in CORPUS_BASES_AND_SPLITS.items():
         totals = [0, 0]
         for _, g, _ in acceptance_corpus():
@@ -2026,13 +2020,35 @@ def test_base_cases_take_find_labelings_witness(monkeypatch):
                 _, trace = label_planar(g, M)
                 totals[0] += trace.base_cases
                 totals[1] += trace.splits
-                runs += trace.base_cases > 0
         assert totals == [bases, splits], M
-    # a fresh memo per call; an isolated vertex is never searched
-    assert len(memos) == runs
-    assert 1 not in searched
-    assert 0 < len(searched) < sum(b for b, _ in
-                                   CORPUS_BASES_AND_SPLITS.values()) // 5
+
+
+def test_a_base_case_that_first_fit_dead_ends_takes_the_searchs_witness(
+        monkeypatch):
+    # at {0..4}, d = 2, first fit colors the triangle's edges 0, 1, 2 and
+    # its vertices 3 and 4, and leaves the last vertex no color; the
+    # search backtracks out of that and its witness is put instead
+    tri = generate("cycle", 3)
+    itv = ColorInterval(4, 2)
+    phi, nodes = find_labeling(tri, itv)
+    assert phi is not None and nodes == 16
+    ext = _Extension(_WorkGraph(tri), {}, itv)
+    searched = []
+
+    def lifted_first(g, interval):
+        # what first fit placed is gone, its edge colors with it
+        assert ext.work == {} and not any(ext.masks.values())
+        searched.append(g.n)
+        return find_labeling(g, interval)
+
+    monkeypatch.setattr(reduction, "find_labeling", lifted_first)
+    reduction._label_base(ext, [0, 1, 2])
+    assert searched == [3]
+    assert list(ext.work.items()) == list(phi.as_dict().items())
+    for v in tri.vertices:
+        assert ext.masks[v] == sum(1 << ext.work[edge_key(v, x)]
+                                   for x in tri.neighbors(v))
+    assert validate(tri, ext.work, itv) == []
 
 
 def test_label_planar_peak_memory_is_linear_and_small():
